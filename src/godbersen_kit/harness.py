@@ -8,7 +8,7 @@ parameter cell.
 
 Design rules the whole module obeys:
 
-* **Byte-identical reруns.**  The same config must produce byte-identical
+* **Byte-identical reruns.**  The same config must produce byte-identical
   output files.  All randomness flows through per-trial
   ``random.Random(seed * SEED_STRIDE + trial)`` streams, iteration orders
   are fixed, floats are summed with ``math.fsum`` in a fixed order, JSON is
@@ -33,6 +33,7 @@ therefore always soft.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -45,13 +46,14 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .functional import sample_function, verify_functional_inequality
-from .mixed import difference_body_check, godbersen_ratio
+from .mixed import difference_body_check, godbersen_ratio, node_volumes
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import (
     MAX_DIM,
     centroid,
     contains_point,
     convex_hull,
+    negate,
     scale_polytope,
     scaled_reflected_join,
     translate,
@@ -560,11 +562,14 @@ def _trial_body(config, trial, *, offset=0):
 
 def _godbersen_trial(config, trial):
     working, exact = _trial_body(config, trial)
+    # One set of interpolation hulls per body serves every check below.
+    volumes = node_volumes(working, negate(working))
+    exact_volumes = functools.cache(lambda: node_volumes(exact, negate(exact)))
     records = []
     for j in config.j_list:
-        rep = godbersen_ratio(working, j)
+        rep = godbersen_ratio(working, j, volumes)
         if not rep.passed and config.mode == FLOAT:
-            rep = _mark_exact(godbersen_ratio(exact, j))
+            rep = _mark_exact(godbersen_ratio(exact, j, exact_volumes()))
         records.append(_record(
             config, trial, rep, check="translation-bound", hard=True, j=j,
             extra=_hard_extra(config, trial, rep, [exact], j=j)))
@@ -573,7 +578,7 @@ def _godbersen_trial(config, trial):
             rep.lhs, rep.meta["rhs_conjectured"], tol=rep.tol,
             meta={"n": config.n, "j": j, "method": rep.meta["method"]})
         if not conj.passed and config.mode == FLOAT:
-            exact_rep = godbersen_ratio(exact, j)
+            exact_rep = godbersen_ratio(exact, j, exact_volumes())
             conj = comparison_report(
                 exact_rep.lhs, exact_rep.meta["rhs_conjectured"], tol=0,
                 meta={"n": config.n, "j": j, "method": exact_rep.meta["method"],
@@ -582,9 +587,9 @@ def _godbersen_trial(config, trial):
             config, trial, conj, check="binomial-conjecture", hard=False, j=j,
             extra=_soft_extra(config, trial, conj, [exact], j=j)))
 
-    diff = difference_body_check(working)
+    diff = difference_body_check(working, volumes)
     if config.mode == FLOAT and not (diff.passed and diff.meta["expansion_identity"]):
-        diff = _mark_exact(difference_body_check(exact))
+        diff = _mark_exact(difference_body_check(exact, exact_volumes()))
     records.append(_record(
         config, trial, diff, check="difference-body-bound", hard=True,
         extra=_hard_extra(config, trial, diff, [exact])))

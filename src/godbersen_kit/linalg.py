@@ -1,14 +1,15 @@
 """Small dense linear algebra over either arithmetic mode.
 
 Everything here works on plain tuples/lists of scalars and is generic over
-exact rationals and floats; float callers pass a nonzero pivot tolerance.
-Sizes are tiny (d <= 7), so the routines favour clarity over asymptotics.
+exact rationals, Python ints and floats; float callers pass a nonzero pivot
+tolerance.  Integer input stays integral: :func:`det` switches to Bareiss
+elimination and :class:`RankTracker` eliminates fraction-free.  Sizes are
+tiny (d <= 7), so the routines favour clarity over asymptotics.
 """
 
 from __future__ import annotations
 
 from .errors import DegenerateInput
-from .scalars import rational
 
 
 def dot(u, v):
@@ -31,7 +32,10 @@ def vscale(u, s):
 
 
 def det(matrix, eps=0):
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Determinant by Gaussian elimination with pivoting; an all-int matrix
+    takes the exact integer route of :func:`_bareiss`."""
+    if eps == 0 and all(type(x) is int for row in matrix for x in row):
+        return _bareiss(matrix)
     m = [list(row) for row in matrix]
     n = len(m)
     if n == 0:
@@ -63,6 +67,39 @@ def det(matrix, eps=0):
     for i in range(1, n):
         result = result * m[i][i]
     return -result if sign_flips else result
+
+
+def _bareiss(matrix):
+    """Integer determinant by Bareiss's fraction-free elimination (1968):
+    every intermediate entry is a minor of the input, so each division by
+    the previous pivot is exact."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 2:  # the cofactor minors of every 3-d facet plane
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def solve(matrix, rhs, eps=0):
@@ -103,14 +140,6 @@ def inverse(matrix, eps=0):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def mat_vec(matrix, v):
-    return tuple(dot(row, v) for row in matrix)
-
-
-def transpose(matrix):
-    return [list(col) for col in zip(*matrix)]
-
-
 class RankTracker:
     """Incremental rank of a growing set of vectors (Gaussian elimination)."""
 
@@ -141,6 +170,13 @@ class RankTracker:
         v = list(vector)
         for row, pc in zip(self.rows, self.pivot_cols):
             if v[pc] != 0:
+                if self.eps == 0:
+                    # Fraction-free: scale v by the pivot instead of dividing
+                    # by it, so integer vectors stay integral.  The zero
+                    # pattern, hence every rank decision, is unchanged.
+                    lead, pivot = v[pc], row[pc]
+                    v = [a * pivot - lead * b for a, b in zip(v, row)]
+                    continue
                 factor = v[pc] / row[pc]
                 for c in range(self.dim):
                     v[c] = v[c] - factor * row[c]
@@ -155,13 +191,6 @@ class RankTracker:
         if pivot_col is None:
             return None
         return v, pivot_col
-
-
-def matrix_rank(vectors, dim, eps=0):
-    tracker = RankTracker(dim, eps)
-    for v in vectors:
-        tracker.add(v)
-    return tracker.rank
 
 
 def hyperplane_through(points, eps=0):
@@ -193,13 +222,3 @@ def binomial(n, k):
         out = out * (n - i) // (i + 1)
     return out
 
-
-def factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def exact_binomial(n, k):
-    return rational(binomial(n, k))

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -176,12 +177,44 @@ def _affine_basis(pts, d, eps):
     return None
 
 
-def _facet_plane(pts, verts, interior, eps, unit):
+def _spread_basis(pts, d, eps):
+    """Well-conditioned affine basis: from pts[0], each next point is the
+    one farthest from the affine span of the points already chosen.
+
+    Float-only retry for when the first-found basis is so flat that a facet
+    plane passes through its centroid within tolerance.
+    """
+    chosen = [0]
+    directions = []
+    for _ in range(d):
+        best, best_i, best_r = eps, None, None
+        for i, p in enumerate(pts):
+            r = vsub(p, pts[0])
+            for u in directions:
+                r = vsub(r, vscale(u, dot(r, u)))
+            dist = dot(r, r) ** 0.5
+            if dist > best:
+                best, best_i, best_r = dist, i, r
+        if best_i is None:
+            return None
+        chosen.append(best_i)
+        directions.append(vscale(best_r, 1 / best))
+    return sorted(chosen)
+
+
+def _facet_plane(pts, verts, interior, eps, mode):
     normal, offset = hyperplane_through([pts[i] for i in verts], eps)
-    if unit:
+    if mode == FLOAT:
         norm = sum(c * c for c in normal) ** 0.5
         normal = tuple(c / norm for c in normal)
         offset = offset / norm
+    else:
+        # Integer cofactors; dividing out their gcd leaves the primitive
+        # normal, which is already the canonical form of the plane.
+        g = math.gcd(*normal)
+        if g > 1:
+            normal = tuple(c // g for c in normal)
+            offset //= g
     side = dot(normal, interior) - offset
     if sign(side, eps) == 0:
         raise DegenerateInput("facet plane passes through the interior reference point")
@@ -191,33 +224,60 @@ def _facet_plane(pts, verts, interior, eps, unit):
     return normal, offset
 
 
-def _hull_core(points, mode):
-    """Beneath-beyond insertion.  Returns (pts, simplicial facets, interior).
+def _integer_points(points, d):
+    """Exact points as ints, scaled by S = (d+1) * lcm(denominators).
 
+    S > 0, so order, deduplication and affine independence are unchanged,
+    and the factor d+1 makes the centroid of any d+1 of them integral too.
+    Returns (int points, S).
+    """
+    scale = (d + 1) * math.lcm(*(int(c.denominator) for p in points for c in p))
+    return [
+        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p) for p in points
+    ], scale
+
+
+def _hull_core(pts, mode):
+    """Beneath-beyond insertion.  Returns (pts, simplicial facets, interior, eps).
+
+    Exact mode takes the int points of :func:`_integer_points` and works in
+    integers throughout; float mode works in floats with a scaled tolerance.
     Simplicial facets triangulate the boundary; adjacent coplanar simplices
     are merged later.  Points exactly on the current boundary are skipped
     (they cannot be extreme for the full set).
     """
-    d = len(points[0])
-    eps = 0 if mode == EXACT else FLOAT_EPS * _coordinate_scale(points)
-    unit = mode == FLOAT
-    pts = _dedupe(points, eps)
+    d = len(pts[0])
+    eps = 0 if mode == EXACT else FLOAT_EPS * _coordinate_scale(pts)
+    pts = _dedupe(pts, eps)
     if len(pts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
     pts.sort()
     basis = _affine_basis(pts, d, eps)
     if basis is None:
         raise DegenerateInput("points span a lower-dimensional affine subspace")
+    try:
+        return _insert_points(pts, basis, eps, mode)
+    except DegenerateInput:
+        if mode == EXACT:
+            raise
+        retry = _spread_basis(pts, d, eps)
+        if retry is None or retry == basis:
+            raise
+        return _insert_points(pts, retry, eps, mode)
 
-    interior = tuple(sum(pts[i][c] for i in basis) / (d + 1) for c in range(d))
+
+def _insert_points(pts, basis, eps, mode):
+    d = len(pts[0])
     if mode == EXACT:
-        interior = tuple(exact_scalar(x) for x in interior)
+        interior = tuple(sum(pts[i][c] for i in basis) // (d + 1) for c in range(d))
+    else:
+        interior = tuple(sum(pts[i][c] for i in basis) / (d + 1) for c in range(d))
 
     facets = {}
     next_id = 0
     for skip in range(d + 1):
         verts = tuple(sorted(basis[j] for j in range(d + 1) if j != skip))
-        facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, unit))
+        facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, mode))
         next_id += 1
 
     in_simplex = set(basis)
@@ -243,7 +303,7 @@ def _hull_core(points, mode):
             if count != 1:
                 continue
             verts = tuple(sorted(ridge + (idx,)))
-            facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, unit))
+            facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, mode))
             next_id += 1
 
     return pts, list(facets.values()), interior, eps
@@ -287,30 +347,25 @@ def _canonical_plane(normal, offset, mode):
         norm = sum(c * c for c in normal) ** 0.5
         return tuple(c / norm for c in normal), offset / norm
     nq = [exact_scalar(c) for c in normal]
-    denom_lcm = 1
-    for c in nq:
-        q = int(c.denominator)
-        denom_lcm = denom_lcm * q // _gcd(denom_lcm, q)
+    denom_lcm = math.lcm(*(int(c.denominator) for c in nq))
     ints = [int(c.numerator) * (denom_lcm // int(c.denominator)) for c in nq]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    scale = rational(denom_lcm, g)
+    scale = rational(denom_lcm, math.gcd(*ints))
     return tuple(c * scale for c in nq), exact_scalar(offset) * scale
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _hull_finish(pts, simplices, interior, eps, mode, d, scale):
+    """Facets, vertices, volume and centroid from the simplicial boundary.
 
-
-def _hull_finish(pts, simplices, interior, eps, mode, d):
+    In exact mode the inputs are the int points of :func:`_integer_points`
+    with their scale S; rationals are formed only for the returned fields.
+    """
     groups = _merge_coplanar(pts, simplices, eps)
 
     planes = []
     for group in groups:
-        normal, offset = _canonical_plane(simplices[group[0]][1], simplices[group[0]][2], mode)
+        normal, offset = simplices[group[0]][1], simplices[group[0]][2]
+        if mode == FLOAT:
+            normal, offset = _canonical_plane(normal, offset, mode)
         planes.append((normal, offset))
 
     candidates = sorted({v for verts, _, _ in simplices for v in verts})
@@ -332,7 +387,6 @@ def _hull_finish(pts, simplices, interior, eps, mode, d):
                 vertex_set.append(v)
 
     vertices = sorted(pts[v] for v in vertex_set)
-    index_of = {v: i for i, v in enumerate(vertices)}
 
     facets = []
     for normal, offset in planes:
@@ -340,17 +394,18 @@ def _hull_finish(pts, simplices, interior, eps, mode, d):
         members = tuple(
             i for i, v in enumerate(vertices) if abs(dot(normal, v) - offset) <= tol
         )
-        facets.append(Facet(members, normal, offset))
-    facets.sort(key=lambda f: (f.outward_normal, f.offset))
+        facets.append((normal, offset, members))
+    # S > 0, so sorting the working planes sorts the returned ones too.
+    facets.sort(key=lambda f: f[:2])
+
+    if mode == EXACT:
+        return _exact_polytope(pts, simplices, interior, d, scale, vertices, facets)
 
     # Volume and centroid from the boundary triangulation, fanned from the
     # interior reference point.
-    dfact = 1
-    for i in range(2, d + 1):
-        dfact *= i
-    total = as_scalar(0, mode) if mode == FLOAT else rational(0)
+    dfact = math.factorial(d)
+    total = as_scalar(0, mode)
     weighted = [total] * d
-    weighted = list(weighted)
     for verts, _, _ in simplices:
         mat = [vsub(pts[v], interior) for v in verts]
         vol = abs(det(mat, eps)) / dfact
@@ -365,8 +420,38 @@ def _hull_finish(pts, simplices, interior, eps, mode, d):
     if total == 0 or (eps and total <= eps**d):
         raise DegenerateInput("zero-volume hull")
     centroid = tuple(w / total for w in weighted)
+    facets = tuple(Facet(members, normal, offset) for normal, offset, members in facets)
+    return VPolytope(d, mode, tuple(vertices), facets, total, centroid, interior)
 
-    return VPolytope(d, mode, tuple(vertices), tuple(facets), total, centroid, interior)
+
+def _exact_polytope(pts, simplices, interior, d, scale, vertices, facets):
+    """Rational VPolytope from the integer hull, scaled by 1/S on the way out.
+
+    With D_i the determinant of simplex i fanned from the interior point,
+    Vol = sum|D_i| / (d! S^d), and the centroid is the |D_i|-weighted mean
+    of the simplex centroids.
+    """
+    total = 0
+    weighted = [0] * d
+    for verts, _, _ in simplices:
+        vol = abs(det([vsub(pts[v], interior) for v in verts]))
+        total += vol
+        for c in range(d):
+            weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts))
+    if total == 0:
+        raise DegenerateInput("zero-volume hull")
+    return VPolytope(
+        d,
+        EXACT,
+        tuple(tuple(rational(c, scale) for c in v) for v in vertices),
+        tuple(
+            Facet(members, tuple(rational(c) for c in normal), rational(offset, scale))
+            for normal, offset, members in facets
+        ),
+        rational(total, math.factorial(d) * scale**d),
+        tuple(rational(w, total * scale * (d + 1)) for w in weighted),
+        tuple(rational(c, scale) for c in interior),
+    )
 
 
 def convex_hull(points, mode=None, *, allow_degenerate=False):
@@ -387,13 +472,14 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     if mode is None:
         mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
     pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
+    work, scale = _integer_points(pts, d) if mode == EXACT else (pts, None)
     try:
-        core_pts, simplices, interior, eps = _hull_core(pts, mode)
+        core = _hull_core(work, mode)
     except DegenerateInput:
         if not allow_degenerate:
             raise
         return _degenerate_hull(pts, d, mode)
-    return _hull_finish(core_pts, simplices, interior, eps, mode, d)
+    return _hull_finish(*core, mode, d, scale)
 
 
 def _degenerate_hull(pts, d, mode):
@@ -449,16 +535,6 @@ def centroid(P):
 def support(P, u):
     """Support value max_v <v,u> over the vertex list."""
     return max(dot(v, u) for v in P.vertices)
-
-
-def support_argmax(P, u):
-    best = None
-    arg = None
-    for v in P.vertices:
-        val = dot(v, u)
-        if best is None or val > best:
-            best, arg = val, v
-    return best, arg
 
 
 def contains_point(P, x, *, strict=False):

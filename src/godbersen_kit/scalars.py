@@ -3,8 +3,10 @@
 Two modes exist everywhere in the package:
 
 * ``"exact"``  -- arbitrary-precision rationals.  Backed by ``gmpy2.mpq``
-  when available (much faster), otherwise ``fractions.Fraction``; both keep
+  when it is installed, otherwise ``fractions.Fraction``; both keep
   fractions reduced with positive denominator, so canonical form is free.
+  gmpy2 is optional: the exact hull kernel scales its points to Python
+  ints and forms rationals only for the values it returns.
 * ``"float"``  -- IEEE float64 with tolerance-based predicates.
 
 Floats never silently enter exact arithmetic: :func:`exact_scalar` rejects
@@ -21,7 +23,7 @@ try:
     from gmpy2 import mpz as _integer
 
     _RATIONAL_TYPES = (type(_rational(1)), Fraction)
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency in practice
+except ImportError:  # gmpy2 is optional
     _rational = Fraction
     _integer = int
     _RATIONAL_TYPES = (Fraction,)
@@ -82,23 +84,6 @@ def rationalize(x, denominator=1 << 20):
             raise ValueError("cannot rationalize %r" % x)
         return _rational(round(x * denominator), denominator)
     return exact_scalar(x)
-
-
-def scalar_to_float(x) -> float:
-    return float(x)
-
-
-def infer_mode(values):
-    """Mode implied by a flat iterable of coordinates; mixing is an error."""
-    saw_float = saw_exact = False
-    for v in values:
-        if isinstance(v, float):
-            saw_float = True
-        else:
-            saw_exact = True
-    if saw_float and saw_exact:
-        raise TypeError("mixed float and exact coordinates in one value")
-    return FLOAT if saw_float else EXACT
 
 
 def sign(x, eps=0):

@@ -6,6 +6,7 @@ sharing code with the implementation under test is not.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from godbersen_kit.linalg import dot, hyperplane_through, solve, vsub
 from godbersen_kit.lp import OPTIMAL, simplex_max
 from godbersen_kit.errors import DegenerateInput
-from godbersen_kit.scalars import EXACT, rational
+from godbersen_kit.polytopes import Facet, VPolytope
+from godbersen_kit.scalars import EXACT, exact_scalar, rational
 
 
 def is_convex_combination(p, others):
@@ -69,24 +71,142 @@ def brute_force_facet_planes_3d(points):
             offset = -offset
         else:
             continue
-        denom_lcm = 1
-        for x in normal:
-            q = int(x.denominator)
-            g = _gcd(denom_lcm, q)
-            denom_lcm = denom_lcm // g * q
-        ints = [int(x * denom_lcm) for x in normal]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
-        scale = rational(denom_lcm, g)
-        planes.add((tuple(x * scale for x in normal), offset * scale))
+        planes.add(_primitive_plane(normal, offset))
     return sorted(planes)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive_plane(normal, offset):
+    """Scale a rational plane by a positive rational so that its normal is a
+    primitive integer vector."""
+    denom_lcm = math.lcm(*(int(x.denominator) for x in normal))
+    g = math.gcd(*(int(x * denom_lcm) for x in normal))
+    scale = rational(denom_lcm, g)
+    return tuple(x * scale for x in normal), offset * scale
+
+
+# ---------------------------------------------------------------------------
+# reference exact hull: beneath-beyond over Fractions
+
+
+def fraction_det(matrix):
+    """Determinant by Gaussian elimination over rationals."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    result = rational(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return rational(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            result = -result
+        pivot = m[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            factor = m[r][col] / pivot
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return result
+
+
+def _fraction_rank(vectors):
+    rows = []
+    for vector in vectors:
+        v = list(vector)
+        for row, pc in rows:
+            if v[pc] != 0:
+                factor = v[pc] / row[pc]
+                v = [a - factor * b for a, b in zip(v, row)]
+        pc = next((c for c, a in enumerate(v) if a != 0), None)
+        if pc is not None:
+            rows.append((v, pc))
+    return len(rows)
+
+
+def _fraction_plane(points):
+    d = len(points[0])
+    edges = [vsub(p, points[0]) for p in points[1:]]
+    normal = tuple(
+        (-1) ** j * fraction_det([[row[c] for c in range(d) if c != j] for row in edges])
+        for j in range(d)
+    )
+    if all(c == 0 for c in normal):
+        raise DegenerateInput("points do not span a hyperplane")
+    return normal, dot(normal, points[0])
+
+
+def reference_convex_hull(points):
+    """Exact hull by beneath-beyond insertion with every quantity a Fraction.
+
+    The same algorithm and conventions as ``polytopes.convex_hull`` in exact
+    mode: lexicographically sorted distinct points, the first affinely
+    independent d+1 of them as the starting simplex, its vertex centroid as
+    the interior reference point, coplanar simplices merged across ridges,
+    primitive integer facet normals, and volume and centroid fanned from the
+    interior point.  Raises DegenerateInput for a flat point set.
+    """
+    pts = sorted({tuple(exact_scalar(c) for c in p) for p in points})
+    d = len(pts[0])
+    if len(pts) < d + 1:
+        raise DegenerateInput("need at least d+1 distinct points")
+    basis = [0]
+    for i in range(1, len(pts)):
+        if _fraction_rank(vsub(pts[j], pts[0]) for j in basis[1:] + [i]) == len(basis):
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    else:
+        raise DegenerateInput("points span a lower-dimensional affine subspace")
+    interior = tuple(sum(pts[i][c] for i in basis) / (d + 1) for c in range(d))
+
+    def plane(verts):
+        normal, offset = _fraction_plane([pts[i] for i in verts])
+        side = dot(normal, interior) - offset
+        if side == 0:
+            raise DegenerateInput("facet plane passes through the interior reference point")
+        if side > 0:
+            normal, offset = tuple(-c for c in normal), -offset
+        return normal, offset
+
+    facets = {}
+    for skip in range(d + 1):
+        verts = tuple(b for j, b in enumerate(basis) if j != skip)
+        facets[verts] = plane(verts)
+    for idx, p in enumerate(pts):
+        if idx in basis:
+            continue
+        visible = [v for v, (n, o) in facets.items() if dot(n, p) - o > 0]
+        ridges = {}
+        for verts in visible:
+            del facets[verts]
+            for skip in range(d):
+                ridge = verts[:skip] + verts[skip + 1 :]
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        for ridge, count in ridges.items():
+            if count == 1:
+                verts = tuple(sorted(ridge + (idx,)))
+                facets[verts] = plane(verts)
+
+    planes = sorted({_primitive_plane(n, o) for n, o in facets.values()})
+    vertices = sorted(
+        p for p in pts
+        if _fraction_rank(n for n, o in planes if dot(n, p) == o) == d
+    )
+    hull_facets = tuple(
+        Facet(tuple(i for i, v in enumerate(vertices) if dot(n, v) == o), n, o)
+        for n, o in planes
+    )
+    total = rational(0)
+    weighted = [rational(0)] * d
+    for verts in facets:
+        vol = abs(fraction_det([vsub(pts[v], interior) for v in verts])) / math.factorial(d)
+        total += vol
+        for c in range(d):
+            weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts)) / (d + 1)
+    if total == 0:
+        raise DegenerateInput("zero-volume hull")
+    return VPolytope(d, EXACT, tuple(vertices), hull_facets, total,
+                     tuple(w / total for w in weighted), interior)
 
 
 def monte_carlo_volume(P_float, n_samples=1_000_000, seed=0):

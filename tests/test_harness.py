@@ -4,11 +4,14 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import godbersen_kit.harness as harness
+import godbersen_kit.mixed as mixed
 from godbersen_kit.cli import main
 from godbersen_kit.errors import DegenerateInput
 from godbersen_kit.harness import (
@@ -478,3 +481,44 @@ def test_cli_mixed_volume(tmp_path, capsys):
     pair = json.loads(capsys.readouterr().out)
     assert general["value"] == pair["value"]
     assert main(["mixed-volume", "--bodies", str(s_path), "--j", "1"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# regressions
+
+
+def test_exact_godbersen_trial_builds_one_hull_per_node(monkeypatch):
+    calls = []
+    original = mixed.minkowski_sum
+
+    def counting(P, Q):
+        calls.append(P.dim)
+        return original(P, Q)
+
+    monkeypatch.setattr(mixed, "minkowski_sum", counting)
+    records = run_trial(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
+    # Nodes s = 1, 2, 3 of Vol(sK - K); the s = 1 node doubles as K - K.
+    assert len(calls) == 3
+    assert all(rec["pass"] for rec in records if rec["hard"])
+
+
+def test_float_gfr_flat_first_basis_does_not_abort():
+    config = ExperimentConfig(kind="gfr", n=2, trials=1, mode="float", seed=5000,
+                              lambda_grid=("1/2",))
+    records = run_trial(config, 0)
+    assert [rec["check"] for rec in records] == [
+        "translation-search-bound", "halfway-binomial-cross-check"]
+    assert all(rec["pass"] for rec in records if rec["hard"])
+
+
+def test_readme_config_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"printf '(\{.*\})\\n'", text)
+    assert examples
+    for example in examples:
+        ExperimentConfig.from_json(json.loads(example))
+    mode_row = next(line for line in text.splitlines() if line.startswith("| `mode`"))
+    modes = re.findall(r'`"(\w+)"`', mode_row)
+    assert modes
+    for mode in modes:
+        ExperimentConfig.from_json({"kind": "godbersen", "n": 2, "mode": mode})
