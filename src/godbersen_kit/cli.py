@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GodbersenKitError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
 from .planar import POLICIES, reduce_to_triangle, verify_planar_gfr
 from .polytopes import polytope_from_json, polytope_to_json, scaled_reflected_join, volume
@@ -59,15 +59,12 @@ def _experiment_command(args):
         obj["output_path"] = args.output
     config = ExperimentConfig.from_json(obj)
     code = run_experiment(config)
-    base = config.output_path
-    for ext in (".jsonl", ".csv", ".json"):
-        if base.endswith(ext):
-            base = base[: -len(ext)]
-            break
+    base = _output_base(config.output_path)
     if code == 0:
         print("ok: wrote %s.jsonl and %s.csv" % (base, base))
     elif code == 2:
-        print("HARD FAILURE: a proved inequality failed; see %s.jsonl" % base)
+        print("HARD FAILURE: a proved inequality failed or a trial raised; see %s.jsonl"
+              % base)
     return code
 
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, GodbersenKitError
 from .functional import sample_function, verify_functional_inequality
 from .mixed import difference_body_check, godbersen_ratio, node_volumes
 from .planar import reduce_to_triangle, verify_planar_gfr
@@ -352,14 +352,77 @@ class TranslationSolution:
     value: float
     iterations: int
     certificate: tuple
+    hull_builds: int = 0
 
     def to_json_dict(self):
         return {
             "x_star": [float(c) for c in self.x_star],
             "value": self.value,
             "iterations": self.iterations,
+            "hull_builds": self.hull_builds,
             "certificate": [dict(entry) for entry in self.certificate],
         }
+
+
+class TranslatedJoinVolume:
+    """x -> Vol(conv((1-lam)(K-x) v -lam(K-x))), reusing recent hulls.
+
+    With A = (1-lam)K and B = -lam*K the body is a translate of
+    conv(A v (B + x)), so only the cloud B moves.  The last few boundary
+    triangulations are kept as oriented index tuples into A v B.  At a new
+    x a triangulation is reused when every simplex fanned from the cloud's
+    mean has determinant above tol and every point lies on the inner side
+    of every facet plane within tol (tol = 1e-12 * s^d, s the largest
+    coordinate offset from the mean).  Then it still bounds the hull, whose
+    volume is the sum of the fan determinants over d!.  This is the
+    visibility test of beneath-beyond insertion run against an old
+    boundary.  When no kept triangulation passes, the hull is rebuilt with
+    :func:`convex_hull` and counted in ``hull_builds``.  At lam = 0 or 1
+    the body is +-K and the value is Vol K.
+    """
+
+    _KEEP = 4
+
+    def __init__(self, K, lam):
+        lam = float(lam)
+        self.hull_builds = 0
+        self._fixed = float(volume(K)) if lam in (0.0, 1.0) else None
+        verts = np.array(K.vertices, dtype=float)
+        self._a = (1.0 - lam) * verts
+        self._b = -lam * verts
+        self._dfact = math.factorial(K.dim)
+        self._kept = []  # (facet index array, orientation signs), most recent first
+
+    def __call__(self, x):
+        if self._fixed is not None:
+            return self._fixed
+        cloud = np.vstack([self._a, self._b + np.asarray(x, dtype=float)])
+        center = cloud.mean(axis=0)
+        tol = 1e-12 * float(np.abs(cloud - center).max()) ** cloud.shape[1]
+        for pos, (index, signs) in enumerate(self._kept):
+            simplices = cloud[index]
+            fan = signs * np.linalg.det(simplices - center)
+            if fan.min() <= tol:
+                continue
+            sides = signs * np.linalg.det(simplices[None] - cloud[:, None, None, :])
+            if sides.min() < -tol:
+                continue
+            self._kept.insert(0, self._kept.pop(pos))
+            return float(fan.sum()) / self._dfact
+        return self._rebuild(cloud, center)
+
+    def _rebuild(self, cloud, center):
+        self.hull_builds += 1
+        points = [tuple(p) for p in cloud.tolist()]
+        hull = convex_hull(points, FLOAT)
+        first = {}
+        for i, p in enumerate(points):
+            first.setdefault(p, i)
+        index = np.array([[first[p] for p in simplex] for simplex in hull.boundary])
+        signs = np.sign(np.linalg.det(cloud[index] - center))
+        self._kept.insert(0, (index, signs))
+        del self._kept[self._KEEP:]
+        return float(volume(hull))
 
 
 def minimize_over_translation(K, lam):
@@ -368,7 +431,9 @@ def minimize_over_translation(K, lam):
     Coordinatewise golden-section sweeps, restarted from the centroid and
     from 2n boundary probes, stopping when a full sweep improves the value
     by less than a 1e-8 relative factor.  The search runs in float
-    arithmetic regardless of the body's mode.
+    arithmetic regardless of the body's mode; each probe is evaluated by a
+    :class:`TranslatedJoinVolume`, which rebuilds a hull only when none of
+    its recent ones still bounds the probe's body.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
@@ -382,11 +447,11 @@ def minimize_over_translation(K, lam):
               for f in body.facets]
     evaluations = [0]
     certificate = []
+    join_volume = TranslatedJoinVolume(body, lam)
 
     def objective(x):
         evaluations[0] += 1
-        shifted = translate(body, tuple(-c for c in x))
-        return float(volume(scaled_reflected_join(shifted, lam)))
+        return join_volume(x)
 
     def segment(x, k):
         # Range of s with x + s*e_k still in the body.
@@ -477,7 +542,8 @@ def minimize_over_translation(K, lam):
             break
         best_x = tuple(c + 1e-9 * (m - c) for c, m in zip(best_x, cen))
         best_v = objective(best_x)
-    return TranslationSolution(tuple(best_x), best_v, evaluations[0], tuple(certificate))
+    return TranslationSolution(tuple(best_x), best_v, evaluations[0], tuple(certificate),
+                               join_volume.hull_builds)
 
 
 # ---------------------------------------------------------------------------
@@ -891,12 +957,25 @@ def _write_csv(fp, records):
             fp.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
+def _isolated_trial(config, trial):
+    """The trial's records, or one failing hard ``trial-error`` record when
+    the trial raised a package error; the rest of the sweep goes on."""
+    try:
+        return run_trial(config, trial)
+    except GodbersenKitError as exc:
+        failed = CheckReport(None, None, None, 0, False,
+                             {"error": type(exc).__name__, "message": str(exc)})
+        payload = {k: v for k, v in config.to_json_dict().items() if k != "output_path"}
+        return [_record(config, trial, failed, check="trial-error", hard=True,
+                        extra={"reproduction": {"config": payload, "trial": trial}})]
+
+
 def _collect(config):
     workers = thread_cap()
     if workers <= 1 or config.trials == 1:
-        return [run_trial(config, t) for t in range(config.trials)]
+        return [_isolated_trial(config, t) for t in range(config.trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: run_trial(config, t), range(config.trials)))
+        return list(pool.map(lambda t: _isolated_trial(config, t), range(config.trials)))
 
 
 def run_experiment(config):
@@ -904,7 +983,9 @@ def run_experiment(config):
 
     0 — all checks passed (soft violation candidates, if any, are recorded
     in the output but do not fail the run); 2 — some hard (proved) check
-    failed beyond tolerance; 3 — the output files could not be written.
+    failed beyond tolerance, or a trial raised a package error and was
+    recorded as a failing ``trial-error``; 3 — the output files could not
+    be written.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_json(config)

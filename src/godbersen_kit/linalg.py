@@ -198,7 +198,11 @@ def hyperplane_through(points, eps=0):
     points in R^d, via cofactor expansion of the edge matrix.
 
     Returns (normal, offset) with <p, normal> = offset for each input point.
-    Raises DegenerateInput when the points do not span a hyperplane.
+    Raises DegenerateInput when the points do not span a hyperplane.  With
+    a float tolerance, a normal within eps of zero is only degenerate when
+    the edges are dependent within eps: the normal's length is the
+    (d-1)-volume the edges span, which is tiny for well-spread points at a
+    small scale or for a small facet.
     """
     d = len(points[0])
     base = points[0]
@@ -209,16 +213,9 @@ def hyperplane_through(points, eps=0):
         cof = det(minor, eps)
         normal.append(cof if j % 2 == 0 else -cof)
     if all(abs(c) <= eps for c in normal):
-        raise DegenerateInput("points do not span a hyperplane")
+        tracker = RankTracker(d, eps)
+        if eps == 0 or not all(tracker.add(e) for e in edges):
+            raise DegenerateInput("points do not span a hyperplane")
     normal = tuple(normal)
     return normal, dot(normal, base)
-
-
-def binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 

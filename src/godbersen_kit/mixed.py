@@ -10,7 +10,7 @@ must make them agree to the digit.
 import math
 from dataclasses import dataclass
 
-from .linalg import binomial, solve
+from .linalg import solve
 from .polytopes import minkowski_sum, negate, scale_polytope, volume
 from .reports import comparison_report
 from .scalars import EXACT, FLOAT, as_scalar, rational
@@ -74,7 +74,7 @@ def volume_polynomial(K, T, volumes=None):
         cond = float(np.linalg.cond(np.array(vander, dtype=float)))
     out = []
     for j in range(n + 1):
-        out.append(coeffs[j] / as_scalar(binomial(n, j), mode))
+        out.append(coeffs[j] / as_scalar(math.comb(n, j), mode))
     return out, cond
 
 
@@ -137,7 +137,7 @@ def godbersen_ratio(K, j, volumes=None):
         raise ValueError("need 1 <= j <= n-1")
     values, cond = volume_polynomial(K, negate(K), volumes)
     lhs = values[j] / volume(K)
-    conjectured = as_scalar(binomial(n, j), K.mode)
+    conjectured = as_scalar(math.comb(n, j), K.mode)
     if K.mode == EXACT:
         proved = rational(n**n, j**j * (n - j) ** (n - j))
         tol = 0
@@ -174,9 +174,9 @@ def difference_body_check(K, volumes=None):
     else:
         diff_volume = volume(minkowski_sum(K, minus_k))
     lhs = diff_volume / volume(K)
-    rhs = as_scalar(binomial(2 * n, n), K.mode)
+    rhs = as_scalar(math.comb(2 * n, n), K.mode)
     values, cond = volume_polynomial(K, minus_k, volumes)
-    expansion = sum(as_scalar(binomial(n, j), K.mode) * values[j] for j in range(n + 1))
+    expansion = sum(as_scalar(math.comb(n, j), K.mode) * values[j] for j in range(n + 1))
     tol = 0 if K.mode == EXACT else 1e-9 * float(rhs)
     identity_tol = 0 if K.mode == EXACT else 1e-9 * float(diff_volume)
     meta = {

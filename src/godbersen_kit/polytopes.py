@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     DegenerateInput,
@@ -73,12 +73,17 @@ class VPolytope:
     """Canonical vertex representation of a full-dimensional polytope.
 
     Construct through :func:`convex_hull` (or the serialization helpers);
-    the constructor trusts its arguments.
+    the constructor trusts its arguments.  A float hull built by
+    :func:`convex_hull` also keeps ``boundary``: the simplicial boundary
+    triangulation its volume was fanned from, one tuple of d points per
+    simplex.  Every other polytope has ``boundary = None``.
     """
 
-    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_centroid", "_interior")
+    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_centroid", "_interior",
+                 "boundary")
 
-    def __init__(self, dim, mode, vertices, facets, volume, centroid, interior):
+    def __init__(self, dim, mode, vertices, facets, volume, centroid, interior,
+                 boundary=None):
         self.dim = dim
         self.mode = mode
         self.vertices = vertices
@@ -86,6 +91,7 @@ class VPolytope:
         self._volume = volume
         self._centroid = centroid
         self._interior = interior
+        self.boundary = boundary
 
     def __eq__(self, other):
         return (
@@ -421,7 +427,8 @@ def _hull_finish(pts, simplices, interior, eps, mode, d, scale):
         raise DegenerateInput("zero-volume hull")
     centroid = tuple(w / total for w in weighted)
     facets = tuple(Facet(members, normal, offset) for normal, offset, members in facets)
-    return VPolytope(d, mode, tuple(vertices), facets, total, centroid, interior)
+    boundary = tuple(tuple(pts[v] for v in verts) for verts, _, _ in simplices)
+    return VPolytope(d, mode, tuple(vertices), facets, total, centroid, interior, boundary)
 
 
 def _exact_polytope(pts, simplices, interior, d, scale, vertices, facets):

@@ -16,7 +16,6 @@ from .errors import (
     OriginNotContained,
     OriginNotInterior,
 )
-from .linalg import binomial, dot
 from .polytopes import (
     HPolytope,
     VPolytope,

@@ -9,9 +9,8 @@ on mixed-volume ratios.
 import math
 from dataclasses import dataclass
 
-from .linalg import binomial, dot
-from .polytopes import VPolytope, convex_hull
-from .reports import CheckReport, equality_report
+from .polytopes import convex_hull
+from .reports import equality_report
 from .scalars import EXACT, FLOAT, as_scalar, exact_scalar, rational
 
 
@@ -56,7 +55,7 @@ def simplex_hull_ratio(n, lam):
         raise ValueError("lambda must lie in [0, 1]")
     ks = _admissible_k(n, lam, mode)
     ratios = [
-        as_scalar(binomial(n, k), mode) * (1 - lam) ** k * lam ** (n - k) for k in ks
+        as_scalar(math.comb(n, k), mode) * (1 - lam) ** k * lam ** (n - k) for k in ks
     ]
     first = ratios[0]
     for r in ratios[1:]:
@@ -122,7 +121,7 @@ def kt_volume_ratio_formula(n, t):
     hi = math.floor(w)
     lo = math.ceil(w - 1)
     ks = sorted({min(n, max(0, k)) for k in range(lo, hi + 1)})
-    ratios = [rational(binomial(n, k)) * t ** (n - k) for k in ks]
+    ratios = [rational(math.comb(n, k)) * t ** (n - k) for k in ks]
     for r in ratios[1:]:
         assert r == ratios[0], "tie expressions must coincide"
     return ks, ratios[0]
@@ -137,7 +136,7 @@ def gfr_implies_godbersen_bound(n, j):
     formula = simplex_hull_ratio(n, lam)
     assert j in formula.k
     lhs = formula.ratio / ((1 - lam) ** j * lam ** (n - j))
-    rhs = rational(binomial(n, j))
+    rhs = rational(math.comb(n, j))
     meta = {
         "n": n,
         "j": j,

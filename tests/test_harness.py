@@ -329,6 +329,35 @@ def test_run_experiment_soft_failure_does_not_fail_run(tmp_path, monkeypatch):
     assert "reproduction" in rec
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, threads):
+    base = str(tmp_path / "isolated")
+    kl_trial = harness._TRIAL_RUNNERS["kl"]
+
+    def raising_trial(config, trial):
+        if trial == 1:
+            raise DegenerateInput("forced degenerate draw")
+        return kl_trial(config, trial)
+
+    monkeypatch.setitem(harness._TRIAL_RUNNERS, "kl", raising_trial)
+    monkeypatch.setenv("GODBERSEN_KIT_THREADS", threads)
+    config = ExperimentConfig(kind="kl", n=2, trials=3, seed=4, output_path=base)
+    assert run_experiment(config) == 2
+    records = _read_records(base)
+    assert [r["trial"] for r in records] == [0, 0, 0, 1, 2, 2, 2]
+    assert all(r["pass"] for r in records if r["trial"] != 1)
+    error = records[3]
+    assert error["check"] == "trial-error"
+    assert error["hard"] is True and error["pass"] is False
+    assert error["meta"] == {"error": "DegenerateInput", "message": "forced degenerate draw"}
+    reproduction = error["reproduction"]
+    assert reproduction["trial"] == 1
+    assert ExperimentConfig.from_json(dict(reproduction["config"], output_path=base)) == config
+    # The error record has no theta, so it gets summary rows of its own.
+    csv_rows = open(base + ".csv").read().splitlines()
+    assert len(csv_rows) == 1 + len(records) + 3 * (len(config.theta_grid) + 1)
+
+
 def test_run_experiment_unwritable_path_exits_3():
     cfg = ExperimentConfig(kind="gfr", n=2, trials=1, lambda_grid=("1/2",),
                            output_path="/no-such-directory/run")

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from godbersen_kit.linalg import binomial
 from godbersen_kit.mixed import (
     MixedVolumeResult,
     difference_body_check,
@@ -142,8 +141,8 @@ def test_godbersen_ratio_simplex_attains_binomial():
         for j in range(1, n):
             rep = godbersen_ratio(S, j)
             assert rep.passed
-            assert rep.lhs == binomial(n, j)
-            assert rep.meta["rhs_conjectured"] == binomial(n, j)
+            assert rep.lhs == math.comb(n, j)
+            assert rep.meta["rhs_conjectured"] == math.comb(n, j)
 
 
 def test_godbersen_ratio_cube():
@@ -179,7 +178,7 @@ def test_godbersen_ratio_range_check():
 
 def test_difference_body_triangle_equality():
     rep = difference_body_check(standard_simplex(2))
-    assert rep.lhs == 6 == binomial(4, 2)
+    assert rep.lhs == 6 == math.comb(4, 2)
     assert rep.passed and rep.meta["equality_attained"]
     assert rep.meta["expansion_identity"]
 

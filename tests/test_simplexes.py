@@ -1,11 +1,12 @@
 """Closed-form simplex checks: the hull-ratio formula, the explicit joined
 body, and the algebraic bridge to the binomial bound."""
 
+import math
 import random
 
 import pytest
 
-from godbersen_kit.linalg import binomial, dot
+from godbersen_kit.linalg import dot
 from godbersen_kit.polytopes import (
     centered_simplex,
     convex_hull,
@@ -92,7 +93,7 @@ def test_vertex_at_origin_identity():
         S = standard_simplex(n)
         for lam in (Q(1, 4), Q(1, 2), Q(2, 3)):
             algebraic = sum(
-                binomial(n, k) * (1 - lam) ** k * lam ** (n - k) for k in range(n + 1)
+                math.comb(n, k) * (1 - lam) ** k * lam ** (n - k) for k in range(n + 1)
             )
             assert algebraic == 1
             assert volume(scaled_reflected_join(S, lam)) == volume(S)
@@ -167,7 +168,7 @@ def test_kt_generic_facets_have_n_vertices():
                 1 for i in f.vertex_indices if K.vertices[i] in chart_simplex_verts
             )
             assert from_simplex == k, (n, t, f)
-        assert len(K.facets) == (n + 1) * binomial(n, k)
+        assert len(K.facets) == (n + 1) * math.comb(n, k)
 
 
 def test_kt_matches_lambda_form():
@@ -207,5 +208,5 @@ def test_bridge_sweep_to_n8():
         for j in range(1, n):
             rep = gfr_implies_godbersen_bound(n, j)
             assert rep.passed
-            assert rep.lhs == binomial(n, j)
+            assert rep.lhs == math.comb(n, j)
             assert rep.tol == 0
