@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import IncompatibleGrids, NotLogConcave, OriginNotInterior
 from .polytopes import (
-    convex_hull,
+    as_float_body,
     convex_hull_union,
     gauge,
     negate,
@@ -43,7 +43,6 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport
-from .scalars import FLOAT
 
 FUNCTIONAL_MAX_DIM = 3
 MAX_RESOLUTION = 257
@@ -693,12 +692,6 @@ def inf_convolution(phi, psi):
 # support-function bridge
 
 
-def _as_float_body(P):
-    if P.mode == FLOAT:
-        return P
-    return convex_hull([tuple(float(c) for c in v) for v in P.vertices], FLOAT)
-
-
 def _require_interior_origin(P, name):
     for facet in P.facets:
         if not facet.offset > 0:
@@ -762,8 +755,8 @@ def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
-    Kf = _as_float_body(K)
-    Lf = _as_float_body(L)
+    Kf = as_float_body(K)
+    Lf = as_float_body(L)
     _require_interior_origin(Kf, "K")
     _require_interior_origin(Lf, "L")
     n = Kf.dim

@@ -50,6 +50,7 @@ from .mixed import difference_body_check, godbersen_ratio, node_volumes
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import (
     MAX_DIM,
+    as_float_body,
     centroid,
     contains_point,
     convex_hull,
@@ -78,7 +79,6 @@ FLAVORS = ("hull-of-gaussians", "hull-of-sphere-points", "perturbed-simplex")
 SEED_STRIDE = 1_000_003
 PAIR_SEED_OFFSET = 524_287
 RELATIVE_IMPROVEMENT_STOP = 1e-8
-THREADS_ENV = "GODBERSEN_KIT_THREADS"
 CSV_COLUMNS = ("kind", "n", "j", "lambda", "theta", "seed", "trial",
                "lhs", "rhs", "ratio", "pass")
 
@@ -90,16 +90,7 @@ _DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def thread_cap():
-    """Worker-pool size: GODBERSEN_KIT_THREADS, defaulting to min(4, cpus)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError("%s must be an integer, got %r" % (THREADS_ENV, raw))
-        if n < 1:
-            raise ValueError("%s must be >= 1" % THREADS_ENV)
-        return n
+    """Size of the thread pool that functional sweeps run on: min(4, cpus)."""
     return min(4, os.cpu_count() or 1)
 
 
@@ -325,9 +316,7 @@ def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
         factor = rationalize(float(volume(body)) ** (-1.0 / n), denominator)
         if factor > 0:
             body = scale_polytope(body, factor)
-        if mode == FLOAT:
-            body = convex_hull([tuple(float(c) for c in v) for v in body.vertices], FLOAT)
-        return body
+        return as_float_body(body) if mode == FLOAT else body
     raise DegenerateInput(
         "no full-dimensional hull after 10 attempts (n=%d, m=%d, flavor=%s)"
         % (n, m, flavor)) from last
@@ -438,10 +427,7 @@ def minimize_over_translation(K, lam):
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    if K.mode == FLOAT:
-        body = K
-    else:
-        body = convex_hull([tuple(float(c) for c in v) for v in K.vertices], FLOAT)
+    body = as_float_body(K)
     n = body.dim
     facets = [(tuple(float(c) for c in f.outward_normal), float(f.offset))
               for f in body.facets]
@@ -551,7 +537,14 @@ def minimize_over_translation(K, lam):
 
 
 def _record(config, trial, report, *, check, hard, j=None, lam=None, theta=None,
-            extra=None):
+            bodies=(), context=None, reproduction=None):
+    """One output record of ``report``.
+
+    A failing report carries a ``reproduction`` payload, by default the
+    trial's identity, ``context`` (the record's own j, lambda and theta
+    when not given) and the exact vertices of ``bodies``.  A failing soft
+    report is also marked ``violation_candidate``.
+    """
     rec = dict(report.to_json_dict())
     rec["kind"] = config.kind
     rec["check"] = check
@@ -562,8 +555,15 @@ def _record(config, trial, report, *, check, hard, j=None, lam=None, theta=None,
     rec["theta"] = None if theta is None else scalar_to_json(theta)
     rec["seed"] = config.seed
     rec["trial"] = trial
-    if extra:
-        rec.update(extra)
+    if not report.passed:
+        if reproduction is None:
+            if context is None:
+                axes = {"j": j, "lam": rec["lambda"], "theta": rec["theta"]}
+                context = {k: v for k, v in axes.items() if v is not None}
+            reproduction = _reproduction(config, trial, bodies, **context)
+        rec["reproduction"] = reproduction
+        if not hard:
+            rec["violation_candidate"] = True
     return rec
 
 
@@ -582,31 +582,22 @@ def _reproduction(config, trial, bodies, **context):
     return payload
 
 
-def _soft_extra(config, trial, report, bodies, **context):
-    if report.passed:
-        return None
-    return {
-        "violation_candidate": True,
-        "reproduction": _reproduction(config, trial, bodies, **context),
-    }
+def _verified(config, check, working, exact, accept=None):
+    """``check(*working)``, confirmed in exact arithmetic in float mode.
 
-
-def _hard_extra(config, trial, report, bodies, **context):
-    if report.passed:
-        return None
-    return {"reproduction": _reproduction(config, trial, bodies, **context)}
+    A float report that fails, or that ``accept`` rejects, is replaced by
+    ``check(*exact)`` with ``arithmetic: exact`` and ``float_flagged`` in
+    its meta, so no float failure is reported unconfirmed.
+    """
+    rep = check(*working)
+    if config.mode == EXACT or (rep.passed and (accept is None or accept(rep))):
+        return rep
+    rep = check(*exact)
+    return dataclasses.replace(rep, meta=dict(rep.meta, arithmetic=EXACT, float_flagged=True))
 
 
 def _trial_seed(config, trial):
     return config.seed * SEED_STRIDE + trial
-
-
-def _as_exact(value):
-    """Exact rational of a grid value (floats are exact dyadic rationals)."""
-    if isinstance(value, float):
-        frac = Fraction(value)
-        return rational(frac.numerator, frac.denominator)
-    return as_scalar(value, EXACT)
 
 
 def _trial_body(config, trial, *, offset=0):
@@ -615,67 +606,46 @@ def _trial_body(config, trial, *, offset=0):
     m = config.n + 3 + ((trial + offset) % 5)
     seed = _trial_seed(config, trial) + offset * PAIR_SEED_OFFSET
     exact = random_polytope(config.n, m, seed, flavor, mode=EXACT)
-    if config.mode == EXACT:
-        return exact, exact
-    working = convex_hull(
-        [tuple(float(c) for c in v) for v in exact.vertices], FLOAT)
-    return working, exact
+    return (as_float_body(exact) if config.mode == FLOAT else exact), exact
 
 
 # ---------------------------------------------------------------------------
 # per-kind trial runners
 
 
+def _binomial_conjecture(rep):
+    """V(K[j], -K[n-j]) / Vol K of a ``godbersen_ratio`` report against C(n, j)."""
+    return comparison_report(rep.lhs, rep.meta["rhs_conjectured"], tol=rep.tol,
+                             meta={k: rep.meta[k] for k in ("n", "j", "method")})
+
+
 def _godbersen_trial(config, trial):
     working, exact = _trial_body(config, trial)
     # One set of interpolation hulls per body serves every check below.
-    volumes = node_volumes(working, negate(working))
-    exact_volumes = functools.cache(lambda: node_volumes(exact, negate(exact)))
+    volumes = functools.cache(lambda K: node_volumes(K, negate(K)))
+    ratio = functools.cache(lambda K, j: godbersen_ratio(K, j, volumes(K)))
     records = []
     for j in config.j_list:
-        rep = godbersen_ratio(working, j, volumes)
-        if not rep.passed and config.mode == FLOAT:
-            rep = _mark_exact(godbersen_ratio(exact, j, exact_volumes()))
-        records.append(_record(
-            config, trial, rep, check="translation-bound", hard=True, j=j,
-            extra=_hard_extra(config, trial, rep, [exact], j=j)))
+        rep = _verified(config, lambda K: ratio(K, j), (working,), (exact,))
+        records.append(_record(config, trial, rep, check="translation-bound", hard=True,
+                               j=j, bodies=[exact]))
+        conj = _verified(config, lambda K: _binomial_conjecture(ratio(K, j)),
+                         (working,), (exact,))
+        records.append(_record(config, trial, conj, check="binomial-conjecture", hard=False,
+                               j=j, bodies=[exact]))
 
-        conj = comparison_report(
-            rep.lhs, rep.meta["rhs_conjectured"], tol=rep.tol,
-            meta={"n": config.n, "j": j, "method": rep.meta["method"]})
-        if not conj.passed and config.mode == FLOAT:
-            exact_rep = godbersen_ratio(exact, j, exact_volumes())
-            conj = comparison_report(
-                exact_rep.lhs, exact_rep.meta["rhs_conjectured"], tol=0,
-                meta={"n": config.n, "j": j, "method": exact_rep.meta["method"],
-                      "arithmetic": EXACT, "float_flagged": True})
-        records.append(_record(
-            config, trial, conj, check="binomial-conjecture", hard=False, j=j,
-            extra=_soft_extra(config, trial, conj, [exact], j=j)))
-
-    diff = difference_body_check(working, volumes)
-    if config.mode == FLOAT and not (diff.passed and diff.meta["expansion_identity"]):
-        diff = _mark_exact(difference_body_check(exact, exact_volumes()))
-    records.append(_record(
-        config, trial, diff, check="difference-body-bound", hard=True,
-        extra=_hard_extra(config, trial, diff, [exact])))
+    diff = _verified(config, lambda K: difference_body_check(K, volumes(K)),
+                     (working,), (exact,), accept=lambda rep: rep.meta["expansion_identity"])
+    records.append(_record(config, trial, diff, check="difference-body-bound", hard=True,
+                           bodies=[exact]))
     expansion = equality_report(
         diff.meta["expansion_sum"], diff.meta["difference_volume"],
         tol=0 if diff.meta.get("arithmetic") == EXACT or config.mode == EXACT
         else 1e-9 * abs(float(diff.meta["difference_volume"])),
         meta={"n": config.n})
-    records.append(_record(
-        config, trial, expansion, check="difference-body-expansion", hard=True,
-        extra=_hard_extra(config, trial, expansion, [exact])))
+    records.append(_record(config, trial, expansion, check="difference-body-expansion",
+                           hard=True, bodies=[exact]))
     return records
-
-
-def _mark_exact(report):
-    meta = dict(report.meta)
-    meta["arithmetic"] = EXACT
-    meta["float_flagged"] = True
-    return CheckReport(report.lhs, report.rhs, report.ratio, report.tol,
-                       report.passed, meta)
 
 
 def _search_bound_record(config, trial, working, exact, lam, *, j=None):
@@ -695,10 +665,8 @@ def _search_bound_record(config, trial, working, exact, lam, *, j=None):
             "convexity_samples_ok": all(e["convex_ok"] for e in sol.certificate),
             "body_volume": float(volume(working)),
         })
-    return _record(
-        config, trial, rep, check="translation-search-bound", hard=False,
-        j=j, lam=lam,
-        extra=_soft_extra(config, trial, rep, [exact], lam=scalar_to_json(lam), j=j))
+    return _record(config, trial, rep, check="translation-search-bound", hard=False,
+                   j=j, lam=lam, bodies=[exact], context={"lam": scalar_to_json(lam), "j": j})
 
 
 def _via_gfr_trial(config, trial):
@@ -707,10 +675,8 @@ def _via_gfr_trial(config, trial):
     for j in config.j_list:
         lam = rational(config.n + 1 - j, config.n + 1)
         alg = gfr_implies_godbersen_bound(config.n, j)
-        records.append(_record(
-            config, trial, alg, check="hull-ratio-implies-binomial-bound",
-            hard=True, j=j, lam=lam,
-            extra=_hard_extra(config, trial, alg, [], j=j)))
+        records.append(_record(config, trial, alg, check="hull-ratio-implies-binomial-bound",
+                               hard=True, j=j, lam=lam, context={"j": j}))
         records.append(_search_bound_record(config, trial, working, exact, lam, j=j))
     return records
 
@@ -730,62 +696,42 @@ def _gfr_trial(config, trial):
                 lhs, rhs, tol=0 if not isinstance(lam, float) else 1e-12 * float(rhs),
                 meta={"n": config.n,
                       "identity": "hull-ratio at 1/2 equals central binomial over 2^n"})
-            records.append(_record(
-                config, trial, cross, check="halfway-binomial-cross-check",
-                hard=True, lam=lam,
-                extra=_hard_extra(config, trial, cross, [])))
+            records.append(_record(config, trial, cross, check="halfway-binomial-cross-check",
+                                   hard=True, lam=lam, context={}))
     return records
 
 
-def _kl_trial(config, trial):
-    k_work, k_exact = _trial_body(config, trial, offset=0)
-    l_work, l_exact = _trial_body(config, trial, offset=1)
+def _theta_trial(config, trial):
+    """kl and ckl: one hard check of the trial's two bodies per theta."""
+    if config.kind == "kl":
+        verify, check = verify_KL_inequality, "join-intersection-product"
+    else:
+        verify, check = verify_ckl_bound, "layered-body-volume-bound"
+    (k, k_exact), (l, l_exact) = (_trial_body(config, trial, offset=i) for i in (0, 1))
     records = []
     for theta in config.theta_grid:
-        rep = verify_KL_inequality(k_work, l_work, theta)
-        if not rep.passed and config.mode == FLOAT:
-            rep = _mark_exact(verify_KL_inequality(k_exact, l_exact, _as_exact(theta)))
-        records.append(_record(
-            config, trial, rep, check="join-intersection-product", hard=True,
-            theta=theta,
-            extra=_hard_extra(config, trial, rep, [k_exact, l_exact],
-                              theta=scalar_to_json(theta))))
+        rep = _verified(config, verify, (k, l, theta),
+                        (k_exact, l_exact, _grid_value(theta, EXACT)))
+        records.append(_record(config, trial, rep, check=check, hard=True, theta=theta,
+                               bodies=[k_exact, l_exact]))
     return records
 
 
 def _strange_trial(config, trial):
-    k_work, k_exact = _trial_body(config, trial, offset=0)
-    l_work, l_exact = _trial_body(config, trial, offset=1)
-    rep = verify_strange(k_work, l_work, config.theta_grid)
-    if config.mode == FLOAT and not (rep.passed and rep.meta["inclusions_hold"]):
-        exact_grid = tuple(_as_exact(t) for t in config.theta_grid)
-        rep = _mark_exact(verify_strange(k_exact, l_exact, exact_grid))
-    records = [_record(
-        config, trial, rep, check="join-polar-sum-product", hard=True,
-        extra=_hard_extra(config, trial, rep, [k_exact, l_exact]))]
+    (k, k_exact), (l, l_exact) = (_trial_body(config, trial, offset=i) for i in (0, 1))
+    exact_grid = tuple(_grid_value(t, EXACT) for t in config.theta_grid)
+    rep = _verified(config, verify_strange, (k, l, config.theta_grid),
+                    (k_exact, l_exact, exact_grid),
+                    accept=lambda rep: rep.meta["inclusions_hold"])
     inclusion = CheckReport(
         None, None, None, 0, bool(rep.meta["inclusions_hold"]),
         {"n": config.n, "inclusion_by_theta": rep.meta["inclusion_by_theta"]})
-    records.append(_record(
-        config, trial, inclusion, check="scaled-intersection-inclusion", hard=True,
-        extra=_hard_extra(config, trial, inclusion, [k_exact, l_exact])))
-    return records
-
-
-def _ckl_trial(config, trial):
-    k_work, k_exact = _trial_body(config, trial, offset=0)
-    l_work, l_exact = _trial_body(config, trial, offset=1)
-    records = []
-    for theta in config.theta_grid:
-        rep = verify_ckl_bound(k_work, l_work, theta)
-        if not rep.passed and config.mode == FLOAT:
-            rep = _mark_exact(verify_ckl_bound(k_exact, l_exact, _as_exact(theta)))
-        records.append(_record(
-            config, trial, rep, check="layered-body-volume-bound", hard=True,
-            theta=theta,
-            extra=_hard_extra(config, trial, rep, [k_exact, l_exact],
-                              theta=scalar_to_json(theta))))
-    return records
+    return [
+        _record(config, trial, rep, check="join-polar-sum-product", hard=True,
+                bodies=[k_exact, l_exact]),
+        _record(config, trial, inclusion, check="scaled-intersection-inclusion", hard=True,
+                bodies=[k_exact, l_exact]),
+    ]
 
 
 def _functional_trial(config, trial):
@@ -812,13 +758,10 @@ def _functional_trial(config, trial):
     records = []
     for lam in config.lambda_grid:
         rep = verify_functional_inequality(f, g, float(lam))
-        records.append(_record(
-            config, trial, rep, check="product-inequality", hard=True, lam=lam,
-            extra=None if rep.passed else {"reproduction": {
-                "kind": config.kind, "n": n, "seed": config.seed, "trial": trial,
-                "gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,
-                "resolution": resolution, "half_width": half,
-                "lambda": scalar_to_json(lam)}}))
+        reproduction = {
+            "kind": config.kind, "n": n, "seed": config.seed, "trial": trial,
+            "gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,
+            "resolution": resolution, "half_width": half, "lambda": scalar_to_json(lam)}
         lower = CheckReport(
             rep.meta["lower_bound"], rep.meta["integral_difference"],
             rep.meta["lower_bound"] / rep.meta["integral_difference"]
@@ -826,8 +769,9 @@ def _functional_trial(config, trial):
             3.0 * rep.meta["err_difference"], bool(rep.meta["lower_bound_pass"]),
             {"n": n, "direction": "lhs <= rhs up to quadrature error",
              "err_difference": rep.meta["err_difference"]})
-        records.append(_record(
-            config, trial, lower, check="product-lower-bound", hard=True, lam=lam))
+        for check, report in (("product-inequality", rep), ("product-lower-bound", lower)):
+            records.append(_record(config, trial, report, check=check, hard=True, lam=lam,
+                                   reproduction=reproduction))
     return records
 
 
@@ -847,7 +791,7 @@ def _planar_trial(config, trial):
         ok_chain = all(steps[i].objective_before == steps[i - 1].objective_after
                        for i in range(1, len(steps)))
         final_obj = (steps[-1].objective_after if steps
-                     else volume(scaled_reflected_join(body, _as_exact(lam))))
+                     else volume(scaled_reflected_join(body, _grid_value(lam, EXACT))))
         bound = simplex_hull_ratio(2, lam).ratio * area
         base = comparison_report(final_obj, bound, tol=0, meta={
             "lambda": lam,
@@ -861,18 +805,11 @@ def _planar_trial(config, trial):
         })
         all_ok = (base.passed and ok_area and ok_centroid and ok_counts
                   and ok_monotone and ok_chain)
-        rep = CheckReport(base.lhs, base.rhs, base.ratio, base.tol,
-                          bool(all_ok), base.meta)
-        records.append(_record(
-            config, trial, rep, check="triangle-reduction-chain", hard=True,
-            lam=lam,
-            extra=_hard_extra(config, trial, rep, [body],
-                              lam=scalar_to_json(lam))))
+        chain = dataclasses.replace(base, passed=bool(all_ok))
         direct = verify_planar_gfr(body, lam)
-        records.append(_record(
-            config, trial, direct, check="hull-area-bound", hard=True, lam=lam,
-            extra=_hard_extra(config, trial, direct, [body],
-                              lam=scalar_to_json(lam))))
+        for check, report in (("triangle-reduction-chain", chain), ("hull-area-bound", direct)):
+            records.append(_record(config, trial, report, check=check, hard=True, lam=lam,
+                                   bodies=[body]))
     return records
 
 
@@ -880,9 +817,9 @@ _TRIAL_RUNNERS = {
     "godbersen": _godbersen_trial,
     "godbersen-via-gfr": _via_gfr_trial,
     "gfr": _gfr_trial,
-    "kl": _kl_trial,
+    "kl": _theta_trial,
     "strange": _strange_trial,
-    "ckl": _ckl_trial,
+    "ckl": _theta_trial,
     "functional": _functional_trial,
     "planar": _planar_trial,
 }
@@ -967,15 +904,22 @@ def _isolated_trial(config, trial):
                              {"error": type(exc).__name__, "message": str(exc)})
         payload = {k: v for k, v in config.to_json_dict().items() if k != "output_path"}
         return [_record(config, trial, failed, check="trial-error", hard=True,
-                        extra={"reproduction": {"config": payload, "trial": trial}})]
+                        reproduction={"config": payload, "trial": trial})]
 
 
 def _collect(config):
-    workers = thread_cap()
-    if workers <= 1 or config.trials == 1:
-        return [_isolated_trial(config, t) for t in range(config.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: _isolated_trial(config, t), range(config.trials)))
+    """Each trial's records, in trial order.
+
+    Functional trials run on a pool of :func:`thread_cap` threads: their
+    Legendre stages run in numpy, which releases the GIL.  The other kinds
+    are pure Python, so their trials run one after another; on threads
+    they would only contend for the GIL.
+    """
+    run = functools.partial(_isolated_trial, config)
+    if config.kind != "functional" or config.trials == 1:
+        return [run(t) for t in range(config.trials)]
+    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+        return list(pool.map(run, range(config.trials)))
 
 
 def run_experiment(config):

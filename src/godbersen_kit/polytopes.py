@@ -679,6 +679,13 @@ def minkowski_sum(P, Q):
     return convex_hull(sums, P.mode, allow_degenerate=True)
 
 
+def as_float_body(P):
+    """P itself in float mode, else the float hull of P's vertices."""
+    if P.mode == FLOAT:
+        return P
+    return convex_hull([tuple(float(c) for c in v) for v in P.vertices], FLOAT)
+
+
 def convex_hull_union(P, Q):
     """Hull of the union (the join P v Q)."""
     if P.dim != Q.dim or P.mode != Q.mode:
@@ -830,10 +837,6 @@ def polytope_from_json(obj):
 
 def dump_polytope(P, fp):
     json.dump(polytope_to_json(P), fp, sort_keys=True)
-
-
-def load_polytope(fp):
-    return polytope_from_json(json.load(fp))
 
 
 # ---------------------------------------------------------------------------

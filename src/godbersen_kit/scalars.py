@@ -2,11 +2,10 @@
 
 Two modes exist everywhere in the package:
 
-* ``"exact"``  -- arbitrary-precision rationals.  Backed by ``gmpy2.mpq``
-  when it is installed, otherwise ``fractions.Fraction``; both keep
-  fractions reduced with positive denominator, so canonical form is free.
-  gmpy2 is optional: the exact hull kernel scales its points to Python
-  ints and forms rationals only for the values it returns.
+* ``"exact"``  -- arbitrary-precision rationals, ``fractions.Fraction``,
+  kept reduced with positive denominator, so canonical form is free.  The
+  exact hull kernel scales its points to Python ints and forms rationals
+  only for the values it returns.
 * ``"float"``  -- IEEE float64 with tolerance-based predicates.
 
 Floats never silently enter exact arithmetic: :func:`exact_scalar` rejects
@@ -18,16 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _rational
-    from gmpy2 import mpz as _integer
-
-    _RATIONAL_TYPES = (type(_rational(1)), Fraction)
-except ImportError:  # gmpy2 is optional
-    _rational = Fraction
-    _integer = int
-    _RATIONAL_TYPES = (Fraction,)
-
 EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
@@ -37,15 +26,9 @@ FLOAT_EPS = 1e-12
 
 
 def rational(numerator, denominator=1):
-    """Exact rational from integers (or a 'p/q' string)."""
-    return _rational(numerator, denominator)
-
-
-_INT_TYPES = (int, type(_integer(1)))
-
-
-def is_rational(x) -> bool:
-    return isinstance(x, _RATIONAL_TYPES) or isinstance(x, _INT_TYPES)
+    """Exact rational numerator/denominator from integers or rationals;
+    a 'p/q' string goes through :func:`exact_scalar`."""
+    return Fraction(numerator, denominator)
 
 
 def exact_scalar(x):
@@ -56,9 +39,7 @@ def exact_scalar(x):
         raise TypeError(
             "refusing to coerce float %r into exact arithmetic; use rationalize()" % x
         )
-    if isinstance(x, str):
-        return _rational(x)
-    return _rational(x)
+    return Fraction(x)
 
 
 def float_scalar(x):
@@ -82,7 +63,7 @@ def rationalize(x, denominator=1 << 20):
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("cannot rationalize %r" % x)
-        return _rational(round(x * denominator), denominator)
+        return Fraction(round(x * denominator), denominator)
     return exact_scalar(x)
 
 
@@ -98,7 +79,7 @@ def sign(x, eps=0):
 def scalar_to_json(x):
     if isinstance(x, float):
         return x
-    return str(_rational(x))
+    return str(Fraction(x))
 
 
 def scalar_from_json(v, mode):
@@ -113,5 +94,5 @@ def bit_size(x) -> int:
     """Bits in the numerator/denominator; coordinate-growth metric for tests."""
     if isinstance(x, float):
         return 53
-    q = _rational(x)
-    return max(int(q.numerator).bit_length(), int(q.denominator).bit_length())
+    q = Fraction(x)
+    return max(q.numerator.bit_length(), q.denominator.bit_length())

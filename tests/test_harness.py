@@ -1,5 +1,6 @@
 """Harness tests: seeded bodies, translation search, experiment runs, CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -358,6 +359,57 @@ def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, threads)
     assert len(csv_rows) == 1 + len(records) + 3 * (len(config.theta_grid) + 1)
 
 
+def test_functional_sweep_on_the_thread_pool_keeps_trial_order(tmp_path, monkeypatch):
+    base = str(tmp_path / "pool")
+    config = ExperimentConfig(kind="functional", n=1, trials=3, seed=5, output_path=base)
+    expected = [rec for t in range(3) for rec in run_trial(config, t)]
+    assert run_experiment(config) == 0
+    lines = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                    for rec in expected)
+    assert open(base + ".jsonl").read() == lines
+
+    functional_trial = harness._TRIAL_RUNNERS["functional"]
+
+    def raising_trial(config, trial):
+        if trial == 1:
+            raise DegenerateInput("forced degenerate draw")
+        return functional_trial(config, trial)
+
+    monkeypatch.setitem(harness._TRIAL_RUNNERS, "functional", raising_trial)
+    assert run_experiment(config) == 2
+    records = _read_records(base)
+    assert [r["check"] for r in records if r["trial"] == 1] == ["trial-error"]
+    assert [r for r in records if r["trial"] != 1] == [
+        json.loads(json.dumps(rec)) for rec in expected if rec["trial"] != 1]
+
+
+def test_functional_lower_bound_failure_carries_reproduction(monkeypatch):
+    verify = harness.verify_functional_inequality
+
+    fail_product = [False]
+
+    def failing_lower_bound(f, g, lam):
+        rep = verify(f, g, lam)
+        return dataclasses.replace(rep, passed=rep.passed and not fail_product[0],
+                                   meta=dict(rep.meta, lower_bound_pass=False))
+
+    monkeypatch.setattr(harness, "verify_functional_inequality", failing_lower_bound)
+    config = ExperimentConfig(kind="functional", n=1, trials=1, seed=2, lambda_grid=("1/2",))
+    product, lower = run_trial(config, 0)
+    assert product["check"] == "product-inequality" and product["pass"] is True
+    assert "reproduction" not in product
+    assert lower["check"] == "product-lower-bound" and lower["pass"] is False
+    assert lower["hard"] is True and "violation_candidate" not in lower
+    assert set(lower["reproduction"]) == {
+        "kind", "n", "seed", "trial", "gaussian_weight", "laplace_weight",
+        "laplace_shift", "resolution", "half_width", "lambda"}
+    assert lower["reproduction"]["lambda"] == "1/2"
+    fail_product[0] = True
+    product, _ = run_trial(config, 0)
+    assert product["pass"] is False
+    assert product["reproduction"] == lower["reproduction"]
+
+
 def test_run_experiment_unwritable_path_exits_3():
     cfg = ExperimentConfig(kind="gfr", n=2, trials=1, lambda_grid=("1/2",),
                            output_path="/no-such-directory/run")
@@ -420,19 +472,6 @@ def test_planar_trial_checks_chain_invariants():
     assert meta["one_vertex_per_step"] and meta["objective_monotone"]
     assert meta["objective_chained"]
     assert meta["steps"] == meta["start_vertices"] - 3
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("GODBERSEN_KIT_THREADS", "7")
-    assert harness.thread_cap() == 7
-    monkeypatch.setenv("GODBERSEN_KIT_THREADS", "0")
-    with pytest.raises(ValueError):
-        harness.thread_cap()
-    monkeypatch.setenv("GODBERSEN_KIT_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        harness.thread_cap()
-    monkeypatch.delenv("GODBERSEN_KIT_THREADS")
-    assert harness.thread_cap() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +577,58 @@ def test_float_gfr_flat_first_basis_does_not_abort():
     assert [rec["check"] for rec in records] == [
         "translation-search-bound", "halfway-binomial-cross-check"]
     assert all(rec["pass"] for rec in records if rec["hard"])
+
+
+def test_float_failures_are_rechecked_in_exact_arithmetic(monkeypatch):
+    fail_exact = [False]
+    ratio, ckl = harness.godbersen_ratio, harness.verify_ckl_bound
+
+    def failing(rep, body):
+        return not rep.passed or body.mode == FLOAT or fail_exact[0]
+
+    def fake_ratio(K, j, volumes=None):
+        rep = ratio(K, j, volumes)
+        if not failing(rep, K):
+            return rep
+        # Above both the proved and the conjectured bound.
+        lhs = 2 * (rep.rhs + rep.meta["rhs_conjectured"])
+        return dataclasses.replace(rep, lhs=lhs, ratio=lhs / rep.rhs, passed=False)
+
+    def fake_ckl(K, L, theta):
+        rep = ckl(K, L, theta)
+        return dataclasses.replace(rep, passed=not failing(rep, K))
+
+    monkeypatch.setattr(harness, "godbersen_ratio", fake_ratio)
+    monkeypatch.setattr(harness, "verify_ckl_bound", fake_ckl)
+    configs = [
+        ExperimentConfig(kind="godbersen", n=2, trials=1, seed=6, mode=FLOAT),
+        ExperimentConfig(kind="ckl", n=2, trials=1, seed=6, mode=FLOAT,
+                         theta_grid=("1/3", "1/2")),
+    ]
+    rechecked = ("translation-bound", "layered-body-volume-bound")
+
+    def records():
+        return [rec for config in configs for rec in run_trial(config, 0)]
+
+    flagged = [rec for rec in records() if rec["check"] in rechecked]
+    assert len(flagged) == 3
+    for rec in flagged:
+        assert rec["pass"] is True
+        assert rec["meta"]["arithmetic"] == "exact" and rec["meta"]["float_flagged"] is True
+        assert "reproduction" not in rec
+    conjecture = [rec for rec in records() if rec["check"] == "binomial-conjecture"]
+    assert conjecture and all(rec["pass"] and "reproduction" not in rec for rec in conjecture)
+
+    fail_exact[0] = True
+    failed = records()
+    for rec in failed:
+        if rec["check"] in rechecked:
+            assert rec["pass"] is False and rec["meta"]["arithmetic"] == "exact"
+            axis = "j" if rec["kind"] == "godbersen" else "theta"
+            assert set(rec["reproduction"]) == {
+                "kind", "n", "seed", "trial", "mode", axis, "vertices"}
+    conjecture = [rec for rec in failed if rec["check"] == "binomial-conjecture"]
+    assert conjecture and all(rec["violation_candidate"] is True for rec in conjecture)
 
 
 def test_readme_config_examples_parse():
