@@ -33,10 +33,6 @@ class EmptySection(GodbersenKitError):
     """A slice of a polytope by an affine subspace came out empty."""
 
 
-class DegenerateIntersection(GodbersenKitError):
-    """An intersection with zero volume where a ratio needs it positive."""
-
-
 class IncompatibleGrids(GodbersenKitError):
     """Grid functions whose boxes/resolutions do not match as required."""
 

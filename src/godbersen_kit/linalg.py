@@ -1,10 +1,12 @@
 """Small dense linear algebra over either arithmetic mode.
 
-Everything here works on plain tuples/lists of scalars and is generic over
-exact rationals, Python ints and floats; float callers pass a nonzero pivot
-tolerance.  Integer input stays integral: :func:`det` switches to Bareiss
-elimination and :class:`RankTracker` eliminates fraction-free.  Sizes are
-tiny (d <= 7), so the routines favour clarity over asymptotics.
+Everything here works on plain tuples/lists of scalars.  :func:`det`,
+:func:`solve` and :func:`inverse` are generic over exact rationals, Python
+ints and floats; float callers pass a nonzero pivot tolerance, and an
+all-int :func:`det` takes Bareiss elimination.  :class:`RankTracker` and
+:func:`hyperplane_through` are exact only: they serve the integer hull
+kernel.  Sizes are tiny (d <= 7), so the routines favour clarity over
+asymptotics.
 """
 
 from __future__ import annotations
@@ -141,11 +143,10 @@ def inverse(matrix, eps=0):
 
 
 class RankTracker:
-    """Incremental rank of a growing set of vectors (Gaussian elimination)."""
+    """Incremental rank of a growing set of vectors, by fraction-free
+    Gaussian elimination: integer vectors stay integral."""
 
-    def __init__(self, dim, eps=0):
-        self.dim = dim
-        self.eps = eps
+    def __init__(self):
         self.rows = []  # reduced, each with a leading pivot column
         self.pivot_cols = []
 
@@ -153,56 +154,32 @@ class RankTracker:
     def rank(self):
         return len(self.rows)
 
-    def would_grow(self, vector):
-        return self._reduce(vector) is not None
-
     def add(self, vector):
         """Add a vector; True if it increased the rank."""
-        reduced = self._reduce(vector)
-        if reduced is None:
-            return False
-        row, pivot_col = reduced
-        self.rows.append(row)
-        self.pivot_cols.append(pivot_col)
-        return True
-
-    def _reduce(self, vector):
         v = list(vector)
         for row, pc in zip(self.rows, self.pivot_cols):
             if v[pc] != 0:
-                if self.eps == 0:
-                    # Fraction-free: scale v by the pivot instead of dividing
-                    # by it, so integer vectors stay integral.  The zero
-                    # pattern, hence every rank decision, is unchanged.
-                    lead, pivot = v[pc], row[pc]
-                    v = [a * pivot - lead * b for a, b in zip(v, row)]
-                    continue
-                factor = v[pc] / row[pc]
-                for c in range(self.dim):
-                    v[c] = v[c] - factor * row[c]
-        pivot_col = None
-        best = self.eps
-        for c in range(self.dim):
-            if abs(v[c]) > best:
-                pivot_col = c
-                best = abs(v[c])
-                if self.eps == 0:
-                    break
-        if pivot_col is None:
-            return None
-        return v, pivot_col
+                # Scale v by the pivot instead of dividing by it; the zero
+                # pattern, hence every rank decision, is unchanged.
+                lead, pivot = v[pc], row[pc]
+                v = [a * pivot - lead * b for a, b in zip(v, row)]
+        for c, a in enumerate(v):
+            if a != 0:
+                self.rows.append(v)
+                self.pivot_cols.append(c)
+                return True
+        return False
 
 
-def hyperplane_through(points, eps=0):
+def hyperplane_through(points):
     """Normal and offset of the hyperplane spanned by d affinely independent
     points in R^d, via cofactor expansion of the edge matrix.
 
     Returns (normal, offset) with <p, normal> = offset for each input point.
-    Raises DegenerateInput when the points do not span a hyperplane.  With
-    a float tolerance, a normal within eps of zero is only degenerate when
-    the edges are dependent within eps: the normal's length is the
-    (d-1)-volume the edges span, which is tiny for well-spread points at a
-    small scale or for a small facet.
+    Raises DegenerateInput when the points do not span a hyperplane.  The
+    test is exact, with no tolerance: the hull kernel passes int points in
+    both modes, and a float hull runs on its inputs' exact binary values
+    over a common denominator.
     """
     d = len(points[0])
     base = points[0]
@@ -210,12 +187,9 @@ def hyperplane_through(points, eps=0):
     normal = []
     for j in range(d):
         minor = [[row[c] for c in range(d) if c != j] for row in edges]
-        cof = det(minor, eps)
+        cof = det(minor)
         normal.append(cof if j % 2 == 0 else -cof)
-    if all(abs(c) <= eps for c in normal):
-        tracker = RankTracker(d, eps)
-        if eps == 0 or not all(tracker.add(e) for e in edges):
-            raise DegenerateInput("points do not span a hyperplane")
+    if not any(normal):
+        raise DegenerateInput("points do not span a hyperplane")
     normal = tuple(normal)
     return normal, dot(normal, base)
-

@@ -3,7 +3,9 @@
 Bounded convex polytopes in dimension 1..6, in either arithmetic mode.
 The hull is an incremental beneath-beyond insertion; all downstream
 quantities (volume, centroid, facet structure) fall out of the same
-boundary triangulation, so exact mode is exact end to end.
+boundary triangulation.  One integer kernel serves both modes: a float
+is a dyadic rational, so a float hull is the exact hull of its inputs'
+binary values, with its scalars rounded once on the way out.
 
 Conventions:
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -152,138 +155,73 @@ class HPolytope:
 # hull construction
 
 
-def _dedupe(points, eps):
-    if eps == 0:
-        seen = {}
-        for p in points:
-            seen.setdefault(p, None)
-        return list(seen)
-    out = []
-    for p in points:
-        dup = False
-        for q in out:
-            if all(abs(a - b) <= eps for a, b in zip(p, q)):
-                dup = True
-                break
-        if not dup:
-            out.append(p)
-    return out
+def _integer_points(points, d):
+    """Points as ints, scaled by S = (d+1) * lcm(denominators).
+
+    Every coordinate is read through ``as_integer_ratio()``, so a float
+    enters at its exact binary value.  S > 0, so order, deduplication and
+    affine independence are unchanged, and the factor d+1 makes the
+    centroid of any d+1 of them integral too.  Returns (int points, S).
+    """
+    ratios = [[c.as_integer_ratio() for c in p] for p in points]
+    scale = (d + 1) * math.lcm(*(q for r in ratios for _, q in r))
+    return [tuple(n * (scale // q) for n, q in r) for r in ratios], scale
 
 
-def _affine_basis(pts, d, eps):
+def _affine_basis(pts, d):
     """Indices of d+1 affinely independent points, or None."""
-    base = 0
-    tracker = RankTracker(d, eps)
-    chosen = [base]
+    tracker = RankTracker()
+    chosen = [0]
     for i in range(1, len(pts)):
-        if tracker.add(vsub(pts[i], pts[base])):
+        if tracker.add(vsub(pts[i], pts[0])):
             chosen.append(i)
             if len(chosen) == d + 1:
                 return chosen
     return None
 
 
-def _spread_basis(pts, d, eps):
-    """Well-conditioned affine basis: from pts[0], each next point is the
-    one farthest from the affine span of the points already chosen.
-
-    Float-only retry for when the first-found basis is so flat that a facet
-    plane passes through its centroid within tolerance.
-    """
-    chosen = [0]
-    directions = []
-    for _ in range(d):
-        best, best_i, best_r = eps, None, None
-        for i, p in enumerate(pts):
-            r = vsub(p, pts[0])
-            for u in directions:
-                r = vsub(r, vscale(u, dot(r, u)))
-            dist = dot(r, r) ** 0.5
-            if dist > best:
-                best, best_i, best_r = dist, i, r
-        if best_i is None:
-            return None
-        chosen.append(best_i)
-        directions.append(vscale(best_r, 1 / best))
-    return sorted(chosen)
-
-
-def _facet_plane(pts, verts, interior, eps, mode):
-    normal, offset = hyperplane_through([pts[i] for i in verts], eps)
-    if mode == FLOAT:
-        norm = sum(c * c for c in normal) ** 0.5
-        normal = tuple(c / norm for c in normal)
-        offset = offset / norm
-    else:
-        # Integer cofactors; dividing out their gcd leaves the primitive
-        # normal, which is already the canonical form of the plane.
-        g = math.gcd(*normal)
-        if g > 1:
-            normal = tuple(c // g for c in normal)
-            offset //= g
-    side = dot(normal, interior) - offset
-    if sign(side, eps) == 0:
-        raise DegenerateInput("facet plane passes through the interior reference point")
-    if side > 0:
+def _facet_plane(pts, verts, interior):
+    """Primitive integer plane through the facet, facing away from interior."""
+    normal, offset = hyperplane_through([pts[i] for i in verts])
+    # Dividing the cofactors by their gcd leaves the primitive normal, which
+    # is already the canonical form of the plane.
+    g = math.gcd(*normal)
+    if g > 1:
+        normal = tuple(c // g for c in normal)
+        offset //= g
+    if dot(normal, interior) > offset:
         normal = tuple(-c for c in normal)
         offset = -offset
     return normal, offset
 
 
-def _integer_points(points, d):
-    """Exact points as ints, scaled by S = (d+1) * lcm(denominators).
+def _hull_core(pts):
+    """Beneath-beyond insertion on distinct int points.
 
-    S > 0, so order, deduplication and affine independence are unchanged,
-    and the factor d+1 makes the centroid of any d+1 of them integral too.
-    Returns (int points, S).
-    """
-    scale = (d + 1) * math.lcm(*(int(c.denominator) for p in points for c in p))
-    return [
-        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p) for p in points
-    ], scale
-
-
-def _hull_core(pts, mode):
-    """Beneath-beyond insertion.  Returns (pts, simplicial facets, interior, eps).
-
-    Exact mode takes the int points of :func:`_integer_points` and works in
-    integers throughout; float mode works in floats with a scaled tolerance.
-    Simplicial facets triangulate the boundary; adjacent coplanar simplices
-    are merged later.  Points exactly on the current boundary are skipped
-    (they cannot be extreme for the full set).
+    Returns (sorted points, simplicial facets, interior point).  Simplicial
+    facets triangulate the boundary; adjacent coplanar simplices are merged
+    later.  Points on the current boundary are skipped (they cannot be
+    extreme for the full set).
     """
     d = len(pts[0])
-    eps = 0 if mode == EXACT else FLOAT_EPS * _coordinate_scale(pts)
-    pts = _dedupe(pts, eps)
     if len(pts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
     pts.sort()
-    basis = _affine_basis(pts, d, eps)
+    basis = _affine_basis(pts, d)
     if basis is None:
         raise DegenerateInput("points span a lower-dimensional affine subspace")
-    try:
-        return _insert_points(pts, basis, eps, mode)
-    except DegenerateInput:
-        if mode == EXACT:
-            raise
-        retry = _spread_basis(pts, d, eps)
-        if retry is None or retry == basis:
-            raise
-        return _insert_points(pts, retry, eps, mode)
+    return _insert_points(pts, basis)
 
 
-def _insert_points(pts, basis, eps, mode):
+def _insert_points(pts, basis):
     d = len(pts[0])
-    if mode == EXACT:
-        interior = tuple(sum(pts[i][c] for i in basis) // (d + 1) for c in range(d))
-    else:
-        interior = tuple(sum(pts[i][c] for i in basis) / (d + 1) for c in range(d))
+    interior = tuple(sum(pts[i][c] for i in basis) // (d + 1) for c in range(d))
 
     facets = {}
     next_id = 0
     for skip in range(d + 1):
         verts = tuple(sorted(basis[j] for j in range(d + 1) if j != skip))
-        facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, mode))
+        facets[next_id] = (verts, *_facet_plane(pts, verts, interior))
         next_id += 1
 
     in_simplex = set(basis)
@@ -293,7 +231,7 @@ def _insert_points(pts, basis, eps, mode):
         p = pts[idx]
         visible = []
         for fid, (verts, normal, offset) in facets.items():
-            if dot(normal, p) - offset > eps:
+            if dot(normal, p) > offset:
                 visible.append(fid)
         if not visible:
             continue
@@ -309,13 +247,13 @@ def _insert_points(pts, basis, eps, mode):
             if count != 1:
                 continue
             verts = tuple(sorted(ridge + (idx,)))
-            facets[next_id] = (verts, *_facet_plane(pts, verts, interior, eps, mode))
+            facets[next_id] = (verts, *_facet_plane(pts, verts, interior))
             next_id += 1
 
-    return pts, list(facets.values()), interior, eps
+    return pts, list(facets.values()), interior
 
 
-def _merge_coplanar(pts, simplices, eps):
+def _merge_coplanar(pts, simplices):
     """Union-find over ridge-adjacent coplanar simplicial facets."""
     parent = list(range(len(simplices)))
 
@@ -332,9 +270,8 @@ def _merge_coplanar(pts, simplices, eps):
             ridge_map.setdefault(ridge, []).append(i)
 
     def coplanar(i, j):
-        verts_j = simplices[j][0]
         normal_i, offset_i = simplices[i][1], simplices[i][2]
-        return all(abs(dot(normal_i, pts[v]) - offset_i) <= eps for v in verts_j)
+        return all(dot(normal_i, pts[v]) == offset_i for v in simplices[j][0])
 
     for members in ridge_map.values():
         for k in range(1, len(members)):
@@ -359,85 +296,36 @@ def _canonical_plane(normal, offset, mode):
     return tuple(c * scale for c in nq), exact_scalar(offset) * scale
 
 
-def _hull_finish(pts, simplices, interior, eps, mode, d, scale):
-    """Facets, vertices, volume and centroid from the simplicial boundary.
+def _hull_finish(pts, simplices, interior):
+    """Vertices, facets and volume fan of the integer hull.
 
-    In exact mode the inputs are the int points of :func:`_integer_points`
-    with their scale S; rationals are formed only for the returned fields.
+    Returns (vertices, facets, total, weighted): the sorted extreme points;
+    one (primitive normal, offset, vertex indices) per facet, sorted; and,
+    with D_i the determinant of simplex i fanned from the interior point,
+    total = sum |D_i| and weighted[c] = sum |D_i| * (coordinate c summed
+    over the simplex's d points and the interior point).
     """
-    groups = _merge_coplanar(pts, simplices, eps)
+    d = len(interior)
+    groups = _merge_coplanar(pts, simplices)
+    planes = [simplices[group[0]][1:] for group in groups]
 
-    planes = []
-    for group in groups:
-        normal, offset = simplices[group[0]][1], simplices[group[0]][2]
-        if mode == FLOAT:
-            normal, offset = _canonical_plane(normal, offset, mode)
-        planes.append((normal, offset))
-
-    candidates = sorted({v for verts, _, _ in simplices for v in verts})
-    vertex_set = []
-    for v in candidates:
-        onplanes = []
+    vertices = []
+    for v in sorted({v for verts, _, _ in simplices for v in verts}):
         p = pts[v]
-        for normal, offset in planes:
-            tol = eps * (1 + sum(abs(c) for c in normal)) if eps else 0
-            if abs(dot(normal, p) - offset) <= tol:
-                onplanes.append(normal)
+        onplanes = [normal for normal, offset in planes if dot(normal, p) == offset]
         if len(onplanes) >= d:
-            tracker = RankTracker(d, eps)
+            tracker = RankTracker()
             for n in onplanes:
                 tracker.add(n)
                 if tracker.rank == d:
+                    vertices.append(p)
                     break
-            if tracker.rank == d:
-                vertex_set.append(v)
 
-    vertices = sorted(pts[v] for v in vertex_set)
+    facets = sorted(
+        (normal, offset, tuple(i for i, v in enumerate(vertices) if dot(normal, v) == offset))
+        for normal, offset in planes
+    )
 
-    facets = []
-    for normal, offset in planes:
-        tol = eps * (1 + sum(abs(c) for c in normal)) if eps else 0
-        members = tuple(
-            i for i, v in enumerate(vertices) if abs(dot(normal, v) - offset) <= tol
-        )
-        facets.append((normal, offset, members))
-    # S > 0, so sorting the working planes sorts the returned ones too.
-    facets.sort(key=lambda f: f[:2])
-
-    if mode == EXACT:
-        return _exact_polytope(pts, simplices, interior, d, scale, vertices, facets)
-
-    # Volume and centroid from the boundary triangulation, fanned from the
-    # interior reference point.
-    dfact = math.factorial(d)
-    total = as_scalar(0, mode)
-    weighted = [total] * d
-    for verts, _, _ in simplices:
-        mat = [vsub(pts[v], interior) for v in verts]
-        vol = abs(det(mat, eps)) / dfact
-        if vol == 0:
-            continue
-        total = total + vol
-        centroid_sum = list(interior)
-        for v in verts:
-            centroid_sum = [a + b for a, b in zip(centroid_sum, pts[v])]
-        for c in range(d):
-            weighted[c] = weighted[c] + vol * centroid_sum[c] / (d + 1)
-    if total == 0 or (eps and total <= eps**d):
-        raise DegenerateInput("zero-volume hull")
-    centroid = tuple(w / total for w in weighted)
-    facets = tuple(Facet(members, normal, offset) for normal, offset, members in facets)
-    boundary = tuple(tuple(pts[v] for v in verts) for verts, _, _ in simplices)
-    return VPolytope(d, mode, tuple(vertices), facets, total, centroid, interior, boundary)
-
-
-def _exact_polytope(pts, simplices, interior, d, scale, vertices, facets):
-    """Rational VPolytope from the integer hull, scaled by 1/S on the way out.
-
-    With D_i the determinant of simplex i fanned from the interior point,
-    Vol = sum|D_i| / (d! S^d), and the centroid is the |D_i|-weighted mean
-    of the simplex centroids.
-    """
     total = 0
     weighted = [0] * d
     for verts, _, _ in simplices:
@@ -445,29 +333,31 @@ def _exact_polytope(pts, simplices, interior, d, scale, vertices, facets):
         total += vol
         for c in range(d):
             weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts))
-    if total == 0:
-        raise DegenerateInput("zero-volume hull")
-    return VPolytope(
-        d,
-        EXACT,
-        tuple(tuple(rational(c, scale) for c in v) for v in vertices),
-        tuple(
-            Facet(members, tuple(rational(c) for c in normal), rational(offset, scale))
-            for normal, offset, members in facets
-        ),
-        rational(total, math.factorial(d) * scale**d),
-        tuple(rational(w, total * scale * (d + 1)) for w in weighted),
-        tuple(rational(c, scale) for c in interior),
-    )
+    return vertices, facets, total, weighted
+
+
+def _float_plane(normal, offset, scale):
+    """Unit float plane of a primitive integer plane over the scale S.
+
+    Dividing by the largest component first keeps every quotient within
+    [-1, 1]; the integers themselves may lie beyond the float range.
+    """
+    top = max(abs(c) for c in normal)
+    unit = [c / top for c in normal]
+    norm = math.hypot(*unit)
+    return tuple(c / norm for c in unit), offset / (top * scale) / norm
 
 
 def convex_hull(points, mode=None, *, allow_degenerate=False):
     """Canonical hull of the given points (each a sequence of scalars).
 
     Exact mode demands rational-like coordinates; float coordinates select
-    float mode.  Raises DegenerateInput when the points span less than the
-    ambient dimension, unless allow_degenerate is set, in which case the
-    result carries extreme points only (no facets, no volume).
+    float mode.  Both modes run one integer kernel on the points' exact
+    values.  A float hull's vertices and boundary are input points, and its
+    volume, centroid and interior point are the exact values rounded once.
+    Raises DegenerateInput when the points span less than the ambient
+    dimension, unless allow_degenerate is set, in which case the result
+    carries extreme points only (no facets, no volume).
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -479,27 +369,49 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     if mode is None:
         mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
     pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
-    work, scale = _integer_points(pts, d) if mode == EXACT else (pts, None)
+    work, scale = _integer_points(pts, d)
+    source = {}  # int point -> its first input point
+    for w, p in zip(work, pts):
+        source.setdefault(w, p)
     try:
-        core = _hull_core(work, mode)
+        work, simplices, interior = _hull_core(list(source))
     except DegenerateInput:
         if not allow_degenerate:
             raise
-        return _degenerate_hull(pts, d, mode)
-    return _hull_finish(*core, mode, d, scale)
+        return _degenerate_hull(source, d, mode)
+    vertices, facets, total, weighted = _hull_finish(work, simplices, interior)
+    if mode == EXACT:
+        div, boundary = rational, None
+        facets = [(tuple(rational(c) for c in n), rational(o, scale), m) for n, o, m in facets]
+    else:
+        div = operator.truediv  # int / int rounds the exact quotient once
+        boundary = tuple(tuple(source[work[v]] for v in verts) for verts, _, _ in simplices)
+        facets = sorted((*_float_plane(n, o, scale), m) for n, o, m in facets)
+    return VPolytope(
+        d,
+        mode,
+        tuple(source[v] for v in vertices),
+        tuple(Facet(members, normal, offset) for normal, offset, members in facets),
+        div(total, math.factorial(d) * scale**d),
+        tuple(div(w, total * scale * (d + 1)) for w in weighted),
+        tuple(div(c, scale) for c in interior),
+        boundary,
+    )
 
 
-def _degenerate_hull(pts, d, mode):
-    """Extreme points of a lower-dimensional hull, found one LP apiece."""
+def _degenerate_hull(source, d, mode):
+    """Extreme points of a lower-dimensional hull, found one exact LP apiece
+    on the int points of ``source`` (int point -> input point)."""
     from .lp import OPTIMAL, simplex_max
 
-    eps = 0 if mode == EXACT else 1e-9 * _coordinate_scale(pts)
-    pts = _dedupe(pts, FLOAT_EPS * _coordinate_scale(pts) if mode == FLOAT else 0)
+    pts = [tuple(rational(c) for c in p) for p in source]
+    inputs = list(source.values())
+    zero, one = rational(0), rational(1)
     extreme = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
         if not others:
-            extreme.append(p)
+            extreme.append(inputs[i])
             continue
         rows = []
         rhs = []
@@ -509,14 +421,13 @@ def _degenerate_hull(pts, d, mode):
             rhs.append(p[c])
             rows.append([-x for x in row])
             rhs.append(-p[c])
-        one = as_scalar(1, mode)
         rows.append([one] * len(others))
         rhs.append(one)
         rows.append([-one] * len(others))
         rhs.append(-one)
-        status, _, _ = simplex_max([as_scalar(0, mode)] * len(others), rows, rhs, eps=eps)
+        status, _, _ = simplex_max([zero] * len(others), rows, rhs)
         if status != OPTIMAL:
-            extreme.append(p)
+            extreme.append(inputs[i])
     extreme.sort()
     return VPolytope(d, mode, tuple(extreme), (), None, None, None)
 

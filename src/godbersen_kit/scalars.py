@@ -3,10 +3,12 @@
 Two modes exist everywhere in the package:
 
 * ``"exact"``  -- arbitrary-precision rationals, ``fractions.Fraction``,
-  kept reduced with positive denominator, so canonical form is free.  The
-  exact hull kernel scales its points to Python ints and forms rationals
-  only for the values it returns.
+  kept reduced with positive denominator, so canonical form is free.
 * ``"float"``  -- IEEE float64 with tolerance-based predicates.
+
+The hull kernel serves both: it scales its points' exact values (a float
+is a dyadic rational) to Python ints, and converts only the values it
+returns.
 
 Floats never silently enter exact arithmetic: :func:`exact_scalar` rejects
 them, and deliberate conversion goes through :func:`rationalize`.

@@ -3,6 +3,8 @@ representation conversion, polars, centroids, support functions."""
 
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +53,7 @@ from oracles import (
     monte_carlo_volume,
     random_exact_points,
 )
+from test_translation_reuse import _near_coplanar, _tiny_facet
 
 
 def random_centered_polytope(rng, n, m, denom=32):
@@ -471,27 +474,68 @@ def test_centered_reflection_containment():
         assert contains_polytope(nK, mK)
 
 
-def test_float_matches_exact_on_fixtures():
+# A square with a second corner 1e-13 away from (1, 1), both extreme.
+NEAR_DUPLICATES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1 + 1e-13, 1 - 1e-13)]
+# Points of the plane x + y + z = 1, off it only by the rounding of 1 - a - b.
+ROUNDOFF_FLAT = [(a, b, 1 - a - b) for a, b in ((0.1, 0.2), (0.7, 0.1), (0.3, 0.6),
+                                               (0.55, 0.35), (0.05, 0.9))]
+
+
+def _float_clouds():
+    """Float clouds: small fixtures, random clouds at d = 1..6 and four
+    coordinate scales, the near-degenerate bodies of the translation
+    tests with their reflected joins, near-duplicate points, and a plane
+    that is flat only up to round-off."""
     rng = random.Random(61)
-    fixtures = [
+    clouds = [
         [(0, 0), (1, 0), (0, 1), (1, 1)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
     ]
     for _ in range(4):
         d = rng.choice((2, 3))
-        fixtures.append(
+        clouds.append(
             [tuple(Q(rng.randint(-2048, 2048), 1024) for _ in range(d)) for _ in range(12)]
         )
-    for pts in fixtures:
-        E = convex_hull([tuple(Q(c) for c in p) for p in pts])
-        F = convex_hull([tuple(float(c) for c in p) for p in pts])
-        ve, vf = float(volume(E)), volume(F)
-        assert abs(ve - vf) <= 1e-9 * ve
-        assert len(E.vertices) == len(F.vertices)
-        ce = [float(c) for c in centroid(E)]
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(ce, centroid(F)))
-        u = tuple(float(i + 1) for i in range(E.dim))
-        assert abs(float(support(E, tuple(Q(i + 1) for i in range(E.dim)))) - support(F, u)) <= 1e-9
+    for d in range(1, 7):
+        cloud = [tuple(rng.uniform(-1, 1) for _ in range(d)) for _ in range(d + 5)]
+        for factor in (1.0, 1e6, 1e-6, 1e40, 1e-40):
+            clouds.append([tuple(factor * c for c in p) for p in cloud])
+    for make in (_near_coplanar, _tiny_facet):
+        for n in (2, 3, 4):
+            body = [tuple(float(c) for c in v) for v in make(n).vertices]
+            clouds.append(body)
+            clouds.append([tuple(0.75 * c for c in v) for v in body]
+                          + [tuple(-0.25 * c for c in v) for v in body])
+    clouds += [NEAR_DUPLICATES, ROUNDOFF_FLAT]
+    return [[tuple(float(c) for c in p) for p in cloud] for cloud in clouds]
+
+
+def test_float_matches_exact_on_fixtures():
+    """A float hull is the exact hull of its inputs' binary values, with
+    every scalar rounded once."""
+    for pts in _float_clouds():
+        E = convex_hull([tuple(Fraction(c) for c in p) for p in pts])
+        F = convex_hull(pts)
+        assert all(v in pts for v in F.vertices)
+        assert [tuple(Fraction(c) for c in v) for v in F.vertices] == list(E.vertices)
+        assert volume(F) == float(volume(E))
+        assert centroid(F) == tuple(float(c) for c in centroid(E))
+        u = tuple(range(1, E.dim + 1))
+        assert support(F, u) == pytest.approx(float(support(E, u)), rel=1e-9, abs=1e-9)
+
+
+def test_float_hull_keeps_near_duplicates_and_thin_clouds():
+    assert len(convex_hull(NEAR_DUPLICATES).vertices) == 5
+    assert 0 < volume(convex_hull(ROUNDOFF_FLAT)) < 1e-15
+
+
+def test_float_hull_of_22_points_in_dimension_6_is_fast():
+    rng = random.Random(6)
+    pts = [tuple(rng.gauss(0, 1) for _ in range(6)) for _ in range(22)]
+    start = time.perf_counter()
+    F = convex_hull(pts)
+    assert time.perf_counter() - start < 2.0
+    assert volume(F) == float(volume(convex_hull([tuple(Fraction(c) for c in p) for p in pts])))
 
 
 def test_exact_bit_size_reported():

@@ -280,13 +280,12 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
 
 def test_run_experiment_identical_under_thread_pool(tmp_path, monkeypatch):
     base = str(tmp_path / "thr")
-    cfg = dict(kind="kl", n=2, trials=3, seed=2, output_path=base)
-    assert run_experiment(ExperimentConfig(**cfg)) == 0
-    serial = open(base + ".jsonl", "rb").read()
-    monkeypatch.setenv("GODBERSEN_KIT_THREADS", "3")
-    assert run_experiment(ExperimentConfig(**cfg)) == 0
-    threaded = open(base + ".jsonl", "rb").read()
-    assert serial == threaded
+    config = ExperimentConfig(kind="functional", n=1, trials=3, seed=2, output_path=base)
+    assert run_experiment(config) == 0
+    pooled = open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()
+    monkeypatch.setattr(harness, "thread_cap", lambda: 1)
+    assert run_experiment(config) == 0
+    assert (open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()) == pooled
 
 
 def test_run_experiment_hard_failure_exits_2(tmp_path, monkeypatch):
@@ -330,33 +329,39 @@ def test_run_experiment_soft_failure_does_not_fail_run(tmp_path, monkeypatch):
     assert "reproduction" in rec
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("kind", ["kl", "functional"])
+def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, kind):
+    """kl trials run in order, functional trials on the thread pool."""
     base = str(tmp_path / "isolated")
-    kl_trial = harness._TRIAL_RUNNERS["kl"]
+    trial_runner = harness._TRIAL_RUNNERS[kind]
 
     def raising_trial(config, trial):
         if trial == 1:
             raise DegenerateInput("forced degenerate draw")
-        return kl_trial(config, trial)
+        return trial_runner(config, trial)
 
-    monkeypatch.setitem(harness._TRIAL_RUNNERS, "kl", raising_trial)
-    monkeypatch.setenv("GODBERSEN_KIT_THREADS", threads)
-    config = ExperimentConfig(kind="kl", n=2, trials=3, seed=4, output_path=base)
+    monkeypatch.setitem(harness._TRIAL_RUNNERS, kind, raising_trial)
+    config = ExperimentConfig(kind=kind, n=2 if kind == "kl" else 1, trials=3, seed=4,
+                              output_path=base)
     assert run_experiment(config) == 2
+    if kind == "kl":
+        per_trial = cells = len(config.theta_grid)
+    else:  # a product-inequality and a product-lower-bound record per lambda
+        per_trial, cells = 2 * len(config.lambda_grid), len(config.lambda_grid)
     records = _read_records(base)
-    assert [r["trial"] for r in records] == [0, 0, 0, 1, 2, 2, 2]
+    assert [r["trial"] for r in records] == [0] * per_trial + [1] + [2] * per_trial
     assert all(r["pass"] for r in records if r["trial"] != 1)
-    error = records[3]
+    error = records[per_trial]
     assert error["check"] == "trial-error"
     assert error["hard"] is True and error["pass"] is False
     assert error["meta"] == {"error": "DegenerateInput", "message": "forced degenerate draw"}
     reproduction = error["reproduction"]
     assert reproduction["trial"] == 1
     assert ExperimentConfig.from_json(dict(reproduction["config"], output_path=base)) == config
-    # The error record has no theta, so it gets summary rows of its own.
+    # The error record has no theta or lambda, so it gets summary rows of
+    # its own.
     csv_rows = open(base + ".csv").read().splitlines()
-    assert len(csv_rows) == 1 + len(records) + 3 * (len(config.theta_grid) + 1)
+    assert len(csv_rows) == 1 + len(records) + 3 * (cells + 1)
 
 
 def test_functional_sweep_on_the_thread_pool_keeps_trial_order(tmp_path, monkeypatch):
