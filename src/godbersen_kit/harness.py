@@ -24,12 +24,13 @@ Design rules the whole module obeys:
   re-run in exact arithmetic on the exact source body before being
   reported; only an exact failure survives into the record.
 
-The translation search (:func:`minimize_over_translation`) is a float-mode
-coordinate descent with golden-section line searches.  Its ``value`` is the
-objective at the returned point, hence always an *upper bound* on the true
-minimum over translations: a value below a claimed bound certifies the
-bound, a value above it is inconclusive.  Records built from the search are
-therefore always soft.
+The translation search (:func:`minimize_over_translation`) is Kelley's
+cutting-plane method on a convex objective, run in float arithmetic.  Its
+``value`` U is the objective at the returned point, hence an *upper bound*
+on the true minimum over translations: a value below a claimed bound
+certifies the bound, a value above it is inconclusive.  Its float lower
+bound L brackets the minimum but certifies nothing.  Records built from
+the search are therefore always soft.
 """
 
 import dataclasses
@@ -52,7 +53,6 @@ from .polytopes import (
     MAX_DIM,
     as_float_body,
     centroid,
-    contains_point,
     convex_hull,
     negate,
     scale_polytope,
@@ -62,7 +62,7 @@ from .polytopes import (
 )
 from .reports import CheckReport, comparison_report, equality_report
 from .rs_bodies import verify_KL_inequality, verify_ckl_bound, verify_strange
-from .scalars import EXACT, FLOAT, as_scalar, rational, rationalize, scalar_to_json
+from .scalars import EXACT, FLOAT, FLOAT_EPS, as_scalar, rational, rationalize, scalar_to_json
 from .simplexes import gfr_implies_godbersen_bound, simplex_hull_ratio
 
 KINDS = (
@@ -78,11 +78,10 @@ KINDS = (
 FLAVORS = ("hull-of-gaussians", "hull-of-sphere-points", "perturbed-simplex")
 SEED_STRIDE = 1_000_003
 PAIR_SEED_OFFSET = 524_287
-RELATIVE_IMPROVEMENT_STOP = 1e-8
+MAX_SEARCH_HULLS = 64
 CSV_COLUMNS = ("kind", "n", "j", "lambda", "theta", "seed", "trial",
                "lhs", "rhs", "ratio", "pass")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _KINDS_WITH_J = ("godbersen", "godbersen-via-gfr")
 _KINDS_WITH_LAMBDA = ("godbersen-via-gfr", "gfr", "functional", "planar")
 _KINDS_WITH_THETA = ("kl", "strange", "ckl")
@@ -330,206 +329,111 @@ def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
 class TranslationSolution:
     """Result of the translation search.
 
-    ``value`` is the objective evaluated at ``x_star`` and is therefore an
-    upper bound on the true minimum over translations.  ``certificate``
-    samples midpoint-convexity tests along searched lines (field
-    ``convex_ok``), recording evidence that the line restrictions behaved
-    convexly.
+    ``value`` is the objective at ``x_star``, an upper bound U on the
+    minimum over translations; ``lower_bound`` is the cutting-plane bound
+    L <= the minimum, up to float rounding.  ``iterations`` counts the
+    hulls built.
     """
 
     x_star: tuple
     value: float
+    lower_bound: float
     iterations: int
-    certificate: tuple
-    hull_builds: int = 0
 
     def to_json_dict(self):
         return {
             "x_star": [float(c) for c in self.x_star],
             "value": self.value,
+            "lower_bound": self.lower_bound,
             "iterations": self.iterations,
-            "hull_builds": self.hull_builds,
-            "certificate": [dict(entry) for entry in self.certificate],
         }
 
 
-class TranslatedJoinVolume:
-    """x -> Vol(conv((1-lam)(K-x) v -lam(K-x))), reusing recent hulls.
+def join_volume_and_subgradient(a, b, x):
+    """f(x) = Vol conv(A v (B + x)) and a subgradient of f at x.
 
-    With A = (1-lam)K and B = -lam*K the body is a translate of
-    conv(A v (B + x)), so only the cloud B moves.  The last few boundary
-    triangulations are kept as oriented index tuples into A v B.  At a new
-    x a triangulation is reused when every simplex fanned from the cloud's
-    mean has determinant above tol and every point lies on the inner side
-    of every facet plane within tol (tol = 1e-12 * s^d, s the largest
-    coordinate offset from the mean).  Then it still bounds the hull, whose
-    volume is the sum of the fan determinants over d!.  This is the
-    visibility test of beneath-beyond insertion run against an old
-    boundary.  When no kept triangulation passes, the hull is rebuilt with
-    :func:`convex_hull` and counted in ``hull_builds``.  At lam = 0 or 1
-    the body is +-K and the value is Vol K.
+    ``a`` and ``b`` are arrays of points.  The value is the volume of one
+    float :func:`convex_hull`, the exact volume rounded once.  Fanned from
+    the cloud's mean c, f is the sum of |det(sigma - c)| / d! over the
+    hull's boundary simplices sigma, and the derivative of a determinant
+    in one of its rows is that row's cofactor; c drops out, since the fan
+    volume does not depend on it.  The sum of the B points' cofactor rows
+    over d! is the gradient of f where the triangulation is stable and, f
+    being convex, a subgradient everywhere.
     """
-
-    _KEEP = 4
-
-    def __init__(self, K, lam):
-        lam = float(lam)
-        self.hull_builds = 0
-        self._fixed = float(volume(K)) if lam in (0.0, 1.0) else None
-        verts = np.array(K.vertices, dtype=float)
-        self._a = (1.0 - lam) * verts
-        self._b = -lam * verts
-        self._dfact = math.factorial(K.dim)
-        self._kept = []  # (facet index array, orientation signs), most recent first
-
-    def __call__(self, x):
-        if self._fixed is not None:
-            return self._fixed
-        cloud = np.vstack([self._a, self._b + np.asarray(x, dtype=float)])
-        center = cloud.mean(axis=0)
-        tol = 1e-12 * float(np.abs(cloud - center).max()) ** cloud.shape[1]
-        for pos, (index, signs) in enumerate(self._kept):
-            simplices = cloud[index]
-            fan = signs * np.linalg.det(simplices - center)
-            if fan.min() <= tol:
-                continue
-            sides = signs * np.linalg.det(simplices[None] - cloud[:, None, None, :])
-            if sides.min() < -tol:
-                continue
-            self._kept.insert(0, self._kept.pop(pos))
-            return float(fan.sum()) / self._dfact
-        return self._rebuild(cloud, center)
-
-    def _rebuild(self, cloud, center):
-        self.hull_builds += 1
-        points = [tuple(p) for p in cloud.tolist()]
-        hull = convex_hull(points, FLOAT)
-        first = {}
-        for i, p in enumerate(points):
-            first.setdefault(p, i)
-        index = np.array([[first[p] for p in simplex] for simplex in hull.boundary])
-        signs = np.sign(np.linalg.det(cloud[index] - center))
-        self._kept.insert(0, (index, signs))
-        del self._kept[self._KEEP:]
-        return float(volume(hull))
+    cloud = np.vstack([a, b + x])
+    points = [tuple(p) for p in cloud.tolist()]
+    hull = convex_hull(points, FLOAT)
+    index = {}
+    for i, p in enumerate(points):
+        index.setdefault(p, i)
+    simplices = np.array([[index[p] for p in s] for s in hull.boundary])
+    fan = cloud[simplices] - cloud.mean(axis=0)
+    # |det M| inv(M)^T = sign(det M) cof(M): cofactors oriented to a positive fan.
+    cof = np.abs(np.linalg.det(fan))[:, None, None] * np.linalg.inv(fan).transpose(0, 2, 1)
+    moving = (simplices >= len(a))[..., None]
+    return float(volume(hull)), (cof * moving).sum(axis=(0, 1)) / math.factorial(cloud.shape[1])
 
 
 def minimize_over_translation(K, lam):
-    """Search for x in K minimizing Vol((1-lam)(K-x) v -lam(K-x)).
+    """Minimize f(x) = Vol((1-lam)(K-x) v -lam(K-x)) over x in K.
 
-    Coordinatewise golden-section sweeps, restarted from the centroid and
-    from 2n boundary probes, stopping when a full sweep improves the value
-    by less than a 1e-8 relative factor.  The search runs in float
-    arithmetic regardless of the body's mode; each probe is evaluated by a
-    :class:`TranslatedJoinVolume`, which rebuilds a hull only when none of
-    its recent ones still bounds the probe's body.
+    f is convex in x (the bodies form a linear parameter system), so
+    Kelley's cutting-plane method applies.  Starting at the centroid, each
+    probe y adds the cut t >= f(y) + g.(z - y), g from
+    :func:`join_volume_and_subgradient`, and the LP min t over z in K gives
+    the next probe and a lower bound L.  The search stops when the best
+    value U satisfies U - L <= 1e-9 U, or after ``MAX_SEARCH_HULLS`` hulls.
+    A probe replaces the best point only when strictly lower, so on a flat
+    minimum the centroid is kept.  The search runs in float arithmetic
+    regardless of the body's mode.
     """
+    from .lp import OPTIMAL, simplex_max
+
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     body = as_float_body(K)
+    start = np.array([float(c) for c in centroid(body)])
+    if lam in (0.0, 1.0):
+        vol = float(volume(body))
+        return TranslationSolution(tuple(start.tolist()), vol, vol, 0)
     n = body.dim
-    facets = [(tuple(float(c) for c in f.outward_normal), float(f.offset))
+    verts = np.array(body.vertices, dtype=float)
+    # Scaling by 2^-e is exact and brings the largest coordinate into
+    # [1/2, 1), the range the LP's absolute eps is meant for.
+    e = math.frexp(float(np.abs(verts).max()))[1]
+    verts = np.ldexp(verts, -e)
+    a, b = (1.0 - lam) * verts, -lam * verts
+    c = y = best = np.ldexp(start, -e)
+    # The LP runs in u = z - c, split as u = up - um, and v = t0 - t, all
+    # >= 0, with t0 the cuts' largest value at c: each cut reads
+    # g.u + v <= t0 - (its value at c), so every right-hand side is >= 0
+    # and the LP needs no phase 1.  It maximizes v.
+    facets = [list(f.outward_normal) + [-x for x in f.outward_normal] + [0.0]
               for f in body.facets]
-    evaluations = [0]
-    certificate = []
-    join_volume = TranslatedJoinVolume(body, lam)
-
-    def objective(x):
-        evaluations[0] += 1
-        return join_volume(x)
-
-    def segment(x, k):
-        # Range of s with x + s*e_k still in the body.
-        lo, hi = -math.inf, math.inf
-        for normal, offset in facets:
-            a = normal[k]
-            slack = offset - math.fsum(normal[i] * x[i] for i in range(n))
-            if a > 1e-14:
-                hi = min(hi, slack / a)
-            elif a < -1e-14:
-                lo = max(lo, slack / a)
-        if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
-            return 0.0, 0.0
-        return lo, hi
-
-    def line_search(x, k):
-        lo, hi = segment(x, k)
-        span = hi - lo
-        if span <= 1e-13:
-            return 0.0, math.inf
-
-        def at(s):
-            probe = list(x)
-            probe[k] += s
-            return objective(tuple(probe))
-
-        if len(certificate) < 12:
-            s1, s2 = lo + 0.25 * span, lo + 0.75 * span
-            v1, vm, v2 = at(s1), at(0.5 * (s1 + s2)), at(s2)
-            certificate.append({
-                "axis": k,
-                "offsets": [s1, 0.5 * (s1 + s2), s2],
-                "values": [v1, vm, v2],
-                "convex_ok": bool(vm <= 0.5 * (v1 + v2) + 1e-9 * (1.0 + abs(vm))),
-            })
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = at(c), at(d)
-        for _ in range(48):
-            if b - a <= 1e-7 * span + 1e-15:
-                break
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = at(d)
-        return (c, fc) if fc <= fd else (d, fd)
-
-    def descend(start):
-        x = list(start)
-        val = objective(tuple(x))
-        for _ in range(40):
-            before = val
-            for k in range(n):
-                s, v = line_search(tuple(x), k)
-                # Strict improvement only: on plateaus of minimizers (e.g. a
-                # simplex at lambda=1/2) this pins the result to the start
-                # instead of wandering on float noise.
-                if v < val - 1e-12 * max(abs(val), 1e-30):
-                    x[k] += s
-                    val = v
-            if before - val <= RELATIVE_IMPROVEMENT_STOP * max(abs(before), 1e-30):
-                break
-        return tuple(x), val
-
-    cen = tuple(float(c) for c in centroid(body))
-    starts = [cen]
-    for k in range(n):
-        lo, hi = segment(cen, k)
-        for s in (0.8 * lo, 0.8 * hi):
-            probe = list(cen)
-            probe[k] += s
-            starts.append(tuple(probe))
-    best_x, best_v = cen, math.inf
-    for start in starts:
-        x, v = descend(start)
-        # Same tie rule as within a sweep: the centroid start wins plateaus.
-        if not math.isfinite(best_v) or v < best_v - 1e-12 * max(abs(best_v), 1e-30):
-            best_x, best_v = x, v
-    # Float drift can leave the point marginally outside; pull it toward the
-    # centroid until membership holds and report the value at that point.
-    for _ in range(3):
-        if contains_point(body, best_x):
+    slacks = [math.ldexp(float(f.offset), -e) - float(np.dot(f.outward_normal, c))
+              for f in body.facets]
+    cuts, heights = [], []
+    upper, lower, hulls = math.inf, 0.0, 0
+    while hulls < MAX_SEARCH_HULLS:
+        value, g = join_volume_and_subgradient(a, b, y)
+        hulls += 1
+        if value < upper:
+            best, upper = y, value
+        cuts.append(g.tolist() + (-g).tolist() + [1.0])
+        heights.append(value + float(g @ (c - y)))
+        top = max(heights)
+        status, v, w = simplex_max([0.0] * (2 * n) + [1.0], facets + cuts,
+                                   slacks + [top - h for h in heights], eps=FLOAT_EPS)
+        if status != OPTIMAL:
             break
-        best_x = tuple(c + 1e-9 * (m - c) for c, m in zip(best_x, cen))
-        best_v = objective(best_x)
-    return TranslationSolution(tuple(best_x), best_v, evaluations[0], tuple(certificate),
-                               join_volume.hull_builds)
+        lower = max(lower, top - v)
+        if upper - lower <= 1e-9 * upper:
+            break
+        y = c + np.array(w[:n]) - np.array(w[n:2 * n])
+    return TranslationSolution(tuple(np.ldexp(best, e).tolist()), math.ldexp(upper, e * n),
+                               math.ldexp(min(lower, upper), e * n), hulls)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +564,9 @@ def _search_bound_record(config, trial, working, exact, lam, *, j=None):
             "lambda": lam,
             "x_star": [float(c) for c in sol.x_star],
             "iterations": sol.iterations,
-            "search": "coordinate-golden-section",
+            "search": "kelley-cutting-plane",
             "certifies": "upper-bound-only",
-            "convexity_samples_ok": all(e["convex_ok"] for e in sol.certificate),
+            "lower_bound": sol.lower_bound,
             "body_volume": float(volume(working)),
         })
     return _record(config, trial, rep, check="translation-search-bound", hard=False,

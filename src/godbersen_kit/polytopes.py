@@ -357,7 +357,9 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     volume, centroid and interior point are the exact values rounded once.
     Raises DegenerateInput when the points span less than the ambient
     dimension, unless allow_degenerate is set, in which case the result
-    carries extreme points only (no facets, no volume).
+    carries extreme points only (no facets, no volume).  A float hull
+    whose volume rounds to 0 or beyond the float range also raises
+    DegenerateInput.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -387,12 +389,18 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
         div = operator.truediv  # int / int rounds the exact quotient once
         boundary = tuple(tuple(source[work[v]] for v in verts) for verts, _, _ in simplices)
         facets = sorted((*_float_plane(n, o, scale), m) for n, o, m in facets)
+    try:
+        vol = div(total, math.factorial(d) * scale**d)
+    except OverflowError:  # a float quotient beyond the largest float
+        vol = math.inf
+    if vol == 0 or vol == math.inf:
+        raise DegenerateInput("hull volume is outside the float range")
     return VPolytope(
         d,
         mode,
         tuple(source[v] for v in vertices),
         tuple(Facet(members, normal, offset) for normal, offset, members in facets),
-        div(total, math.factorial(d) * scale**d),
+        vol,
         tuple(div(w, total * scale * (d + 1)) for w in weighted),
         tuple(div(c, scale) for c in interior),
         boundary,

@@ -529,6 +529,13 @@ def test_float_hull_keeps_near_duplicates_and_thin_clouds():
     assert 0 < volume(convex_hull(ROUNDOFF_FLAT)) < 1e-15
 
 
+def test_float_hull_volume_outside_float_range_raises():
+    for size in (1e300, 1e-300):
+        square = [(0.0, 0.0), (size, 0.0), (0.0, size), (size, size)]
+        with pytest.raises(DegenerateInput, match="outside the float range"):
+            convex_hull(square)
+
+
 def test_float_hull_of_22_points_in_dimension_6_is_fast():
     rng = random.Random(6)
     pts = [tuple(rng.gauss(0, 1) for _ in range(6)) for _ in range(22)]

@@ -1,20 +1,23 @@
-"""The translation search's hull-reusing objective against fresh exact hulls.
+"""The translation search's value and subgradient against exact hulls.
 
-:class:`TranslatedJoinVolume` keeps recent boundary triangulations and
-reuses one when it still bounds the body at a new translation.  Each value
-it returns is compared with the exact volume of
-``scaled_reflected_join(translate(K, -x), lam)`` on the same body, at probe
-sequences that force rebuilds, reuse the newest hull, and go back to older
-kept hulls, on random bodies and on near-degenerate ones.
+:func:`join_volume_and_subgradient` returns f(x) = Vol conv(A v (B + x))
+with A = (1-lam)K, B = -lam*K, and a subgradient g of f at x.  Its value
+is compared with the exact volume of
+``scaled_reflected_join(translate(K, -x), lam)``, a translate of the same
+body, and every g is checked against the subgradient inequality
+f(z) >= f(y) + g.(z - y) with f(z) exact, on random bodies and on
+near-degenerate ones.  On the near-degenerate bodies the full cutting-plane
+search must also close its gap.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from godbersen_kit.harness import (
-    TranslatedJoinVolume,
+    join_volume_and_subgradient,
     minimize_over_translation,
     random_polytope,
 )
@@ -27,11 +30,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT, FLOAT
-
-
-def _float_body(K):
-    return convex_hull([tuple(float(c) for c in v) for v in K.vertices], FLOAT)
+from godbersen_kit.scalars import EXACT
 
 
 def _exact_value(K, lam, x):
@@ -57,12 +56,18 @@ def _walk(start, rng, steps, size):
     return out
 
 
-def _assert_matches(K, lam, probes, objective=None):
-    objective = objective or TranslatedJoinVolume(_float_body(K), lam)
-    for x in probes:
-        expected = _exact_value(K, lam, x)
-        assert objective(x) == pytest.approx(expected, rel=1e-12, abs=0), x
-    return objective
+def _assert_value_and_subgradient(K, lam, probes):
+    """Each value equals the exact f within 1e-12 relative, and each
+    probe's g satisfies the subgradient inequality at every other probe."""
+    verts = np.array([[float(c) for c in v] for v in K.vertices])
+    a, b = (1.0 - lam) * verts, -lam * verts
+    exact = [_exact_value(K, lam, x) for x in probes]
+    for y, f_y in zip(probes, exact):
+        value, g = join_volume_and_subgradient(a, b, np.array(y))
+        assert value == pytest.approx(f_y, rel=1e-12, abs=0), y
+        for z, f_z in zip(probes, exact):
+            cut = value + float(g @ (np.array(z) - np.array(y)))
+            assert f_z >= cut - 1e-9 * value, (y, z)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -72,41 +77,16 @@ def test_random_probes_match_exact_hulls(n):
         K = random_polytope(n, n + 4, 1000 * n + trial, mode=EXACT)
         for lam in (0.25, 0.5, 2 / 3):
             jumps = [_interior_probe(K, rng) for _ in range(4)]
-            # A walk of small steps reuses the newest hull; each jump
-            # starts from a fresh one.
-            walk = _walk(jumps[0], rng, 12, 1e-3)
-            objective = _assert_matches(K, lam, jumps + walk)
-            assert objective.hull_builds < len(jumps) + len(walk)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_out_of_order_revisits_reuse_older_hulls(n):
-    rng = random.Random(7 + n)
-    K = random_polytope(n, n + 5, 40 + n, mode=EXACT)
-    lam = 0.25
-    body = _float_body(K)
-    objective = TranslatedJoinVolume(body, lam)
-    far = [tuple(float(c) for c in v) for v in body.vertices[:3]]
-    probes = [tuple(0.8 * c for c in v) for v in far]
-    _assert_matches(K, lam, probes, objective)
-    built = objective.hull_builds
-    assert built >= 2
-    # Revisit in reverse order: every probe finds its own hull among the
-    # kept ones, whatever its position in the list.
-    _assert_matches(K, lam, probes[::-1] + probes, objective)
-    assert objective.hull_builds == built
-    # More distinct hulls than the list keeps: the oldest ones are dropped
-    # and a return to them is still correct.
-    more = [_interior_probe(K, rng) for _ in range(6)]
-    _assert_matches(K, lam, more + probes, objective)
+            # Small steps test the cuts where they are tightest.
+            _assert_value_and_subgradient(K, lam, jumps + _walk(jumps[0], rng, 12, 1e-3))
 
 
 def test_endpoint_lambdas_are_the_body_volume():
-    K = _float_body(random_polytope(3, 7, 3, mode=EXACT))
+    K = random_polytope(3, 7, 3, mode=EXACT)
     for lam in (0.0, 1.0):
-        objective = TranslatedJoinVolume(K, lam)
-        assert objective((0.1, -0.2, 0.05)) == float(volume(K))
-        assert objective.hull_builds == 0
+        sol = minimize_over_translation(K, lam)
+        assert sol.value == sol.lower_bound == float(volume(K))
+        assert sol.iterations == 0
 
 
 def _near_coplanar(n):
@@ -153,10 +133,14 @@ def test_near_degenerate_families_match_exact_hulls(family, n):
     for lam in (0.25, 0.5):
         start = _interior_probe(K, rng)
         probes = [start] + _walk(start, rng, 8, 1e-3 * size) + [_interior_probe(K, rng)]
-        _assert_matches(K, lam, probes)
+        _assert_value_and_subgradient(K, lam, probes)
 
 
-def test_search_rebuilds_on_few_probes():
-    K = random_polytope(2, 9, 11, mode=FLOAT)
-    sol = minimize_over_translation(K, 0.25)
-    assert 0 < sol.hull_builds <= 0.15 * sol.iterations
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_near_degenerate_families_search_closes_the_gap(family, n):
+    K = FAMILIES[family](n)
+    for lam in (0.25, 0.5):
+        sol = minimize_over_translation(K, lam)
+        assert 0 < sol.lower_bound <= sol.value
+        assert sol.value - sol.lower_bound <= 1e-9 * sol.value
