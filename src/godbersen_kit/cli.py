@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import GodbersenKitError
 from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
-from .planar import POLICIES, reduce_to_triangle, verify_planar_gfr
+from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import polytope_from_json, polytope_to_json, scaled_reflected_join, volume
 from .scalars import EXACT, rational, scalar_to_json
 from .simplexes import simplex_hull_ratio
@@ -73,13 +73,12 @@ def _reduce_planar_command(args):
     if body.mode != EXACT:
         raise ValueError("reduce-planar requires an exact-mode polygon")
     lam = _parse_lambda(args.lam, exact=True)
-    steps = reduce_to_triangle(body, lam, policy=args.policy, seed=args.seed)
+    steps = reduce_to_triangle(body, lam)
     final = steps[-1].after if steps else body
     report = verify_planar_gfr(body, lam)
     trace = {
         "input": polytope_to_json(body),
         "lambda": scalar_to_json(lam),
-        "policy": args.policy,
         "steps": [step.to_json_dict() for step in steps],
         "final": polytope_to_json(final),
         "final_objective": scalar_to_json(
@@ -135,9 +134,6 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", required=True,
                    help="lambda in [0,1], e.g. 1/3 or 0.25")
     p.add_argument("--trace", required=True, help="output JSON file for the steps")
-    p.add_argument("--policy", default="min-perturbation", choices=POLICIES)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the 'random' policy")
 
     p = sub.add_parser("simplex-ratio",
                        help="closed-form hull volume ratio for the simplex")

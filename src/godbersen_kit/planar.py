@@ -14,7 +14,6 @@ checked by verify_planar_gfr.
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, NotCentered, TooFewVertices
@@ -31,8 +30,6 @@ from .scalars import EXACT, FLOAT_EPS, as_scalar, rationalize, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 ENDPOINT_CAP_FACTOR = 10 ** 6
-
-POLICIES = ("min-perturbation", "first", "random")
 
 
 def _require_polygon(P):
@@ -107,39 +104,40 @@ def _line_parameter(p, u, q1, q2):
     return -_cross(w, _sub(p, q1)) / denom
 
 
-def _endpoint_cap(P, u):
-    """Parameter-space cap corresponding to 1e6 diameters of motion."""
+def _diameter_sq(verts):
+    """Squared diameter of a vertex list."""
     diam_sq = 0
-    verts = P.vertices
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             d = _sub(verts[i], verts[j])
             diam_sq = max(diam_sq, _dot(d, d))
+    return diam_sq
+
+
+def _endpoint_cap(diam_sq, u, mode):
+    """Parameter-space cap corresponding to 1e6 diameters of motion."""
     ratio = math.sqrt(float(diam_sq) / float(_dot(u, u)))
     cap = ENDPOINT_CAP_FACTOR * max(ratio, 1.0)
-    if P.mode == EXACT:
+    if mode == EXACT:
         return rationalize(cap)
     return cap
 
 
-def slide_interval(K, vertex_index):
-    """(alpha, beta, alpha_flagged, beta_flagged) for sliding one vertex.
-
-    alpha < 0 < beta are the parameters where the slid vertex meets the
-    lines through the two adjacent edges.  A flagged endpoint means the
-    intersection was missing or beyond the cap (near-parallel degeneracy,
-    possible only through float roundoff) and was clamped.
-    """
-    _require_polygon(K)
+def _cycle(K):
+    """The ccw cycle of a polygon with at least 4 vertices."""
     cyc = ccw_vertices(K)
-    n = len(cyc)
-    if n < 4:
+    if len(cyc) < 4:
         raise TooFewVertices("vertex removal needs at least 4 vertices")
-    i2 = vertex_index % n
+    return cyc
+
+
+def _interval(cyc, i2, diam_sq, mode):
+    """slide_interval on a ccw cycle whose squared diameter is diam_sq."""
+    n = len(cyc)
     x1, x2, x3 = cyc[i2 - 1], cyc[i2], cyc[(i2 + 1) % n]
     x4, xN = cyc[(i2 + 2) % n], cyc[i2 - 2]
     u = _sub(x3, x1)
-    cap = _endpoint_cap(K, u)
+    cap = _endpoint_cap(diam_sq, u, mode)
     alpha = _line_parameter(x2, u, xN, x1)
     beta = _line_parameter(x2, u, x3, x4)
     alpha_flagged = alpha is None or alpha < -cap
@@ -152,6 +150,18 @@ def slide_interval(K, vertex_index):
         raise DegenerateInput(
             "slide endpoints did not straddle 0; polygon is not in convex position")
     return alpha, beta, alpha_flagged, beta_flagged
+
+
+def slide_interval(K, vertex_index):
+    """(alpha, beta, alpha_flagged, beta_flagged) for sliding one vertex.
+
+    alpha < 0 < beta are the parameters where the slid vertex meets the
+    lines through the two adjacent edges.  A flagged endpoint means the
+    intersection was missing or beyond the cap (near-parallel degeneracy,
+    possible only through float roundoff) and was clamped.
+    """
+    cyc = _cycle(K)
+    return _interval(cyc, vertex_index % len(cyc), _diameter_sq(cyc), K.mode)
 
 
 def _slide_vertices(cyc, i2, t):
@@ -185,9 +195,7 @@ def slide_vertex(K, vertex_index, t):
     """
     _require_polygon(K)
     _require_centered(K)
-    cyc = ccw_vertices(K)
-    if len(cyc) < 4:
-        raise TooFewVertices("vertex removal needs at least 4 vertices")
+    cyc = _cycle(K)
     i2 = vertex_index % len(cyc)
     area = volume(K)
     verts, u, _ = _slide_vertices(cyc, i2, t)
@@ -263,13 +271,15 @@ def remove_vertex_step(K, lam, vertex_index):
     the origin.  Area is preserved and the join area never decreases."""
     _require_polygon(K)
     _require_centered(K)
-    cyc = ccw_vertices(K)
-    n = len(cyc)
-    if n < 4:
-        raise TooFewVertices("vertex removal needs at least 4 vertices")
-    i2 = vertex_index % n
+    cyc = _cycle(K)
+    return _step(K, cyc, _diameter_sq(cyc), lam, vertex_index % len(cyc))
+
+
+def _step(K, cyc, diam_sq, lam, i2):
+    """remove_vertex_step on the ccw cycle of K, whose squared diameter is
+    diam_sq."""
     lam = as_scalar(lam, K.mode)
-    alpha, beta, a_flag, b_flag = slide_interval(K, i2)
+    alpha, beta, a_flag, b_flag = _interval(cyc, i2, diam_sq, K.mode)
     area = volume(K)
     theta = _theta(cyc, i2, area)
     obj_before = _objective(K, lam)
@@ -304,39 +314,32 @@ def remove_vertex_step(K, lam, vertex_index):
     )
 
 
-def reduce_to_triangle(K, lam, policy="min-perturbation", *, seed=0):
+def reduce_to_triangle(K, lam):
     """Remove vertices one by one until a triangle remains.
 
-    The polygon is recentered at its centroid first.  ``policy`` picks the
-    vertex each round: "min-perturbation" (smallest |alpha| + |beta|,
-    the default), "first", or "random" (seeded).  Returns the list of steps;
-    a triangle input gives an empty list.  The join-area objective is
-    non-decreasing along the chain.
+    The polygon is recentered at its centroid first.  Each round removes
+    the vertex with the smallest slide range |alpha| + |beta| (ties take
+    the first in the ccw cycle); the cycle and its diameter are computed
+    once per round.  Returns the list of steps; a triangle input gives an
+    empty list.  The join-area objective is non-decreasing along the chain.
     """
     _require_polygon(K)
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     c = centroid(K)
     P = translate(K, tuple(-x for x in c)) if any(x != 0 for x in c) else K
-    rng = random.Random(seed)
     steps = []
     while len(P.vertices) > 3:
-        n = len(P.vertices)
+        _require_centered(P)
+        cyc = ccw_vertices(P)
+        diam_sq = _diameter_sq(cyc)
         usable = []
-        for i in range(n):
-            alpha, beta, a_flag, b_flag = slide_interval(P, i)
+        for i in range(len(cyc)):
+            alpha, beta, a_flag, b_flag = _interval(cyc, i, diam_sq, P.mode)
             if a_flag and b_flag:
                 continue
-            usable.append((i, -alpha + beta))
+            usable.append((-alpha + beta, i))
         if not usable:
             raise DegenerateInput("every slide endpoint was degenerate")
-        if policy == "min-perturbation":
-            idx = min(usable, key=lambda iv: (iv[1], iv[0]))[0]
-        elif policy == "first":
-            idx = usable[0][0]
-        else:
-            idx = usable[rng.randrange(len(usable))][0]
-        step = remove_vertex_step(P, lam, idx)
+        step = _step(P, cyc, diam_sq, lam, min(usable)[1])
         steps.append(step)
         P = step.after
     return steps

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateInput,
@@ -673,7 +673,7 @@ def to_vrep(H):
 
 
 def intersect(*hpolys):
-    """Intersection of H-polytopes; prunes redundant half-spaces when solid.
+    """Intersection of H-polytopes, with a strictly interior point when solid.
 
     Never raises for empty or flat inputs: the flags on the returned
     HPolytope carry that information.
@@ -693,9 +693,7 @@ def intersect(*hpolys):
         return HPolytope(dim, mode, halfspaces, None, empty=True, full_dim=False)
     if not margin > eps:
         return HPolytope(dim, mode, halfspaces, None, empty=False, full_dim=False)
-    raw = HPolytope(dim, mode, halfspaces, interior_point=x)
-    pruned = to_hrep(to_vrep(raw))
-    return replace(pruned, interior_point=x)
+    return HPolytope(dim, mode, halfspaces, interior_point=x)
 
 
 def polar(P):
@@ -724,10 +722,7 @@ def polar(P):
 
 def polar_body(P):
     """Polar of a VPolytope as a canonical VPolytope (facets -> vertices)."""
-    if not contains_point(P, tuple(as_scalar(0, P.mode) for _ in range(P.dim)), strict=True):
-        raise OriginNotInterior("polar needs 0 in the interior")
-    pts = [tuple(c / f.offset for c in f.outward_normal) for f in P.facets]
-    return convex_hull(pts, P.mode)
+    return polar(to_hrep(P))
 
 
 # ---------------------------------------------------------------------------

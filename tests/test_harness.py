@@ -616,6 +616,18 @@ def test_float_gfr_flat_first_basis_does_not_abort():
     assert all(rec["pass"] for rec in records if rec["hard"])
 
 
+def test_strange_sweep_takes_theta_endpoints(tmp_path):
+    base = str(tmp_path / "strange")
+    code = run_experiment({"kind": "strange", "n": 2, "trials": 2,
+                           "theta_grid": ["0", "1/2", "1"], "output_path": base})
+    assert code == 0
+    records = _read_records(base)
+    assert [rec["trial"] for rec in records] == [0, 0, 1, 1]
+    for rec in records[1::2]:
+        flags = [flag for _, flag in rec["meta"]["inclusion_by_theta"]]
+        assert flags[0] is None and flags[2] is None and flags[1] is not None
+
+
 def test_float_failures_are_rechecked_in_exact_arithmetic(monkeypatch):
     fail_exact = [False]
     ratio, ckl = harness.godbersen_ratio, harness.verify_ckl_bound

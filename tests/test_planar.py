@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from godbersen_kit import planar
 from godbersen_kit.errors import DegenerateInput, NotCentered, TooFewVertices
 from godbersen_kit.planar import (
     ccw_vertices,
@@ -183,13 +184,12 @@ def test_reduce_triangle_is_empty():
     assert reduce_to_triangle(tri, rational(1, 2)) == []
 
 
-@pytest.mark.parametrize("policy", ["min-perturbation", "first", "random"])
-def test_reduce_chain_invariants(policy):
+def test_reduce_chain_invariants():
     rng = random.Random(57)
     lam = rational(3, 10)
     for _ in range(3):
         P = random_centered_polygon(rng, 10)
-        steps = reduce_to_triangle(P, lam, policy, seed=5)
+        steps = reduce_to_triangle(P, lam)
         assert len(steps) == len(P.vertices) - 3
         area = volume(P)
         prev_obj = None
@@ -216,9 +216,19 @@ def test_reduce_uncentered_input_is_recentered():
     assert all(c == 0 for c in centroid(steps[0].before))
 
 
-def test_reduce_policy_validation():
-    with pytest.raises(ValueError):
-        reduce_to_triangle(centered_square(), rational(1, 2), "greedy")
+def test_reduce_sorts_the_cycle_once_per_round(monkeypatch):
+    calls = []
+    original = planar.ccw_vertices
+
+    def counting(P):
+        calls.append(len(P.vertices))
+        return original(P)
+
+    monkeypatch.setattr(planar, "ccw_vertices", counting)
+    P = random_centered_polygon(random.Random(58), 10)
+    steps = reduce_to_triangle(P, rational(1, 3))
+    assert len(steps) == len(P.vertices) - 3
+    assert calls == [len(s.before.vertices) for s in steps]
 
 
 def test_step_trace_is_json_serializable():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from godbersen_kit import polytopes, rs_bodies
 from godbersen_kit.errors import (
     DegenerateInput,
     EmptySection,
@@ -46,6 +47,20 @@ from godbersen_kit.scalars import rational as Q
 from oracles import random_exact_points
 
 
+def assert_layered(K, L, C):
+    """Every layer point of C is extreme, and the slices at five heights are
+    (1-theta)L - theta*K."""
+    zero, one = Q(0), Q(1)
+    layers = [v + (zero,) for v in L.vertices]
+    layers += [tuple(-c for c in w) + (one,) for w in K.vertices]
+    assert list(C.body.vertices) == sorted(layers)
+    assert slice_of_C(C, zero) == L
+    assert slice_of_C(C, one) == negate(K)
+    for theta in (Q(1, 4), Q(1, 2), Q(3, 4)):
+        want = minkowski_sum(scale_polytope(L, 1 - theta), scale_polytope(K, -theta))
+        assert slice_of_C(C, theta) == want
+
+
 def random_centered(rng, n, m, denom=16):
     while True:
         try:
@@ -69,6 +84,7 @@ def test_build_c_rejects_degenerate_layers():
 def test_build_c_segment():
     seg = cube(1, low=-1, high=1)
     C = build_C(seg, seg)
+    assert_layered(seg, seg, C)
     assert volume(C.body) == 2
     # direct 2-d hull oracle
     direct = convex_hull([(-1, 0), (1, 0), (-1, 1), (1, 1)], "exact")
@@ -80,7 +96,8 @@ def test_build_c_segment():
 
 def test_build_c_slice_identity_triangle():
     T = standard_simplex(2)
-    C = build_C(T, T)  # validate=True checks theta in {0,1/4,1/2,3/4,1}
+    C = build_C(T, T)
+    assert_layered(T, T, C)
     s = slice_of_C(C, Q(1, 3))
     expected = minkowski_sum(scale_polytope(T, Q(2, 3)), scale_polytope(T, Q(-1, 3)))
     assert s == expected
@@ -90,7 +107,7 @@ def test_build_c_volume_matches_slice_quadrature():
     rng = random.Random(3)
     K = random_centered(rng, 2, 7)
     L = random_centered(rng, 2, 7)
-    C = build_C(K, L, validate=False)
+    C = build_C(K, L)
     total = Q(0)
     steps = 101
     for i in range(steps):
@@ -105,6 +122,7 @@ def test_build_c_layer_vertices():
     K = cube(2, low=-1, high=1)
     L = standard_simplex(2)
     C = build_C(K, L)
+    assert_layered(K, L, C)
     assert len(C.body.vertices) == len(K.vertices) + len(L.vertices)
     heights = {v[-1] for v in C.body.vertices}
     assert heights == {Q(0), Q(1)}
@@ -242,6 +260,38 @@ def test_kl_inequality_random():
         L = random_centered(rng, 2, 8)
         for theta in (Q(1, 4), Q(1, 2), Q(3, 4)):
             assert verify_KL_inequality(K, L, theta).passed
+
+
+def test_kl_intersection_costs_two_hulls(monkeypatch):
+    # The cut's vertices are enumerated once: one hull of the polar points
+    # and one of the vertices they give.
+    hulls, inside = [], []
+    original_hull = polytopes.convex_hull
+
+    def counting_hull(*args, **kwargs):
+        if inside:
+            hulls.append(len(args[0]))
+        return original_hull(*args, **kwargs)
+
+    def cut_stage(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(polytopes, "convex_hull", counting_hull)
+    monkeypatch.setattr(rs_bodies, "_scaled_intersection",
+                        cut_stage(rs_bodies._scaled_intersection))
+    monkeypatch.setattr(rs_bodies, "to_vrep", cut_stage(rs_bodies.to_vrep))
+    rng = random.Random(14)
+    K = random_centered(rng, 3, 9)
+    L = random_centered(rng, 3, 9)
+    rep = verify_KL_inequality(K, L, Q(1, 2))
+    assert rep.passed and rep.meta["intersection_volume"] > 0
+    assert len(hulls) == 2
 
 
 def test_homothety_identity_on_homothets():
