@@ -43,11 +43,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateInput, GodbersenKitError
-from .functional import sample_function, verify_functional_inequality
-from .mixed import difference_body_check, godbersen_ratio, node_volumes
+from .mixed import difference_body_check, godbersen_ratio, mixed_volumes
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import (
     MAX_DIM,
@@ -361,6 +358,8 @@ def join_volume_and_subgradient(a, b, x):
     over d! is the gradient of f where the triangulation is stable and, f
     being convex, a subgradient everywhere.
     """
+    import numpy as np
+
     cloud = np.vstack([a, b + x])
     points = [tuple(p) for p in cloud.tolist()]
     hull = convex_hull(points, FLOAT)
@@ -388,6 +387,8 @@ def minimize_over_translation(K, lam):
     minimum the centroid is kept.  The search runs in float arithmetic
     regardless of the body's mode.
     """
+    import numpy as np
+
     from .lp import OPTIMAL, simplex_max
 
     lam = float(lam)
@@ -525,9 +526,9 @@ def _binomial_conjecture(rep):
 
 def _godbersen_trial(config, trial):
     working, exact = _trial_body(config, trial)
-    # One set of interpolation hulls per body serves every check below.
-    volumes = functools.cache(lambda K: node_volumes(K, negate(K)))
-    ratio = functools.cache(lambda K, j: godbersen_ratio(K, j, volumes(K)))
+    # One Cayley fan per body serves every check below.
+    mixed = functools.cache(lambda K: mixed_volumes(K, negate(K)))
+    ratio = functools.cache(lambda K, j: godbersen_ratio(K, j, mixed(K)))
     records = []
     for j in config.j_list:
         rep = _verified(config, lambda K: ratio(K, j), (working,), (exact,))
@@ -538,7 +539,7 @@ def _godbersen_trial(config, trial):
         records.append(_record(config, trial, conj, check="binomial-conjecture", hard=False,
                                j=j, bodies=[exact]))
 
-    diff = _verified(config, lambda K: difference_body_check(K, volumes(K)),
+    diff = _verified(config, lambda K: difference_body_check(K, mixed(K)),
                      (working,), (exact,), accept=lambda rep: rep.meta["expansion_identity"])
     records.append(_record(config, trial, diff, check="difference-body-bound", hard=True,
                            bodies=[exact]))
@@ -639,6 +640,10 @@ def _strange_trial(config, trial):
 
 
 def _functional_trial(config, trial):
+    import numpy as np
+
+    from . import functional
+
     n = config.n
     rng = random.Random(_trial_seed(config, trial))
     a = 0.6 + 1.2 * rng.random()
@@ -655,13 +660,15 @@ def _functional_trial(config, trial):
         grids = np.meshgrid(*axes, indexing="ij")
         return np.exp(-b * sum(np.abs(g - shift) for g in grids))
 
-    f = sample_function(gauss, lo=(-half,) * n, hi=(half,) * n,
-                        resolution=(resolution,) * n, kind="density", log_concave=True)
-    g = sample_function(laplace, lo=(-half,) * n, hi=(half,) * n,
-                        resolution=(resolution,) * n, kind="density", log_concave=True)
+    f = functional.sample_function(gauss, lo=(-half,) * n, hi=(half,) * n,
+                                   resolution=(resolution,) * n, kind="density",
+                                   log_concave=True)
+    g = functional.sample_function(laplace, lo=(-half,) * n, hi=(half,) * n,
+                                   resolution=(resolution,) * n, kind="density",
+                                   log_concave=True)
     records = []
     for lam in config.lambda_grid:
-        rep = verify_functional_inequality(f, g, float(lam))
+        rep = functional.verify_functional_inequality(f, g, float(lam))
         reproduction = {
             "kind": config.kind, "n": n, "seed": config.seed, "trial": trial,
             "gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,

@@ -162,11 +162,16 @@ def _scaled_intersection(K, L, theta):
     """theta*K cap (1-theta)*L as an HPolytope (flags carry degeneracy).
 
     At theta in {0, 1} one factor shrinks to the point 0, so the cut is
-    flat."""
+    flat.  When every offset is positive the origin is strictly interior
+    and no LP is needed to find an interior point."""
     if theta == 0 or theta == 1:
         return HPolytope(K.dim, K.mode, (), empty=False, full_dim=False)
     A = to_hrep(scale_polytope(K, theta))
     B = to_hrep(scale_polytope(L, 1 - theta))
+    cut = HPolytope(K.dim, K.mode, A.halfspaces + B.halfspaces,
+                    interior_point=_zero(K.dim, K.mode))
+    if all(offset > cut.eps for _, offset in cut.halfspaces):
+        return cut
     return intersect(A, B)
 
 

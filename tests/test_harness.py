@@ -6,11 +6,14 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import godbersen_kit.functional as functional
 import godbersen_kit.harness as harness
 import godbersen_kit.mixed as mixed
 from godbersen_kit.cli import main
@@ -421,7 +424,7 @@ def test_functional_sweep_on_the_thread_pool_keeps_trial_order(tmp_path, monkeyp
 
 
 def test_functional_lower_bound_failure_carries_reproduction(monkeypatch):
-    verify = harness.verify_functional_inequality
+    verify = functional.verify_functional_inequality
 
     fail_product = [False]
 
@@ -430,7 +433,7 @@ def test_functional_lower_bound_failure_carries_reproduction(monkeypatch):
         return dataclasses.replace(rep, passed=rep.passed and not fail_product[0],
                                    meta=dict(rep.meta, lower_bound_pass=False))
 
-    monkeypatch.setattr(harness, "verify_functional_inequality", failing_lower_bound)
+    monkeypatch.setattr(functional, "verify_functional_inequality", failing_lower_bound)
     config = ExperimentConfig(kind="functional", n=1, trials=1, seed=2, lambda_grid=("1/2",))
     product, lower = run_trial(config, 0)
     assert product["check"] == "product-inequality" and product["pass"] is True
@@ -592,7 +595,7 @@ def test_cli_mixed_volume(tmp_path, capsys):
 # regressions
 
 
-def test_exact_godbersen_trial_builds_one_hull_per_node(monkeypatch):
+def test_exact_godbersen_trial_builds_one_minkowski_hull(monkeypatch):
     calls = []
     original = mixed.minkowski_sum
 
@@ -600,11 +603,23 @@ def test_exact_godbersen_trial_builds_one_hull_per_node(monkeypatch):
         calls.append(P.dim)
         return original(P, Q)
 
+    def interpolating(K, T):
+        raise AssertionError("godbersen trials read mixed volumes off the Cayley fan")
+
     monkeypatch.setattr(mixed, "minkowski_sum", counting)
+    monkeypatch.setattr(mixed, "volume_polynomial", interpolating)
     records = run_trial(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
-    # Nodes s = 1, 2, 3 of Vol(sK - K); the s = 1 node doubles as K - K.
-    assert len(calls) == 3
+    # The one K - K hull that the expansion identity checks the Cayley route against.
+    assert len(calls) == 1
     assert all(rec["pass"] for rec in records if rec["hard"])
+
+
+def test_harness_and_cli_import_without_numpy():
+    code = ("import sys, godbersen_kit.harness, godbersen_kit.cli; "
+            "assert 'numpy' not in sys.modules; "
+            "assert 'godbersen_kit.functional' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_float_gfr_flat_first_basis_does_not_abort():
@@ -635,8 +650,8 @@ def test_float_failures_are_rechecked_in_exact_arithmetic(monkeypatch):
     def failing(rep, body):
         return not rep.passed or body.mode == FLOAT or fail_exact[0]
 
-    def fake_ratio(K, j, volumes=None):
-        rep = ratio(K, j, volumes)
+    def fake_ratio(K, j, mixed=None):
+        rep = ratio(K, j, mixed)
         if not failing(rep, K):
             return rep
         # Above both the proved and the conjectured bound.

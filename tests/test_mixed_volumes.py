@@ -3,22 +3,27 @@ classical inequalities they feed."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from godbersen_kit.harness import FLAVORS, random_polytope as harness_polytope
 from godbersen_kit.mixed import (
     MixedVolumeResult,
     difference_body_check,
     godbersen_ratio,
     mixed_volume_general,
     mixed_volume_pair,
+    mixed_volumes,
     volume_polynomial,
 )
 from godbersen_kit.polytopes import (
+    as_float_body,
     centered_simplex,
     centroid,
     contains_polytope,
     convex_hull,
+    cross_polytope,
     cube,
     minkowski_sum,
     negate,
@@ -91,6 +96,72 @@ def test_volume_polynomial_float_reports_condition():
     exact_values, _ = volume_polynomial(cube(2), standard_simplex(2))
     for a, b in zip(values, exact_values):
         assert abs(a - float(b)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# mixed_volumes (Cayley route)
+
+
+def _acceptance_corpus(n):
+    """The 50 centered bodies per dimension of the acceptance suite."""
+    return [harness_polytope(n, n + 2 + (i % 4), 77_000 + 1000 * n + i, FLAVORS[i % 3])
+            for i in range(50)]
+
+
+def _pairs_with_reflection_and_neighbour(bodies):
+    for i, K in enumerate(bodies):
+        yield K, negate(K)
+        yield K, bodies[(i + 1) % len(bodies)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cayley_matches_interpolation_on_acceptance_corpus(n):
+    for K, T in _pairs_with_reflection_and_neighbour(_acceptance_corpus(n)):
+        assert mixed_volumes(K, T) == volume_polynomial(K, T)[0]
+
+
+def test_cayley_matches_interpolation_n5():
+    bodies = [harness_polytope(5, 7, 78_000 + i, FLAVORS[i]) for i in range(3)]
+    for K, T in _pairs_with_reflection_and_neighbour(bodies):
+        assert mixed_volumes(K, T) == volume_polynomial(K, T)[0]
+
+
+def test_cayley_closed_forms():
+    for n in (2, 3, 4):
+        # V(C[j], S[n-j]) = 1/(n-j)! for the unit cube C and standard simplex S.
+        assert mixed_volumes(cube(n), standard_simplex(n)) == [
+            Q(1, math.factorial(n - j)) for j in range(n + 1)]
+        S = centered_simplex(n)
+        assert mixed_volumes(S, negate(S)) == [math.comb(n, j) * volume(S) for j in range(n + 1)]
+        C = cross_polytope(n)
+        assert mixed_volumes(C, cube(n)) == volume_polynomial(C, cube(n))[0]
+
+
+def test_cayley_expansion_is_minkowski_sum_volume():
+    rng = random.Random(59)
+    for n, m in ((2, 9), (3, 9), (4, 7)):
+        K = random_polytope(rng, n, m, denom=8)
+        for T in (negate(K), random_polytope(rng, n, m, denom=8)):
+            values = mixed_volumes(K, T)
+            expansion = sum(math.comb(n, j) * values[j] for j in range(n + 1))
+            assert expansion == volume(minkowski_sum(K, T))
+
+
+def test_cayley_float_values_round_the_exact_ones():
+    for n in (2, 3, 4):
+        K = as_float_body(harness_polytope(n, n + 4, 80_000 + n, FLAVORS[n % 3]))
+        T = as_float_body(harness_polytope(n, n + 3, 81_000 + n, FLAVORS[(n + 1) % 3]))
+        for A, B in ((K, negate(K)), (K, T)):
+            A_exact, B_exact = (convex_hull([[Fraction(c) for c in v] for v in P.vertices])
+                                for P in (A, B))
+            assert mixed_volumes(A, B) == [float(v) for v in mixed_volumes(A_exact, B_exact)]
+
+
+def test_cayley_rejects_mixed_operands():
+    with pytest.raises(ValueError):
+        mixed_volumes(cube(2), cube(3))
+    with pytest.raises(ValueError):
+        mixed_volumes(cube(2), cube(2, mode="float"))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from godbersen_kit.errors import (
     OriginNotContained,
     OriginNotInterior,
 )
+from godbersen_kit.harness import ExperimentConfig, run_trial
 from godbersen_kit.polytopes import (
     centroid,
     convex_hull,
@@ -292,6 +293,44 @@ def test_kl_intersection_costs_two_hulls(monkeypatch):
     rep = verify_KL_inequality(K, L, Q(1, 2))
     assert rep.passed and rep.meta["intersection_volume"] > 0
     assert len(hulls) == 2
+
+
+def test_strange_trial_cuts_need_no_interior_lp(monkeypatch):
+    # A centered trial body has the origin strictly inside every cut, so
+    # the cut takes it as its interior point instead of solving an LP.
+    lp_calls, cuts, inside = [], [], []
+    original_lp = polytopes.feasible_interior
+    original_cut = rs_bodies._scaled_intersection
+
+    def counting_lp(*args, **kwargs):
+        if inside:
+            lp_calls.append(args)
+        return original_lp(*args, **kwargs)
+
+    def cut(*args):
+        cuts.append(args)
+        inside.append(True)
+        try:
+            return original_cut(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(polytopes, "feasible_interior", counting_lp)
+    monkeypatch.setattr(rs_bodies, "_scaled_intersection", cut)
+    records = run_trial(ExperimentConfig(kind="strange", n=3, trials=1, seed=14), 0)
+    assert all(rec["pass"] for rec in records)
+    assert len(cuts) == 3 and lp_calls == []
+
+
+def test_kl_cut_with_origin_on_a_facet_falls_back_to_the_lp():
+    K = standard_simplex(2)
+    L = cube(2, low=-1, high=1)
+    I = rs_bodies._scaled_intersection(K, L, Q(1, 2))
+    assert I.full_dim and I.interior_point != (Q(0), Q(0))
+    rep = verify_KL_inequality(K, L, Q(1, 2))
+    # theta K is the smaller triangle and lies inside (1 - theta) L.
+    assert rep.meta["intersection_volume"] == volume(K) / 4
+    assert rep.passed
 
 
 def test_homothety_identity_on_homothets():
