@@ -110,8 +110,6 @@ def _mixed_volume_command(args):
     else:
         result = mixed_volume_general(bodies)
     out = {"value": scalar_to_json(result.value), "method": result.method}
-    if result.condition_estimate is not None:
-        out["condition_estimate"] = result.condition_estimate
     print(json.dumps(out, sort_keys=True))
     return 0
 

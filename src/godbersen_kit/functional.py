@@ -166,11 +166,7 @@ def sample_function(fn, lo, hi, resolution, *, kind=DENSITY, log_concave=False):
     lo = tuple(float(c) for c in lo)
     hi = tuple(float(c) for c in hi)
     resolution = tuple(int(r) for r in resolution)
-    axes = []
-    for k in range(len(lo)):
-        h = (hi[k] - lo[k]) / resolution[k]
-        axes.append(lo[k] + h * (np.arange(resolution[k]) + 0.5))
-    values = np.asarray(fn(axes), dtype=float)
+    values = np.asarray(fn(_center_axes(lo, hi, resolution)), dtype=float)
     return GridFunction(lo, hi, resolution, values, kind=kind,
                         log_concave=log_concave, evaluator=fn)
 
@@ -650,10 +646,7 @@ def legendre(phi, *, out_box=None, out_resolution=None):
     axes = _center_axes(out_lo, out_hi, res)
 
     def _evaluator(target_axes, _v=ext_vals, _n=ext_nodes):
-        w = -_v
-        for k in range(len(_n)):
-            w = _axis_sup_transform(w, _n[k], target_axes[k], k)
-        return w
+        return _inverse_stages(_v, _n, target_axes)
 
     values = _evaluator(axes)
     return GridFunction(out_lo, out_hi, res, values, kind=POTENTIAL,
@@ -845,16 +838,8 @@ def sharp_pair(n, lam, resolution=129, *, tail=14.0):
     if k >= res:
         k = res - 1
     r_g = Fraction(k, res - k) * (1 - lam_frac) ** 2 * r_f / lam_frac ** 2
-
-    def make(r_hi):
-        def ev(axes):
-            grids = _mesh(axes)
-            return np.exp(-sum(grids))
-
-        return sample_function(ev, [0.0] * n, [float(r_hi)] * n, [res] * n,
-                               log_concave=True)
-
-    return make(r_f), make(r_g)
+    return (sharp_exponential(n, hi=r_f, resolution=res),
+            sharp_exponential(n, hi=r_g, resolution=res))
 
 
 def truncated_gaussian(n, *, half_width=5.0, resolution=129):

@@ -49,12 +49,15 @@ from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import (
     MAX_DIM,
     as_float_body,
+    boundary_fan,
     centroid,
     convex_hull,
+    fan_volume,
     negate,
     scale_polytope,
     scaled_reflected_join,
     translate,
+    triangulate,
     volume,
 )
 from .reports import CheckReport, comparison_report, equality_report
@@ -75,7 +78,7 @@ KINDS = (
 FLAVORS = ("hull-of-gaussians", "hull-of-sphere-points", "perturbed-simplex")
 SEED_STRIDE = 1_000_003
 PAIR_SEED_OFFSET = 524_287
-MAX_SEARCH_HULLS = 64
+MAX_SEARCH_PROBES = 64
 CSV_COLUMNS = ("kind", "n", "j", "lambda", "theta", "seed", "trial",
                "lhs", "rhs", "ratio", "pass")
 
@@ -329,7 +332,7 @@ class TranslationSolution:
     ``value`` is the objective at ``x_star``, an upper bound U on the
     minimum over translations; ``lower_bound`` is the cutting-plane bound
     L <= the minimum, up to float rounding.  ``iterations`` counts the
-    hulls built.
+    probes made.
     """
 
     x_star: tuple
@@ -349,29 +352,27 @@ class TranslationSolution:
 def join_volume_and_subgradient(a, b, x):
     """f(x) = Vol conv(A v (B + x)) and a subgradient of f at x.
 
-    ``a`` and ``b`` are arrays of points.  The value is the volume of one
-    float :func:`convex_hull`, the exact volume rounded once.  Fanned from
-    the cloud's mean c, f is the sum of |det(sigma - c)| / d! over the
-    hull's boundary simplices sigma, and the derivative of a determinant
-    in one of its rows is that row's cofactor; c drops out, since the fan
-    volume does not depend on it.  The sum of the B points' cofactor rows
-    over d! is the gradient of f where the triangulation is stable and, f
-    being convex, a subgradient everywhere.
+    ``a`` and ``b`` are arrays of points.  The value is the exact fan volume
+    of the cloud's :func:`triangulate`, rounded once.  Fanned from the
+    cloud's mean c, f is the sum of |det(sigma - c)| / d! over the boundary
+    simplices sigma, and the derivative of a determinant in one of its
+    rows is that row's cofactor; c drops out, since the fan volume does not
+    depend on it.  The sum of the B points' cofactor rows over d! is the
+    gradient of f where the triangulation is stable and, f being convex,
+    a subgradient everywhere.
     """
     import numpy as np
 
     cloud = np.vstack([a, b + x])
-    points = [tuple(p) for p in cloud.tolist()]
-    hull = convex_hull(points, FLOAT)
-    index = {}
-    for i, p in enumerate(points):
-        index.setdefault(p, i)
-    simplices = np.array([[index[p] for p in s] for s in hull.boundary])
-    fan = cloud[simplices] - cloud.mean(axis=0)
+    d = cloud.shape[1]
+    ints, scale, interior, simplices = triangulate([tuple(p) for p in cloud.tolist()])
+    value = fan_volume(sum(boundary_fan(ints, interior, simplices)), d, scale, FLOAT)
+    rows = np.array([verts for verts, _, _ in simplices])
+    fan = cloud[rows] - cloud.mean(axis=0)
     # |det M| inv(M)^T = sign(det M) cof(M): cofactors oriented to a positive fan.
     cof = np.abs(np.linalg.det(fan))[:, None, None] * np.linalg.inv(fan).transpose(0, 2, 1)
-    moving = (simplices >= len(a))[..., None]
-    return float(volume(hull)), (cof * moving).sum(axis=(0, 1)) / math.factorial(cloud.shape[1])
+    moving = (rows >= len(a))[..., None]
+    return value, (cof * moving).sum(axis=(0, 1)) / math.factorial(d)
 
 
 def minimize_over_translation(K, lam):
@@ -382,7 +383,7 @@ def minimize_over_translation(K, lam):
     probe y adds the cut t >= f(y) + g.(z - y), g from
     :func:`join_volume_and_subgradient`, and the LP min t over z in K gives
     the next probe and a lower bound L.  The search stops when the best
-    value U satisfies U - L <= 1e-9 U, or after ``MAX_SEARCH_HULLS`` hulls.
+    value U satisfies U - L <= 1e-9 U, or after ``MAX_SEARCH_PROBES`` probes.
     A probe replaces the best point only when strictly lower, so on a flat
     minimum the centroid is kept.  The search runs in float arithmetic
     regardless of the body's mode.
@@ -416,10 +417,10 @@ def minimize_over_translation(K, lam):
     slacks = [math.ldexp(float(f.offset), -e) - float(np.dot(f.outward_normal, c))
               for f in body.facets]
     cuts, heights = [], []
-    upper, lower, hulls = math.inf, 0.0, 0
-    while hulls < MAX_SEARCH_HULLS:
+    upper, lower, probes = math.inf, 0.0, 0
+    while probes < MAX_SEARCH_PROBES:
         value, g = join_volume_and_subgradient(a, b, y)
-        hulls += 1
+        probes += 1
         if value < upper:
             best, upper = y, value
         cuts.append(g.tolist() + (-g).tolist() + [1.0])
@@ -434,7 +435,7 @@ def minimize_over_translation(K, lam):
             break
         y = c + np.array(w[:n]) - np.array(w[n:2 * n])
     return TranslationSolution(tuple(np.ldexp(best, e).tolist()), math.ldexp(upper, e * n),
-                               math.ldexp(min(lower, upper), e * n), hulls)
+                               math.ldexp(min(lower, upper), e * n), probes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ ratios they bound.
 Three independent computation routes are kept deliberately separate so
 they can cross-check each other: the Cayley trick, which reads every
 V(K[j], T[n-j]) off one triangulation of conv(K x {0} u T x {1}) and
-feeds the sweeps; polynomial interpolation of s -> Vol(sK + T), behind
-:func:`mixed_volume_pair`; and inclusion-exclusion over Minkowski sums
-(polarization).  Exact mode must make them agree to the digit.
+feeds the sweeps and :func:`mixed_volume_pair`; polynomial interpolation
+of s -> Vol(sK + T), the exact-only reference :func:`volume_polynomial`;
+and inclusion-exclusion over Minkowski sums (polarization).  Exact mode
+must make them agree to the digit.
 """
 
 import math
@@ -14,9 +15,9 @@ import operator
 from dataclasses import dataclass
 
 from .linalg import det, solve, vsub
-from .polytopes import _hull_core, _integer_points, minkowski_sum, negate, scale_polytope, volume
+from .polytopes import minkowski_sum, negate, scale_polytope, triangulate, volume
 from .reports import comparison_report
-from .scalars import EXACT, FLOAT, as_scalar, rational
+from .scalars import EXACT, as_scalar, rational
 
 MAX_GENERAL_BODIES = 4
 
@@ -24,46 +25,38 @@ MAX_GENERAL_BODIES = 4
 @dataclass(frozen=True)
 class MixedVolumeResult:
     value: object
-    method: str  # "interpolation" or "polarization"
+    method: str  # "cayley" or "polarization"
     bodies: tuple
     multiplicities: tuple
-    condition_estimate: float = None
 
 
 def _describe(P):
     return "dim=%d vertices=%d" % (P.dim, len(P.vertices))
 
 
-def _nodes(n, mode):
-    if mode == EXACT:
-        return [rational(s) for s in range(n + 1)]
-    return [(1 + math.cos((2 * i + 1) * math.pi / (2 * (n + 1)))) / 2 for i in range(n + 1)]
-
-
 def mixed_volumes(K, T):
     """All V(K[j], T[n-j]) for j = 0..n from one Cayley polytope.
 
     The Cayley polytope C = conv(K x {0} u T x {1}) slices at height t to
-    (1-t)K + tT.  The integer hull kernel triangulates C's boundary; fanned
-    from the lexicographically smallest point, a vertex of C, that
-    triangulates C.  A simplex S with b of its n+2 vertices at height 1
-    slices to volumes proportional to (1-t)^(n+1-b) t^(b-1), so it adds
-    (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).  Float values
-    are the exact ones rounded once.
+    (1-t)K + tT.  :func:`~.polytopes.triangulate` triangulates C's
+    boundary; fanned from the lexicographically smallest point, a vertex
+    of C, that triangulates C.  A simplex S with b of its n+2 vertices at
+    height 1 slices to volumes proportional to (1-t)^(n+1-b) t^(b-1), so it
+    adds (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).  Float
+    values are the exact ones rounded once.
     """
     if K.dim != T.dim or K.mode != T.mode:
         raise ValueError("operands must share dimension and mode")
     n = K.dim
     lifted = [(*v, 0) for v in K.vertices] + [(*v, 1) for v in T.vertices]
-    pts, scale = _integer_points(lifted, n + 1)
-    pts, simplices, _ = _hull_core(pts)
-    apex = pts[0]
+    pts, scale, _, simplices = triangulate(lifted)
+    apex = pts.index(min(pts))
     totals = [0] * (n + 1)
     for verts, _, _ in simplices:
-        top = (apex[n] != 0) + sum(pts[v][n] != 0 for v in verts)
+        top = (pts[apex][n] != 0) + sum(pts[v][n] != 0 for v in verts)
         # Cones through the apex, or with every vertex at one height, are flat.
-        if verts[0] != 0 and 0 < top < n + 2:
-            totals[n + 1 - top] += abs(det([vsub(pts[v], apex) for v in verts]))
+        if apex not in verts and 0 < top < n + 2:
+            totals[n + 1 - top] += abs(det([vsub(pts[v], pts[apex]) for v in verts]))
     # (n+1) |D| / ((n+1)! S^(n+1)) = |D| / (n! S^(n+1))
     div = rational if K.mode == EXACT else operator.truediv
     return [div(t, math.factorial(n) * scale ** (n + 1)) for t in totals]
@@ -72,40 +65,30 @@ def mixed_volumes(K, T):
 def volume_polynomial(K, T):
     """All coefficients V(K[j], T[n-j]) for j = 0..n by interpolation.
 
-    Fits Vol(sK + T) = sum_j C(n,j) s^j V(K[j],T[n-j]) through n+1 nodes,
-    one Minkowski-sum hull per nonzero node.  Exact mode uses s = 0..n and
-    an exact Vandermonde solve; float mode uses Chebyshev nodes on (0,1)
-    and reports the system's condition.
+    Fits Vol(sK + T) = sum_j C(n,j) s^j V(K[j],T[n-j]) through the nodes
+    s = 0..n, one Minkowski-sum hull per nonzero node, by an exact
+    Vandermonde solve.  This is the exact reference for
+    :func:`mixed_volumes`; float bodies raise ValueError.
     """
     if K.dim != T.dim or K.mode != T.mode:
         raise ValueError("operands must share dimension and mode")
+    if K.mode != EXACT:
+        raise ValueError("volume_polynomial is exact-only; mixed_volumes takes float bodies")
     n = K.dim
-    mode = K.mode
-    nodes = _nodes(n, mode)
+    nodes = [rational(s) for s in range(n + 1)]
     volumes = [volume(T) if s == 0 else volume(minkowski_sum(scale_polytope(K, s), T))
                for s in nodes]
-    vander = [[s**j for j in range(n + 1)] for s in nodes]
-    coeffs = solve(vander, volumes, 0 if mode == EXACT else 1e-13)
-    cond = None
-    if mode == FLOAT:
-        import numpy as np
-
-        cond = float(np.linalg.cond(np.array(vander, dtype=float)))
-    out = []
-    for j in range(n + 1):
-        out.append(coeffs[j] / as_scalar(math.comb(n, j), mode))
-    return out, cond
+    coeffs = solve([[s**j for j in range(n + 1)] for s in nodes], volumes, 0)
+    return [c / math.comb(n, j) for j, c in enumerate(coeffs)]
 
 
 def mixed_volume_pair(K, T, j):
-    """V(K[j], T[n-j]) by interpolation."""
+    """V(K[j], T[n-j]), read off :func:`mixed_volumes`."""
     n = K.dim
     if not 0 <= j <= n:
         raise ValueError("j out of range")
-    values, cond = volume_polynomial(K, T)
     return MixedVolumeResult(
-        values[j], "interpolation", (_describe(K), _describe(T)), (j, n - j), cond
-    )
+        mixed_volumes(K, T)[j], "cayley", (_describe(K), _describe(T)), (j, n - j))
 
 
 def mixed_volume_general(bodies):
@@ -141,7 +124,7 @@ def mixed_volume_general(bodies):
             total = total + term
     value = total / as_scalar(math.factorial(n), mode)
     return MixedVolumeResult(
-        value, "polarization", tuple(_describe(B) for B in bodies), (1,) * n, None
+        value, "polarization", tuple(_describe(B) for B in bodies), (1,) * n
     )
 
 

@@ -6,6 +6,8 @@ quantities (volume, centroid, facet structure) fall out of the same
 boundary triangulation.  One integer kernel serves both modes: a float
 is a dyadic rational, so a float hull is the exact hull of its inputs'
 binary values, with its scalars rounded once on the way out.
+:func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
+volumes and the translation search's probes alike.
 
 Conventions:
 
@@ -76,17 +78,12 @@ class VPolytope:
     """Canonical vertex representation of a full-dimensional polytope.
 
     Construct through :func:`convex_hull` (or the serialization helpers);
-    the constructor trusts its arguments.  A float hull built by
-    :func:`convex_hull` also keeps ``boundary``: the simplicial boundary
-    triangulation its volume was fanned from, one tuple of d points per
-    simplex.  Every other polytope has ``boundary = None``.
+    the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_centroid", "_interior",
-                 "boundary")
+    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_centroid", "_interior")
 
-    def __init__(self, dim, mode, vertices, facets, volume, centroid, interior,
-                 boundary=None):
+    def __init__(self, dim, mode, vertices, facets, volume, centroid, interior):
         self.dim = dim
         self.mode = mode
         self.vertices = vertices
@@ -94,7 +91,6 @@ class VPolytope:
         self._volume = volume
         self._centroid = centroid
         self._interior = interior
-        self.boundary = boundary
 
     def __eq__(self, other):
         return (
@@ -253,6 +249,48 @@ def _insert_points(pts, basis):
     return pts, list(facets.values()), interior
 
 
+def triangulate(points):
+    """The integer kernel's triangulation of the boundary of conv(points).
+
+    ``points`` are tuples of one mode's scalars, read at their exact values.
+    Returns (ints, scale, interior, simplices): ints[i] is points[i] times
+    the scale S, as ints; interior is an int point inside conv(ints); each
+    simplex is (vertex indices into ``points``, primitive outward normal,
+    offset), the first of equal points standing for all of them.  Raises
+    DegenerateInput when the points span less than their dimension.
+    """
+    ints, scale = _integer_points(points, len(points[0]))
+    first = {}  # int point -> index of its first input point
+    for i, w in enumerate(ints):
+        first.setdefault(w, i)
+    kernel, simplices, interior = _hull_core(list(first))
+    row = [first[w] for w in kernel].__getitem__
+    # Each simplex keeps its vertex order, so shared ridges still compare equal.
+    return ints, scale, interior, [(tuple(map(row, verts)), normal, offset)
+                                   for verts, normal, offset in simplices]
+
+
+def boundary_fan(ints, interior, simplices):
+    """|D| of each boundary simplex coned to the interior point, in the
+    order of ``simplices``: d! times the cone's volume in the scaled units
+    of :func:`triangulate`."""
+    return [abs(det([vsub(ints[v], interior) for v in verts])) for verts, _, _ in simplices]
+
+
+def fan_volume(total, d, scale, mode):
+    """Volume total / (d! S^d) of a fan whose |D| sum to ``total``, exact or
+    rounded once.  Raises DegenerateInput when a float volume rounds to 0
+    or beyond the float range."""
+    div = rational if mode == EXACT else operator.truediv
+    try:
+        vol = div(total, math.factorial(d) * scale**d)
+    except OverflowError:  # a float quotient beyond the largest float
+        vol = math.inf
+    if vol == 0 or vol == math.inf:
+        raise DegenerateInput("hull volume is outside the float range")
+    return vol
+
+
 def _merge_coplanar(pts, simplices):
     """Union-find over ridge-adjacent coplanar simplicial facets."""
     parent = list(range(len(simplices)))
@@ -310,7 +348,7 @@ def _hull_finish(pts, simplices, interior):
     planes = [simplices[group[0]][1:] for group in groups]
 
     vertices = []
-    for v in sorted({v for verts, _, _ in simplices for v in verts}):
+    for v in sorted({v for verts, _, _ in simplices for v in verts}, key=pts.__getitem__):
         p = pts[v]
         onplanes = [normal for normal, offset in planes if dot(normal, p) == offset]
         if len(onplanes) >= d:
@@ -328,8 +366,7 @@ def _hull_finish(pts, simplices, interior):
 
     total = 0
     weighted = [0] * d
-    for verts, _, _ in simplices:
-        vol = abs(det([vsub(pts[v], interior) for v in verts]))
+    for (verts, _, _), vol in zip(simplices, boundary_fan(pts, interior, simplices)):
         total += vol
         for c in range(d):
             weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts))
@@ -353,8 +390,8 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
 
     Exact mode demands rational-like coordinates; float coordinates select
     float mode.  Both modes run one integer kernel on the points' exact
-    values.  A float hull's vertices and boundary are input points, and its
-    volume, centroid and interior point are the exact values rounded once.
+    values.  A float hull's vertices are input points, and its volume,
+    centroid and interior point are the exact values rounded once.
     Raises DegenerateInput when the points span less than the ambient
     dimension, unless allow_degenerate is set, in which case the result
     carries extreme points only (no facets, no volume).  A float hull
@@ -371,30 +408,21 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     if mode is None:
         mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
     pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
-    work, scale = _integer_points(pts, d)
-    source = {}  # int point -> its first input point
-    for w, p in zip(work, pts):
-        source.setdefault(w, p)
     try:
-        work, simplices, interior = _hull_core(list(source))
+        ints, scale, interior, simplices = triangulate(pts)
     except DegenerateInput:
         if not allow_degenerate:
             raise
-        return _degenerate_hull(source, d, mode)
-    vertices, facets, total, weighted = _hull_finish(work, simplices, interior)
+        return _degenerate_hull(pts, d, mode)
+    vertices, facets, total, weighted = _hull_finish(ints, simplices, interior)
+    vol = fan_volume(total, d, scale, mode)
+    source = {ints[v]: pts[v] for verts, _, _ in simplices for v in verts}
     if mode == EXACT:
-        div, boundary = rational, None
+        div = rational
         facets = [(tuple(rational(c) for c in n), rational(o, scale), m) for n, o, m in facets]
     else:
         div = operator.truediv  # int / int rounds the exact quotient once
-        boundary = tuple(tuple(source[work[v]] for v in verts) for verts, _, _ in simplices)
         facets = sorted((*_float_plane(n, o, scale), m) for n, o, m in facets)
-    try:
-        vol = div(total, math.factorial(d) * scale**d)
-    except OverflowError:  # a float quotient beyond the largest float
-        vol = math.inf
-    if vol == 0 or vol == math.inf:
-        raise DegenerateInput("hull volume is outside the float range")
     return VPolytope(
         d,
         mode,
@@ -403,17 +431,16 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
         vol,
         tuple(div(w, total * scale * (d + 1)) for w in weighted),
         tuple(div(c, scale) for c in interior),
-        boundary,
     )
 
 
-def _degenerate_hull(source, d, mode):
+def _degenerate_hull(pts, d, mode):
     """Extreme points of a lower-dimensional hull, found one exact LP apiece
-    on the int points of ``source`` (int point -> input point)."""
+    on the distinct points of ``pts``."""
     from .lp import OPTIMAL, simplex_max
 
-    pts = [tuple(rational(c) for c in p) for p in source]
-    inputs = list(source.values())
+    inputs = list(dict.fromkeys(pts))  # equal points: the first stands for all
+    pts = [tuple(rational(c) for c in p) for p in inputs]
     zero, one = rational(0), rational(1)
     extreme = []
     for i, p in enumerate(pts):

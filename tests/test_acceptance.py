@@ -27,6 +27,7 @@ from godbersen_kit.mixed import (
     godbersen_ratio,
     mixed_volume_general,
     mixed_volume_pair,
+    volume_polynomial,
 )
 from godbersen_kit.planar import reduce_to_triangle
 from godbersen_kit.polytopes import (
@@ -85,17 +86,20 @@ def test_01_simplex_hull_ratio_closed_form_exact():
 
 def test_02_simplex_mixed_volume_binomial_identity_both_methods():
     """V(S[j], -S[n-j]) equals C(n,j) * Vol(S) exactly for n <= 4 and every
-    j, with the interpolation and polarization routes agreeing exactly."""
+    j, with the Cayley, interpolation and polarization routes agreeing
+    exactly."""
     for n in (2, 3, 4):
         S = standard_simplex(n)
         vol_s = volume(S)
+        interpolated = volume_polynomial(S, negate(S))
         for j in range(1, n):
             expected = rational(math.comb(n, j)) * vol_s
             pair = mixed_volume_pair(S, negate(S), j)
             general = mixed_volume_general([S] * j + [negate(S)] * (n - j))
             assert pair.value == expected, (n, j)
+            assert interpolated[j] == expected, (n, j)
             assert general.value == expected, (n, j)
-            assert {pair.method, general.method} == {"interpolation", "polarization"}
+            assert (pair.method, general.method) == ("cayley", "polarization")
 
 
 def test_03_random_bodies_satisfy_translation_bound():

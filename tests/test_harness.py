@@ -588,6 +588,8 @@ def test_cli_mixed_volume(tmp_path, capsys):
                  "--j", "1"]) == 0
     pair = json.loads(capsys.readouterr().out)
     assert general["value"] == pair["value"]
+    assert general["method"] == "polarization"
+    assert pair == {"value": pair["value"], "method": "cayley"}
     assert main(["mixed-volume", "--bodies", str(s_path), "--j", "1"]) == 3
 
 

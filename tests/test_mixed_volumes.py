@@ -87,15 +87,20 @@ def test_pair_nonnegative():
             assert mixed_volume_pair(K, T, j).value >= 0
 
 
-def test_volume_polynomial_float_reports_condition():
+def test_float_pair_is_the_exact_pair_rounded_once():
     K = cube(2, mode="float")
     T = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    values, cond = volume_polynomial(K, T)
-    assert cond is not None and cond >= 1
-    # V(K[1], T[1]) for unit square and right triangle: 1/2 (perimeter form)
-    exact_values, _ = volume_polynomial(cube(2), standard_simplex(2))
-    for a, b in zip(values, exact_values):
-        assert abs(a - float(b)) <= 1e-9
+    for j in range(3):
+        pair = mixed_volume_pair(K, T, j)
+        assert pair.method == "cayley"
+        assert pair.value == float(mixed_volume_pair(cube(2), standard_simplex(2), j).value)
+
+
+def test_volume_polynomial_refuses_float_bodies():
+    K = cube(2, mode="float")
+    T = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError):
+        volume_polynomial(K, T)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +122,13 @@ def _pairs_with_reflection_and_neighbour(bodies):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cayley_matches_interpolation_on_acceptance_corpus(n):
     for K, T in _pairs_with_reflection_and_neighbour(_acceptance_corpus(n)):
-        assert mixed_volumes(K, T) == volume_polynomial(K, T)[0]
+        assert mixed_volumes(K, T) == volume_polynomial(K, T)
 
 
 def test_cayley_matches_interpolation_n5():
     bodies = [harness_polytope(5, 7, 78_000 + i, FLAVORS[i]) for i in range(3)]
     for K, T in _pairs_with_reflection_and_neighbour(bodies):
-        assert mixed_volumes(K, T) == volume_polynomial(K, T)[0]
+        assert mixed_volumes(K, T) == volume_polynomial(K, T)
 
 
 def test_cayley_closed_forms():
@@ -134,7 +139,7 @@ def test_cayley_closed_forms():
         S = centered_simplex(n)
         assert mixed_volumes(S, negate(S)) == [math.comb(n, j) * volume(S) for j in range(n + 1)]
         C = cross_polytope(n)
-        assert mixed_volumes(C, cube(n)) == volume_polynomial(C, cube(n))[0]
+        assert mixed_volumes(C, cube(n)) == volume_polynomial(C, cube(n))
 
 
 def test_cayley_expansion_is_minkowski_sum_volume():

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from godbersen_kit import polytopes
 from godbersen_kit.harness import (
     join_volume_and_subgradient,
     minimize_over_translation,
@@ -30,7 +31,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT
+from godbersen_kit.scalars import EXACT, FLOAT
 
 
 def _exact_value(K, lam, x):
@@ -75,10 +76,33 @@ def test_random_probes_match_exact_hulls(n):
     rng = random.Random(100 + n)
     for trial in range(2):
         K = random_polytope(n, n + 4, 1000 * n + trial, mode=EXACT)
+        verts = np.array([[float(c) for c in v] for v in K.vertices])
         for lam in (0.25, 0.5, 2 / 3):
             jumps = [_interior_probe(K, rng) for _ in range(4)]
             # Small steps test the cuts where they are tightest.
-            _assert_value_and_subgradient(K, lam, jumps + _walk(jumps[0], rng, 12, 1e-3))
+            probes = jumps + _walk(jumps[0], rng, 12, 1e-3)
+            _assert_value_and_subgradient(K, lam, probes)
+            a, b = (1.0 - lam) * verts, -lam * verts
+            for y in probes:
+                # The value is the exact hull volume of the float cloud, rounded once.
+                cloud = np.vstack([a, b + np.array(y)]).tolist()
+                exact = convex_hull([tuple(Fraction(c) for c in p) for p in cloud])
+                value, _ = join_volume_and_subgradient(a, b, np.array(y))
+                assert value == float(volume(exact)), y
+
+
+def test_search_probes_build_no_full_hull(monkeypatch):
+    K = random_polytope(3, 7, 5, mode=FLOAT)
+
+    def refuse(*args):
+        raise AssertionError("a search probe merged facets or finished a hull")
+
+    monkeypatch.setattr(polytopes, "_hull_finish", refuse)
+    monkeypatch.setattr(polytopes, "_merge_coplanar", refuse)
+    for lam in (0.25, 0.5):
+        sol = minimize_over_translation(K, lam)
+        assert sol.iterations >= 1
+        assert 0 < sol.lower_bound <= sol.value
 
 
 def test_endpoint_lambdas_are_the_body_volume():
