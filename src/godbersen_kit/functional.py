@@ -14,6 +14,11 @@ evaluation routes are provided:
   interpolants of the exponents, which is exact whenever the exponents are
   piecewise linear with sampled kinks, and second-order accurate for smooth
   convex exponents.  Requires both inputs to be flagged log-concave.
+  Slopes that differ by at most DUAL_MERGE_RTOL * max(1, max|slope|) share
+  one dual node; moving a dual node by delta moves a transform value by at
+  most delta * (|z| + |x|) over the primal and output boxes.  Exactness
+  holds while the merged dual nodes of each axis fit under ``_dual_cap``
+  (513 at n = 3, 1025 below); beyond it the nodes are subsampled.
 * ``pairs`` — direct windowed maximisation over all grid decompositions,
   binned to output cells.  Works for arbitrary nonnegative inputs and serves
   as the independent reference route.
@@ -48,6 +53,7 @@ FUNCTIONAL_MAX_DIM = 3
 MAX_RESOLUTION = 257
 SUPPORT_WINDOW = 1e-12
 LOG_CONCAVITY_TOL = 1e-9
+DUAL_MERGE_RTOL = 1e-12
 
 DENSITY = "density"
 POTENTIAL = "potential"
@@ -284,10 +290,18 @@ def _axis_slopes(g, nodes, axis):
 
 
 def _joint_dual_nodes(slope_sets, cap):
+    """Sorted distinct slopes of all sets, at most ``cap`` of them.
+
+    A slope within DUAL_MERGE_RTOL * max(1, max|u|) of the slope before it
+    is a rounding copy (each grid line of a separable exponent repeats the
+    same slopes) and is dropped before the cap subsamples.
+    """
     nonempty = [s for s in slope_sets if s.size]
     if not nonempty:
         return np.zeros(1)
     u = np.unique(np.concatenate(nonempty))
+    tol = DUAL_MERGE_RTOL * max(1.0, float(np.abs(u).max()))
+    u = u[np.concatenate(([True], np.diff(u) > tol))]
     if len(u) > cap:
         idx = np.unique(np.linspace(0, len(u) - 1, cap).round().astype(int))
         u = u[idx]
@@ -376,6 +390,11 @@ def lambda_difference(f, g, lam, *, method=None):
     ``method`` is "legendre", "pairs", or None for automatic dispatch
     (legendre when both inputs are flagged log-concave, else pairs).  The
     output box is (1-lam)^2 box_f + lam^2 (-box_g) at the shared resolution.
+
+    The legendre route is exact for piecewise-linear exponents while the
+    merged dual nodes of each axis fit under ``_dual_cap``; merging slopes
+    within DUAL_MERGE_RTOL * max(1, max|slope|) moves a value by at most
+    delta * (|z| + |x|) for a node moved by delta.
     """
     lam = float(lam)
     if not 0.0 < lam < 1.0:

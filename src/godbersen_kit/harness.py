@@ -38,9 +38,7 @@ import functools
 import json
 import math
 import random
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import DegenerateInput, GodbersenKitError
@@ -89,8 +87,8 @@ _DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def thread_cap():
-    """Size of the thread pool that functional sweeps run on: min(4, cpus)."""
-    return min(4, os.cpu_count() or 1)
+    """1: every sweep runs its trials in order on the calling thread."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +638,8 @@ def _strange_trial(config, trial):
     ]
 
 
-def _functional_trial(config, trial):
+def _functional_pair(config, trial):
+    """The trial's Gauss and Laplace densities and their parameters."""
     import numpy as np
 
     from . import functional
@@ -667,13 +666,21 @@ def _functional_trial(config, trial):
     g = functional.sample_function(laplace, lo=(-half,) * n, hi=(half,) * n,
                                    resolution=(resolution,) * n, kind="density",
                                    log_concave=True)
+    params = {"gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,
+              "resolution": resolution, "half_width": half}
+    return f, g, params
+
+
+def _functional_trial(config, trial):
+    from . import functional
+
+    n = config.n
+    f, g, params = _functional_pair(config, trial)
     records = []
     for lam in config.lambda_grid:
         rep = functional.verify_functional_inequality(f, g, float(lam))
-        reproduction = {
-            "kind": config.kind, "n": n, "seed": config.seed, "trial": trial,
-            "gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,
-            "resolution": resolution, "half_width": half, "lambda": scalar_to_json(lam)}
+        reproduction = {**params, "kind": config.kind, "n": n, "seed": config.seed,
+                        "trial": trial, "lambda": scalar_to_json(lam)}
         lower = CheckReport(
             rep.meta["lower_bound"], rep.meta["integral_difference"],
             rep.meta["lower_bound"] / rep.meta["integral_difference"]
@@ -819,21 +826,6 @@ def _isolated_trial(config, trial):
                         reproduction={"config": payload, "trial": trial})]
 
 
-def _collect(config):
-    """Each trial's records, in trial order.
-
-    Functional trials run on a pool of :func:`thread_cap` threads: their
-    Legendre stages run in numpy, which releases the GIL.  The other kinds
-    are pure Python, so their trials run one after another; on threads
-    they would only contend for the GIL.
-    """
-    run = functools.partial(_isolated_trial, config)
-    if config.kind != "functional" or config.trials == 1:
-        return [run(t) for t in range(config.trials)]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        return list(pool.map(run, range(config.trials)))
-
-
 def run_experiment(config):
     """Run the sweep, write <base>.jsonl and <base>.csv, return an exit code.
 
@@ -845,8 +837,7 @@ def run_experiment(config):
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_json(config)
-    per_trial = _collect(config)
-    records = [rec for trial_records in per_trial for rec in trial_records]
+    records = [rec for t in range(config.trials) for rec in _isolated_trial(config, t)]
     base = _output_base(config.output_path)
     try:
         with open(base + ".jsonl", "w") as fp:

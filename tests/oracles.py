@@ -325,3 +325,16 @@ def brute_force_inf_convolution(phi_axes, phi_vals, psi_axes, psi_vals, out_axes
             if val < out[idx]:
                 out[idx] = val
     return out
+
+
+def unmerged_joint_dual_nodes(slope_sets, cap):
+    """Dual nodes as every distinct float slope, rounding copies included,
+    subsampled evenly to at most ``cap``."""
+    nonempty = [s for s in slope_sets if s.size]
+    if not nonempty:
+        return np.zeros(1)
+    u = np.unique(np.concatenate(nonempty))
+    if len(u) > cap:
+        idx = np.unique(np.linspace(0, len(u) - 1, cap).round().astype(int))
+        u = u[idx]
+    return u

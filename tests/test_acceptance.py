@@ -284,7 +284,8 @@ def test_09_planar_reduction_invariants_and_final_bound():
 
 def test_10_experiment_reports_byte_identical(tmp_path, monkeypatch):
     """Repeated runs of the same experiment config produce byte-identical
-    JSON-lines and CSV reports, in serial and threaded execution alike."""
+    JSON-lines and CSV reports; a leftover GODBERSEN_KIT_THREADS setting
+    changes nothing."""
     configs = [
         dict(kind="kl", n=2, trials=3, seed=14, output_path=str(tmp_path / "a")),
         dict(kind="godbersen", n=2, trials=3, seed=14, mode="float",

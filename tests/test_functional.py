@@ -36,15 +36,21 @@ from godbersen_kit.functional import (
     sharp_pair,
     truncated_gaussian,
     verify_functional_inequality,
+    DUAL_MERGE_RTOL,
+    _dual_cap,
+    _gauge_density,
     _mesh,
 )
-from godbersen_kit.polytopes import convex_hull, cube, translate, volume
+from godbersen_kit import functional
+from godbersen_kit.harness import ExperimentConfig, _functional_pair
+from godbersen_kit.polytopes import centroid, convex_hull, cube, translate, volume
 from godbersen_kit.scalars import EXACT, FLOAT
 
 from oracles import (
     brute_force_inf_convolution,
     brute_force_lambda_difference,
     random_exact_points,
+    unmerged_joint_dual_nodes,
 )
 
 
@@ -411,6 +417,94 @@ def test_inf_convolution_dimension_gate():
 
 
 # ---------------------------------------------------------------------------
+# merged dual nodes
+
+
+def _sweep_pair(n, resolution=None):
+    config = ExperimentConfig(kind="functional", n=n, trials=1, seed=11)
+    f, g, _ = _functional_pair(config, 0)
+    if resolution is None:
+        return f, g
+    return tuple(sample_function(h.evaluator, h.lo, h.hi, (resolution,) * n,
+                                 log_concave=True) for h in (f, g))
+
+
+def _centered_gauge_pair():
+    rng = random.Random(99)
+    bodies = []
+    for _ in range(2):
+        P = convex_hull([tuple(float(c) for c in p)
+                         for p in random_exact_points(rng, 7, 2, denom=8)], FLOAT)
+        bodies.append(translate(P, tuple(-c for c in centroid(P))))
+    # at resolution 16 the unmerged reference outgrows the cap of 1025
+    return tuple(_gauge_density(P, 12) for P in bodies)
+
+
+_MERGE_CASES = {
+    "sweep-n1": (lambda: _sweep_pair(1), 0.5),
+    "sweep-n2": (lambda: _sweep_pair(2), 0.5),
+    # the unmerged reference at the sweep's n = 3 resolution of 17 takes
+    # about 15 s and 1.4 GB, so the sweep's functions are resampled at 7
+    "sweep-n3": (lambda: _sweep_pair(3, resolution=7), 0.5),
+    "indicator-simplex": (lambda: (indicator_simplex(2, resolution=33),) * 2, 1.0 / 3.0),
+    "gauge-polygons": (_centered_gauge_pair, 0.4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MERGE_CASES))
+def test_merged_dual_nodes_match_unmerged_reference(monkeypatch, case):
+    build, lam = _MERGE_CASES[case]
+    f, g = build()
+    merged_calls = []
+    merge = functional._joint_dual_nodes
+
+    def spy(slope_sets, cap):
+        out = merge(slope_sets, cap)
+        merged_calls.append((slope_sets, cap, out))
+        return out
+
+    monkeypatch.setattr(functional, "_joint_dual_nodes", spy)
+    merged = lambda_difference(f, g, lam)
+    q_merged = quadrature(merged)
+
+    def reference_nodes(slope_sets, cap):
+        out = unmerged_joint_dual_nodes(slope_sets, cap)
+        assert len(out) < cap  # a subsampled reference would prove nothing
+        return out
+
+    monkeypatch.setattr(functional, "_joint_dual_nodes", reference_nodes)
+    reference = lambda_difference(f, g, lam)
+    q_reference = quadrature(reference)
+
+    scale = float(np.max(np.abs(reference.values)))
+    assert np.max(np.abs(merged.values - reference.values)) <= 1e-12 * scale
+    for field in ("value", "base_value", "refined_value"):
+        a, b = getattr(q_merged, field), getattr(q_reference, field)
+        assert abs(a - b) <= 1e-12 * abs(b), (field, a, b)
+
+    assert merged_calls
+    for slope_sets, cap, kept in merged_calls:
+        full = np.unique(np.concatenate([s for s in slope_sets if s.size]))
+        assert len(kept) < cap  # the cap never subsamples these inputs
+        assert np.all(np.isin(kept, full))
+        tol = DUAL_MERGE_RTOL * max(1.0, float(np.max(np.abs(full))))
+        representative = kept[np.searchsorted(kept, full, side="right") - 1]
+        assert np.all(full - representative <= tol)
+
+
+def test_merge_drops_only_rounding_copies():
+    cap = _dual_cap(1)
+    base = np.array([-2.0, -0.5, 0.0, 1e-3, 3.0])
+    copies = base * (1.0 + 4e-16) + np.array([0.0, 2e-15, 1e-18, 0.0, -1e-15])
+    kept = functional._joint_dual_nodes([base, copies, np.array([])], cap)
+    assert len(kept) == len(base)
+    assert np.max(np.abs(kept - base)) <= 1e-14
+    distinct = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9])
+    assert len(functional._joint_dual_nodes([distinct], cap)) == 3
+    assert np.array_equal(functional._joint_dual_nodes([np.array([])], cap), np.zeros(1))
+
+
+# ---------------------------------------------------------------------------
 # the integral inequality
 
 
@@ -494,7 +588,6 @@ def test_support_identity_random_centered_polygons():
                     allow_degenerate=False)
     L = convex_hull([tuple(float(c) for c in p) for p in pts2], FLOAT)
     # recenter so the origin is interior
-    from godbersen_kit.polytopes import centroid
     K = translate(K, tuple(-c for c in centroid(K)))
     L = translate(L, tuple(-c for c in centroid(L)))
     rep = delta_support_identity_check(K, L, 0.4, resolution=65)

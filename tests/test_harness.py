@@ -313,14 +313,13 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
     assert first == second
 
 
-def test_run_experiment_identical_under_thread_pool(tmp_path, monkeypatch):
-    base = str(tmp_path / "thr")
+def test_functional_sweep_byte_identical_reruns(tmp_path):
+    base = str(tmp_path / "fun")
     config = ExperimentConfig(kind="functional", n=1, trials=3, seed=2, output_path=base)
     assert run_experiment(config) == 0
-    pooled = open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()
-    monkeypatch.setattr(harness, "thread_cap", lambda: 1)
+    first = open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()
     assert run_experiment(config) == 0
-    assert (open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()) == pooled
+    assert (open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()) == first
 
 
 def test_run_experiment_hard_failure_exits_2(tmp_path, monkeypatch):
@@ -366,7 +365,7 @@ def test_run_experiment_soft_failure_does_not_fail_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["kl", "functional"])
 def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, kind):
-    """kl trials run in order, functional trials on the thread pool."""
+    """Both kinds run their trials in order on the calling thread."""
     base = str(tmp_path / "isolated")
     trial_runner = harness._TRIAL_RUNNERS[kind]
 
@@ -399,8 +398,8 @@ def test_run_experiment_isolates_a_raising_trial(tmp_path, monkeypatch, kind):
     assert len(csv_rows) == 1 + len(records) + 3 * (cells + 1)
 
 
-def test_functional_sweep_on_the_thread_pool_keeps_trial_order(tmp_path, monkeypatch):
-    base = str(tmp_path / "pool")
+def test_functional_sweep_keeps_trial_order(tmp_path, monkeypatch):
+    base = str(tmp_path / "order")
     config = ExperimentConfig(kind="functional", n=1, trials=3, seed=5, output_path=base)
     expected = [rec for t in range(3) for rec in run_trial(config, t)]
     assert run_experiment(config) == 0
@@ -421,6 +420,28 @@ def test_functional_sweep_on_the_thread_pool_keeps_trial_order(tmp_path, monkeyp
     assert [r["check"] for r in records if r["trial"] == 1] == ["trial-error"]
     assert [r for r in records if r["trial"] != 1] == [
         json.loads(json.dumps(rec)) for rec in expected if rec["trial"] != 1]
+
+
+def test_functional_n3_trial_stays_under_the_dual_cap(monkeypatch):
+    """One n=3 trial passes, and each axis's merged dual nodes stay far
+    under the cap, so the cap's subsampling never fires on sweep inputs."""
+    merge = functional._joint_dual_nodes
+    sizes = []
+
+    def spy(slope_sets, cap):
+        out = merge(slope_sets, cap)
+        sizes.append((len(out), cap))
+        return out
+
+    monkeypatch.setattr(functional, "_joint_dual_nodes", spy)
+    config = ExperimentConfig(kind="functional", n=3, trials=1, seed=11, lambda_grid=["1/2"])
+    records = run_trial(config, 0)
+    assert [r["check"] for r in records] == ["product-inequality", "product-lower-bound"]
+    assert all(r["pass"] for r in records)
+    resolution = harness._functional_pair(config, 0)[2]["resolution"]
+    assert len(sizes) == 3  # one joint dual grid per axis
+    assert all(size <= resolution + 4 and cap == functional._dual_cap(3) == 513
+               for size, cap in sizes)
 
 
 def test_functional_lower_bound_failure_carries_reproduction(monkeypatch):
