@@ -161,12 +161,6 @@ class GridFunction:
                 f"kind={self.kind!r}, log_concave={self.log_concave})")
 
 
-def grid_function(lo, hi, resolution, values, *, kind=DENSITY, log_concave=False,
-                  evaluator=None):
-    return GridFunction(lo, hi, resolution, values, kind=kind,
-                        log_concave=log_concave, evaluator=evaluator)
-
-
 def sample_function(fn, lo, hi, resolution, *, kind=DENSITY, log_concave=False):
     """Build a GridFunction by evaluating ``fn`` per the evaluator protocol."""
     lo = tuple(float(c) for c in lo)
@@ -210,23 +204,13 @@ def grid_function_from_json(d):
 # lambda-scaled absolute value
 
 
-@dataclass(frozen=True)
-class LambdaNorm:
-    """The weighted absolute value: a/(1-lam) for a >= 0, -a/lam for a < 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie strictly between 0 and 1")
-
-    def of(self, a):
-        a = float(a)
-        return a / (1.0 - self.lam) if a >= 0 else -a / self.lam
-
-
 def lambda_abs(a, lam):
-    return LambdaNorm(float(lam)).of(a)
+    """The weighted absolute value: a/(1-lam) for a >= 0, -a/lam for a < 0."""
+    lam = float(lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie strictly between 0 and 1")
+    a = float(a)
+    return a / (1.0 - lam) if a >= 0 else -a / lam
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
-"""Small dense linear algebra over either arithmetic mode.
+"""Small dense exact linear algebra.
 
-Everything here works on plain tuples/lists of scalars.  :func:`det`,
-:func:`solve` and :func:`inverse` are generic over exact rationals, Python
-ints and floats; float callers pass a nonzero pivot tolerance, and an
-all-int :func:`det` takes Bareiss elimination.  :class:`RankTracker` and
-:func:`hyperplane_through` are exact only: they serve the integer hull
-kernel.  Sizes are tiny (d <= 7), so the routines favour clarity over
-asymptotics.
+Everything here works on plain tuples/lists of scalars, and nothing takes a
+tolerance.  :func:`det` is integer only (Bareiss elimination), :func:`solve`
+is an exact rational solve, and :class:`RankTracker` and
+:func:`hyperplane_through` serve the integer hull kernel.  Sizes are tiny
+(d <= 7), so the routines favour clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -33,48 +31,12 @@ def vscale(u, s):
     return tuple(a * s for a in u)
 
 
-def det(matrix, eps=0):
-    """Determinant by Gaussian elimination with pivoting; an all-int matrix
-    takes the exact integer route of :func:`_bareiss`."""
-    if eps == 0 and all(type(x) is int for row in matrix for x in row):
-        return _bareiss(matrix)
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign_flips = 0
-    for col in range(n):
-        pivot_row = None
-        best = eps
-        for r in range(col, n):
-            mag = abs(m[r][col])
-            if mag > best:
-                best = mag
-                pivot_row = r
-                if eps == 0:
-                    break  # exact mode: first nonzero pivot is fine
-        if pivot_row is None:
-            return 0 * m[0][0]
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign_flips ^= 1
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / pivot
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    result = m[0][0]
-    for i in range(1, n):
-        result = result * m[i][i]
-    return -result if sign_flips else result
-
-
-def _bareiss(matrix):
+def det(matrix):
     """Integer determinant by Bareiss's fraction-free elimination (1968):
     every intermediate entry is a minor of the input, so each division by
-    the previous pivot is exact."""
+    the previous pivot is exact.  Raises TypeError on a non-int entry."""
+    if not all(type(x) is int for row in matrix for x in row):
+        raise TypeError("det takes int entries only")
     n = len(matrix)
     if n == 0:
         return 1
@@ -104,20 +66,13 @@ def _bareiss(matrix):
     return sign * m[n - 1][n - 1]
 
 
-def solve(matrix, rhs, eps=0):
-    """Solve a square system; raises DegenerateInput on (near-)singularity."""
+def solve(matrix, rhs):
+    """Solve a square exact system by Gauss-Jordan elimination on the first
+    nonzero pivot; raises DegenerateInput when it is singular."""
     n = len(matrix)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
-        pivot_row = None
-        best = eps
-        for r in range(col, n):
-            mag = abs(aug[r][col])
-            if mag > best:
-                best = mag
-                pivot_row = r
-                if eps == 0:
-                    break
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
             raise DegenerateInput("singular linear system")
         if pivot_row != col:
@@ -130,16 +85,6 @@ def solve(matrix, rhs, eps=0):
             for c in range(col, n + 1):
                 aug[r][c] = aug[r][c] - factor * aug[col][c]
     return tuple(aug[i][n] / aug[i][i] for i in range(n))
-
-
-def inverse(matrix, eps=0):
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        cols.append(solve(matrix, e, eps))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 class RankTracker:

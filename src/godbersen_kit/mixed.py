@@ -78,7 +78,7 @@ def volume_polynomial(K, T):
     nodes = [rational(s) for s in range(n + 1)]
     volumes = [volume(T) if s == 0 else volume(minkowski_sum(scale_polytope(K, s), T))
                for s in nodes]
-    coeffs = solve([[s**j for j in range(n + 1)] for s in nodes], volumes, 0)
+    coeffs = solve([[s**j for j in range(n + 1)] for s in nodes], volumes)
     return [c / math.comb(n, j) for j, c in enumerate(coeffs)]
 
 

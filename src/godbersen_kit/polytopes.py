@@ -31,7 +31,7 @@ from .errors import (
     OriginNotInterior,
     Unbounded,
 )
-from .linalg import RankTracker, det, dot, hyperplane_through, inverse, vadd, vscale, vsub
+from .linalg import RankTracker, det, dot, hyperplane_through, vadd, vscale, vsub
 from .lp import feasible_interior
 from .scalars import (
     EXACT,
@@ -39,11 +39,9 @@ from .scalars import (
     FLOAT_EPS,
     as_scalar,
     bit_size,
-    exact_scalar,
     rational,
     scalar_from_json,
     scalar_to_json,
-    sign,
 )
 
 MAX_DIM = 6
@@ -323,17 +321,6 @@ def _merge_coplanar(pts, simplices):
     return list(groups.values())
 
 
-def _canonical_plane(normal, offset, mode):
-    if mode == FLOAT:
-        norm = sum(c * c for c in normal) ** 0.5
-        return tuple(c / norm for c in normal), offset / norm
-    nq = [exact_scalar(c) for c in normal]
-    denom_lcm = math.lcm(*(int(c.denominator) for c in nq))
-    ints = [int(c.numerator) * (denom_lcm // int(c.denominator)) for c in nq]
-    scale = rational(denom_lcm, math.gcd(*ints))
-    return tuple(c * scale for c in nq), exact_scalar(offset) * scale
-
-
 def _hull_finish(pts, simplices, interior):
     """Vertices, facets and volume fan of the integer hull.
 
@@ -535,7 +522,8 @@ def coordinate_bits(P):
 
 
 # ---------------------------------------------------------------------------
-# affine operations (analytic fast paths; no hull recomputation)
+# affine operations (translations and scalings move the stored fields;
+# a general affine image is a fresh hull)
 
 
 def _remap(vertices, facets, volume_, centroid_, interior, dim, mode):
@@ -592,28 +580,12 @@ def negate(P):
 
 
 def affine_image(P, A, b=None):
-    """Image {Ax + b : x in P}; singular A falls back to a fresh hull."""
+    """Image {Ax + b : x in P}: the hull of the mapped vertices in P's mode,
+    so a singular A raises DegenerateInput."""
     mode = P.mode
     A = [[as_scalar(c, mode) for c in row] for row in A]
-    if b is None:
-        b = tuple(as_scalar(0, mode) for _ in range(P.dim))
-    else:
-        b = tuple(as_scalar(c, mode) for c in b)
-    eps = P.eps
-    dA = det(A, eps)
-    vertices = [vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices]
-    if sign(dA, eps) == 0:
-        return convex_hull(vertices, mode)
-    AinvT = [list(col) for col in zip(*inverse(A, eps))]
-    facets = []
-    for f in P.facets:
-        n2 = tuple(dot(row, f.outward_normal) for row in AinvT)
-        n2, off2 = _canonical_plane(n2, f.offset + dot(n2, b), mode)
-        facets.append(Facet(f.vertex_indices, n2, off2))
-    vol = P._volume * abs(dA)
-    cent = vadd(tuple(dot(row, P._centroid) for row in A), b)
-    inter = vadd(tuple(dot(row, P._interior) for row in A), b)
-    return _remap(vertices, facets, vol, cent, inter, P.dim, mode)
+    b = (0,) * P.dim if b is None else tuple(as_scalar(c, mode) for c in b)
+    return convex_hull([vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices], mode)
 
 
 def minkowski_sum(P, Q):

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 EXACT = "exact"
 FLOAT = "float"
-MODES = (EXACT, FLOAT)
 
 #: Relative epsilon for float-mode sign predicates.
 FLOAT_EPS = 1e-12
@@ -67,15 +66,6 @@ def rationalize(x, denominator=1 << 20):
             raise ValueError("cannot rationalize %r" % x)
         return Fraction(round(x * denominator), denominator)
     return exact_scalar(x)
-
-
-def sign(x, eps=0):
-    """-1/0/+1 with a symmetric dead zone of width eps (0 in exact mode)."""
-    if x > eps:
-        return 1
-    if x < -eps:
-        return -1
-    return 0
 
 
 def scalar_to_json(x):

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from godbersen_kit.linalg import dot, hyperplane_through, solve, vsub
+from godbersen_kit.linalg import dot, solve, vsub
 from godbersen_kit.lp import OPTIMAL, simplex_max
 from godbersen_kit.errors import DegenerateInput
 from godbersen_kit.polytopes import Facet, VPolytope
@@ -60,7 +60,7 @@ def brute_force_facet_planes_3d(points):
     planes = set()
     for a, b, c in itertools.combinations(points, 3):
         try:
-            normal, offset = hyperplane_through([a, b, c])
+            normal, offset = _fraction_plane([a, b, c])
         except DegenerateInput:
             continue
         sides = [dot(normal, p) - offset for p in points]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from godbersen_kit.errors import DegenerateInput
-from godbersen_kit.linalg import det
+from godbersen_kit.linalg import det, hyperplane_through
 from godbersen_kit.polytopes import convex_hull, cross_polytope, cube
 from godbersen_kit.scalars import rational
 from oracles import fraction_det, reference_convex_hull
@@ -56,6 +56,13 @@ def test_integer_det_matches_fraction_det():
             got = det(m)
             assert type(got) is int
             assert got == fraction_det([[Fraction(x) for x in row] for row in m])
+
+
+def test_det_and_hyperplane_through_refuse_fractions():
+    with pytest.raises(TypeError):
+        det([[1, 2], [Fraction(1, 3), 4]])
+    with pytest.raises(TypeError):
+        hyperplane_through([(0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 1)])
 
 
 def _cloud(rng, d, m, denominator):

@@ -17,11 +17,9 @@ from godbersen_kit.functional import (
     DENSITY,
     POTENTIAL,
     GridFunction,
-    LambdaNorm,
     built_in,
     delta_support_identity_check,
     geometric_mean,
-    grid_function,
     grid_function_from_json,
     grid_function_to_json,
     indicator_simplex,
@@ -72,22 +70,22 @@ def laplace_density(n, half_width, resolution):
 
 def test_grid_function_validation():
     with pytest.raises(ValueError):
-        grid_function([0.0] * 4, [1.0] * 4, [4] * 4, np.zeros((4,) * 4))
+        GridFunction([0.0] * 4, [1.0] * 4, [4] * 4, np.zeros((4,) * 4))
     with pytest.raises(ValueError):
-        grid_function([0.0], [1.0], [300], np.zeros(300))
+        GridFunction([0.0], [1.0], [300], np.zeros(300))
     with pytest.raises(ValueError):
-        grid_function([1.0], [0.0], [4], np.zeros(4))
+        GridFunction([1.0], [0.0], [4], np.zeros(4))
     with pytest.raises(ValueError):
-        grid_function([0.0], [1.0], [4], [-1.0, 0.0, 0.0, 0.0])
+        GridFunction([0.0], [1.0], [4], [-1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        grid_function([0.0], [1.0], [4], [0.0, np.inf, 0.0, 0.0])
+        GridFunction([0.0], [1.0], [4], [0.0, np.inf, 0.0, 0.0])
     with pytest.raises(ValueError):
-        grid_function([0.0], [1.0], [4], [0.0, -np.inf, 0.0, 0.0],
-                      kind=POTENTIAL)
+        GridFunction([0.0], [1.0], [4], [0.0, -np.inf, 0.0, 0.0],
+                     kind=POTENTIAL)
     with pytest.raises(ValueError):
-        grid_function([0.0], [1.0], [4], np.zeros(4), kind=POTENTIAL,
-                      log_concave=True)
-    f = grid_function([0.0], [1.0], [4], [1.0, 2.0, 2.0, 1.0])
+        GridFunction([0.0], [1.0], [4], np.zeros(4), kind=POTENTIAL,
+                     log_concave=True)
+    f = GridFunction([0.0], [1.0], [4], [1.0, 2.0, 2.0, 1.0])
     assert f.kind == DENSITY and f.dim == 1
     with pytest.raises(ValueError):
         f.values[0] = 5.0
@@ -96,19 +94,19 @@ def test_grid_function_validation():
 def test_log_concavity_gate():
     # a density with a strict interior dip fails the midpoint test
     with pytest.raises(NotLogConcave):
-        grid_function([0.0], [1.0], [5], [1.0, 0.1, 1.0, 0.1, 1.0],
-                      log_concave=True)
+        GridFunction([0.0], [1.0], [5], [1.0, 0.1, 1.0, 0.1, 1.0],
+                     log_concave=True)
     # geometric sequences pass exactly
-    g = grid_function([0.0], [1.0], [5], [1.0, 0.5, 0.25, 0.125, 0.0625],
-                      log_concave=True)
+    g = GridFunction([0.0], [1.0], [5], [1.0, 0.5, 0.25, 0.125, 0.0625],
+                     log_concave=True)
     assert g.log_concave
     # zeros at the ends are fine (truncation)
-    grid_function([0.0], [1.0], [5], [0.0, 1.0, 2.0, 1.0, 0.0],
-                  log_concave=True)
+    GridFunction([0.0], [1.0], [5], [0.0, 1.0, 2.0, 1.0, 0.0],
+                 log_concave=True)
 
 
 def test_axes_and_widths():
-    f = grid_function([0.0, -1.0], [1.0, 1.0], [4, 8], np.ones((4, 8)))
+    f = GridFunction([0.0, -1.0], [1.0, 1.0], [4, 8], np.ones((4, 8)))
     assert f.widths == (0.25, 0.25)
     assert np.allclose(f.axis_centers(0), [0.125, 0.375, 0.625, 0.875])
     assert len(f.axis_centers(1, factor=2)) == 16
@@ -130,9 +128,9 @@ def test_lambda_abs():
     assert lambda_abs(-3.0, 0.25) == pytest.approx(12.0)
     assert lambda_abs(0.0, 0.7) == 0.0
     with pytest.raises(ValueError):
-        LambdaNorm(0.0)
+        lambda_abs(1.0, 0.0)
     with pytest.raises(ValueError):
-        LambdaNorm(1.0)
+        lambda_abs(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def test_method_dispatch_and_gates():
     f = gaussian_density(1, 3.0, 17)
     g = laplace_density(1, 3.0, 17)
     assert lambda_difference(f, g, 0.5).log_concave  # legendre route
-    plain = grid_function(f.lo, f.hi, f.resolution, f.values)
+    plain = GridFunction(f.lo, f.hi, f.resolution, f.values)
     assert not lambda_difference(plain, g, 0.5).log_concave  # pairs route
     with pytest.raises(NotLogConcave):
         lambda_difference(plain, g, 0.5, method="legendre")
@@ -264,10 +262,10 @@ def test_translation_shift_of_output_box():
     g = laplace_density(1, 3.0, 33)
     base = lambda_difference(f, g, lam)
     # f_a(x) = f(x + a): same values on the box shifted by -a
-    fa = grid_function([c - a for c in f.lo], [c - a for c in f.hi],
-                       f.resolution, f.values, log_concave=True)
-    gb = grid_function([c - b for c in g.lo], [c - b for c in g.hi],
-                       g.resolution, g.values, log_concave=True)
+    fa = GridFunction([c - a for c in f.lo], [c - a for c in f.hi],
+                      f.resolution, f.values, log_concave=True)
+    gb = GridFunction([c - b for c in g.lo], [c - b for c in g.hi],
+                      g.resolution, g.values, log_concave=True)
     shifted = lambda_difference(fa, gb, lam)
     # the output translates by the quadratic weights, not the linear ones:
     # shift = (1-lam)^2 a - lam^2 b  (= 0.25 here, not 0.5)
@@ -284,8 +282,8 @@ def test_positive_scaling_homogeneity():
     g = laplace_density(1, 3.0, 33)
     base = lambda_difference(f, g, lam)
     a, b = 2.5, 0.7
-    fa = grid_function(f.lo, f.hi, f.resolution, a * f.values, log_concave=True)
-    gb = grid_function(g.lo, g.hi, g.resolution, b * g.values, log_concave=True)
+    fa = GridFunction(f.lo, f.hi, f.resolution, a * f.values, log_concave=True)
+    gb = GridFunction(g.lo, g.hi, g.resolution, b * g.values, log_concave=True)
     scaled = lambda_difference(fa, gb, lam)
     factor = a ** (1.0 - lam) * b ** lam
     assert scaled.box == base.box
@@ -317,7 +315,7 @@ def test_quadrature_refined_exponential():
 
 def test_quadrature_without_evaluator_reports_error_band():
     centers = (np.arange(65) + 0.5) * (5.0 / 65)
-    f = grid_function([0.0], [5.0], [65], np.exp(-centers ** 2 / 2.0))
+    f = GridFunction([0.0], [5.0], [65], np.exp(-centers ** 2 / 2.0))
     q = quadrature(f)
     assert not q.refinable
     truth = math.sqrt(math.pi / 2.0) * math.erf(5.0 / math.sqrt(2.0))
@@ -523,7 +521,7 @@ def test_inequality_gaussian_laplace():
 
 def test_inequality_requires_log_concave_flags():
     f = gaussian_density(1, 3.0, 33)
-    plain = grid_function(f.lo, f.hi, f.resolution, f.values)
+    plain = GridFunction(f.lo, f.hi, f.resolution, f.values)
     with pytest.raises(NotLogConcave):
         verify_functional_inequality(plain, f, 0.5)
 

@@ -15,6 +15,7 @@ from godbersen_kit.errors import (
     OriginNotInterior,
     Unbounded,
 )
+from godbersen_kit.harness import random_polytope
 from godbersen_kit.linalg import dot, vadd, vsub
 from godbersen_kit.polytopes import (
     HPolytope,
@@ -211,6 +212,26 @@ def test_affine_facets_consistent():
             val = dot(f.outward_normal, v)
             assert val <= f.offset
             assert (val == f.offset) == (i in f.vertex_indices)
+
+
+def test_float_affine_image_is_the_hull_of_mapped_vertices():
+    # The image is rounded once: it equals the float hull of the mapped
+    # vertices in every field, not P's stored fields transformed.
+    rng = random.Random(13)
+    for n in (2, 3, 4):
+        for seed in range(5):
+            P = random_polytope(n, n + 4, seed, mode=FLOAT)
+            A = [[rng.choice((-1, 1)) * (3 * n) if i == j else rng.randint(-2, 2)
+                  for j in range(n)] for i in range(n)]
+            b = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+            Af = [[float(c) for c in row] for row in A]
+            H = convex_hull([vadd(tuple(dot(row, v) for row in Af), b) for v in P.vertices],
+                            FLOAT)
+            Pi = affine_image(P, A, b)
+            assert Pi.vertices == H.vertices
+            assert Pi.facets == H.facets
+            assert volume(Pi) == volume(H)
+            assert centroid(Pi) == centroid(H)
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,21 @@ def test_harness_and_cli_import_without_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps functions by module and name, and the
+    # benchmark worker stamps harness.thread_cap() and scalars.rational(1):
+    # a deleted or renamed name fails here before it fails a benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    code = ("from tracing import Tracer; Tracer().install(); "
+            "from godbersen_kit import harness, scalars; "
+            "harness.thread_cap(); scalars.rational(1)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / d) for d in ("src", "perfbench")))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_float_gfr_flat_first_basis_does_not_abort():
     config = ExperimentConfig(kind="gfr", n=2, trials=1, mode="float", seed=5000,
                               lambda_grid=("1/2",))
