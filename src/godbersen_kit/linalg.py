@@ -121,13 +121,15 @@ def hyperplane_through(points):
     points in R^d, via cofactor expansion of the edge matrix.
 
     Returns (normal, offset) with <p, normal> = offset for each input point.
-    Raises DegenerateInput when the points do not span a hyperplane.  The
-    test is exact, with no tolerance: the hull kernel passes int points in
-    both modes, and a float hull runs on its inputs' exact binary values
-    over a common denominator.
+    Raises DegenerateInput when the points do not span a hyperplane, and
+    TypeError on a non-int coordinate.  The test is exact, with no
+    tolerance: the hull kernel passes int points in both modes, and a float
+    hull runs on its inputs' exact binary values over a common denominator.
     """
     d = len(points[0])
     base = points[0]
+    if not all(type(c) is int for c in base):  # d = 1 has no minor entry to scan
+        raise TypeError("hyperplane_through takes int points only")
     edges = [vsub(p, base) for p in points[1:]]  # (d-1) x d
     normal = []
     for j in range(d):

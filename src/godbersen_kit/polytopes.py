@@ -110,10 +110,6 @@ class VPolytope:
         )
 
     @property
-    def is_full_dim(self):
-        return self._volume is not None
-
-    @property
     def eps(self):
         """Predicate tolerance: zero in exact mode, scaled 1e-12 in float."""
         if self.mode == EXACT:
@@ -193,9 +189,9 @@ def _hull_core(pts):
     """Beneath-beyond insertion on distinct int points.
 
     Returns (sorted points, simplicial facets, interior point).  Simplicial
-    facets triangulate the boundary; adjacent coplanar simplices are merged
-    later.  Points on the current boundary are skipped (they cannot be
-    extreme for the full set).
+    facets triangulate the boundary, each with its primitive plane.  Points
+    on the current boundary are skipped (they cannot be extreme for the
+    full set).
     """
     d = len(pts[0])
     if len(pts) < d + 1:
@@ -289,66 +285,40 @@ def fan_volume(total, d, scale, mode):
     return vol
 
 
-def _merge_coplanar(pts, simplices):
-    """Union-find over ridge-adjacent coplanar simplicial facets."""
-    parent = list(range(len(simplices)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ridge_map = {}
-    for i, (verts, _, _) in enumerate(simplices):
-        for skip in range(len(verts)):
-            ridge = verts[:skip] + verts[skip + 1 :]
-            ridge_map.setdefault(ridge, []).append(i)
-
-    def coplanar(i, j):
-        normal_i, offset_i = simplices[i][1], simplices[i][2]
-        return all(dot(normal_i, pts[v]) == offset_i for v in simplices[j][0])
-
-    for members in ridge_map.values():
-        for k in range(1, len(members)):
-            a, b = find(members[0]), find(members[k])
-            if a != b and coplanar(members[0], members[k]):
-                parent[b] = a
-
-    groups = {}
-    for i in range(len(simplices)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _hull_finish(pts, simplices, interior):
     """Vertices, facets and volume fan of the integer hull.
 
-    Returns (vertices, facets, total, weighted): the sorted extreme points;
-    one (primitive normal, offset, vertex indices) per facet, sorted; and,
-    with D_i the determinant of simplex i fanned from the interior point,
-    total = sum |D_i| and weighted[c] = sum |D_i| * (coordinate c summed
-    over the simplex's d points and the interior point).
+    Returns (vertices, facets, total, weighted): the indices of the extreme
+    points, sorted by point; one (primitive normal, offset, vertex positions)
+    per facet, sorted; and, with D_i the determinant of simplex i fanned from
+    the interior point, total = sum |D_i| and weighted[c] = sum |D_i| *
+    (coordinate c summed over the simplex's d points and the interior point).
+
+    Two simplices are coplanar exactly when their primitive (normal, offset)
+    keys are equal, so each key is one facet, and every vertex of a facet is
+    a vertex of the simplices on its plane.  A point is therefore extreme
+    when the normals of the facets whose simplices use it reach rank d.
     """
     d = len(interior)
-    groups = _merge_coplanar(pts, simplices)
-    planes = [simplices[group[0]][1:] for group in groups]
+    planes = {}
+    for verts, normal, offset in simplices:
+        planes.setdefault((normal, offset), set()).update(verts)
+    normals = {}
+    for (normal, _), members in planes.items():
+        for v in members:
+            normals.setdefault(v, []).append(normal)
 
     vertices = []
-    for v in sorted({v for verts, _, _ in simplices for v in verts}, key=pts.__getitem__):
-        p = pts[v]
-        onplanes = [normal for normal, offset in planes if dot(normal, p) == offset]
-        if len(onplanes) >= d:
-            tracker = RankTracker()
-            for n in onplanes:
-                tracker.add(n)
-                if tracker.rank == d:
-                    vertices.append(p)
-                    break
-
+    for v in sorted(normals, key=pts.__getitem__):
+        tracker = RankTracker()
+        for n in normals[v]:
+            if tracker.add(n) and tracker.rank == d:
+                vertices.append(v)
+                break
+    position = {v: i for i, v in enumerate(vertices)}
     facets = sorted(
-        (normal, offset, tuple(i for i, v in enumerate(vertices) if dot(normal, v) == offset))
-        for normal, offset in planes
+        (normal, offset, tuple(sorted(position[v] for v in members if v in position)))
+        for (normal, offset), members in planes.items()
     )
 
     total = 0
@@ -372,7 +342,7 @@ def _float_plane(normal, offset, scale):
     return tuple(c / norm for c in unit), offset / (top * scale) / norm
 
 
-def convex_hull(points, mode=None, *, allow_degenerate=False):
+def convex_hull(points, mode=None):
     """Canonical hull of the given points (each a sequence of scalars).
 
     Exact mode demands rational-like coordinates; float coordinates select
@@ -380,10 +350,8 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     values.  A float hull's vertices are input points, and its volume,
     centroid and interior point are the exact values rounded once.
     Raises DegenerateInput when the points span less than the ambient
-    dimension, unless allow_degenerate is set, in which case the result
-    carries extreme points only (no facets, no volume).  A float hull
-    whose volume rounds to 0 or beyond the float range also raises
-    DegenerateInput.
+    dimension, or when a float hull's volume rounds to 0 or beyond the
+    float range.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -395,15 +363,9 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     if mode is None:
         mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
     pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
-    try:
-        ints, scale, interior, simplices = triangulate(pts)
-    except DegenerateInput:
-        if not allow_degenerate:
-            raise
-        return _degenerate_hull(pts, d, mode)
+    ints, scale, interior, simplices = triangulate(pts)
     vertices, facets, total, weighted = _hull_finish(ints, simplices, interior)
     vol = fan_volume(total, d, scale, mode)
-    source = {ints[v]: pts[v] for verts, _, _ in simplices for v in verts}
     if mode == EXACT:
         div = rational
         facets = [(tuple(rational(c) for c in n), rational(o, scale), m) for n, o, m in facets]
@@ -413,45 +375,12 @@ def convex_hull(points, mode=None, *, allow_degenerate=False):
     return VPolytope(
         d,
         mode,
-        tuple(source[v] for v in vertices),
+        tuple(pts[v] for v in vertices),
         tuple(Facet(members, normal, offset) for normal, offset, members in facets),
         vol,
         tuple(div(w, total * scale * (d + 1)) for w in weighted),
         tuple(div(c, scale) for c in interior),
     )
-
-
-def _degenerate_hull(pts, d, mode):
-    """Extreme points of a lower-dimensional hull, found one exact LP apiece
-    on the distinct points of ``pts``."""
-    from .lp import OPTIMAL, simplex_max
-
-    inputs = list(dict.fromkeys(pts))  # equal points: the first stands for all
-    pts = [tuple(rational(c) for c in p) for p in inputs]
-    zero, one = rational(0), rational(1)
-    extreme = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not others:
-            extreme.append(inputs[i])
-            continue
-        rows = []
-        rhs = []
-        for c in range(d):
-            row = [q[c] for q in others]
-            rows.append(row)
-            rhs.append(p[c])
-            rows.append([-x for x in row])
-            rhs.append(-p[c])
-        rows.append([one] * len(others))
-        rhs.append(one)
-        rows.append([-one] * len(others))
-        rhs.append(-one)
-        status, _, _ = simplex_max([zero] * len(others), rows, rhs)
-        if status != OPTIMAL:
-            extreme.append(inputs[i])
-    extreme.sort()
-    return VPolytope(d, mode, tuple(extreme), (), None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +389,11 @@ def _degenerate_hull(pts, d, mode):
 
 def volume(P):
     """Lebesgue volume (exact in exact mode)."""
-    if P._volume is None:
-        raise DegenerateInput("polytope is lower-dimensional; no d-volume")
     return P._volume
 
 
 def centroid(P):
     """Volume centroid, computed with the same triangulation as volume()."""
-    if P._centroid is None:
-        raise DegenerateInput("polytope is lower-dimensional; no volume centroid")
     return P._centroid
 
 
@@ -545,8 +470,6 @@ def translate(P, t):
         Facet(f.vertex_indices, f.outward_normal, f.offset + dot(f.outward_normal, t))
         for f in P.facets
     )
-    if not P.is_full_dim:
-        return VPolytope(P.dim, P.mode, vertices, facets, None, None, None)
     return VPolytope(
         P.dim, P.mode, vertices, facets, P._volume, vadd(P._centroid, t), vadd(P._interior, t)
     )
@@ -556,9 +479,6 @@ def scale_polytope(P, s):
     s = as_scalar(s, P.mode)
     if s == 0:
         raise ValueError("scale factor must be nonzero; a point is not a polytope")
-    if not P.is_full_dim:
-        verts = sorted(vscale(v, s) for v in P.vertices)
-        return VPolytope(P.dim, P.mode, tuple(verts), (), None, None, None)
     vertices = [vscale(v, s) for v in P.vertices]
     factor = abs(s) ** P.dim
     vol = P._volume * factor
@@ -589,12 +509,11 @@ def affine_image(P, A, b=None):
 
 
 def minkowski_sum(P, Q):
-    """Hull of all pairwise vertex sums.  Lower-dimensional operands are
-    fine; the sum is degenerate only if it is itself flat."""
+    """Hull of all pairwise vertex sums."""
     if P.dim != Q.dim or P.mode != Q.mode:
         raise ValueError("operands must share dimension and mode")
     sums = [vadd(v, w) for v in P.vertices for w in Q.vertices]
-    return convex_hull(sums, P.mode, allow_degenerate=True)
+    return convex_hull(sums, P.mode)
 
 
 def as_float_body(P):

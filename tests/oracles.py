@@ -7,7 +7,6 @@ sharing code with the implementation under test is not.
 
 import itertools
 import math
-import random
 
 import numpy as np
 
@@ -141,8 +140,8 @@ def reference_convex_hull(points):
     The same algorithm and conventions as ``polytopes.convex_hull`` in exact
     mode: lexicographically sorted distinct points, the first affinely
     independent d+1 of them as the starting simplex, its vertex centroid as
-    the interior reference point, coplanar simplices merged across ridges,
-    primitive integer facet normals, and volume and centroid fanned from the
+    the interior reference point, coplanar simplices grouped by their
+    primitive integer plane, and volume and centroid fanned from the
     interior point.  Raises DegenerateInput for a flat point set.
     """
     pts = sorted({tuple(exact_scalar(c) for c in p) for p in points})

@@ -9,7 +9,6 @@ import itertools
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from godbersen_kit.polytopes import (
     centroid,
     cube,
     negate,
-    scale_polytope,
     scaled_reflected_join,
     standard_simplex,
     volume,

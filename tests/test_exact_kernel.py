@@ -63,6 +63,8 @@ def test_det_and_hyperplane_through_refuse_fractions():
         det([[1, 2], [Fraction(1, 3), 4]])
     with pytest.raises(TypeError):
         hyperplane_through([(0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 1)])
+    with pytest.raises(TypeError):
+        hyperplane_through([(Fraction(1, 3),)])
 
 
 def _cloud(rng, d, m, denominator):
@@ -99,6 +101,11 @@ def test_cubes_and_cross_polytopes_merge_coplanar_facets(d):
     shifted = [tuple(Fraction(2 * c - 1, 3) + Fraction(1, 7) for c in v)
                for v in cube(d).vertices]
     _assert_matches_reference(shifted)
+    if d <= 4:  # the reference hull of the d = 5 cloud takes seconds
+        # Most facets of a difference body K + (-K) are made of several simplices.
+        K = convex_hull(_cloud(random.Random(7300 + d), d, d + 3, 4))
+        _assert_matches_reference([tuple(a - b for a, b in zip(v, w))
+                                   for v in K.vertices for w in K.vertices])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

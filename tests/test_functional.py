@@ -41,7 +41,7 @@ from godbersen_kit.functional import (
 )
 from godbersen_kit import functional
 from godbersen_kit.harness import ExperimentConfig, _functional_pair
-from godbersen_kit.polytopes import centroid, convex_hull, cube, translate, volume
+from godbersen_kit.polytopes import centroid, convex_hull, cube, translate
 from godbersen_kit.scalars import EXACT, FLOAT
 
 from oracles import (
@@ -582,8 +582,7 @@ def test_support_identity_random_centered_polygons():
     rng = random.Random(99)
     pts1 = random_exact_points(rng, 7, 2, denom=8)
     pts2 = random_exact_points(rng, 7, 2, denom=8)
-    K = convex_hull([tuple(float(c) + 0.0 for c in p) for p in pts1], FLOAT,
-                    allow_degenerate=False)
+    K = convex_hull([tuple(float(c) + 0.0 for c in p) for p in pts1], FLOAT)
     L = convex_hull([tuple(float(c) for c in p) for p in pts2], FLOAT)
     # recenter so the origin is interior
     K = translate(K, tuple(-c for c in centroid(K)))

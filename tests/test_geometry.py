@@ -16,7 +16,7 @@ from godbersen_kit.errors import (
     Unbounded,
 )
 from godbersen_kit.harness import random_polytope
-from godbersen_kit.linalg import dot, vadd, vsub
+from godbersen_kit.linalg import dot, vadd
 from godbersen_kit.polytopes import (
     HPolytope,
     affine_image,
@@ -28,7 +28,6 @@ from godbersen_kit.polytopes import (
     coordinate_bits,
     cross_polytope,
     cube,
-    centered_simplex,
     gauge,
     intersect,
     minkowski_sum,
@@ -104,14 +103,6 @@ def test_degenerate_hull_raises():
         convex_hull([(0, 0), (1, 1), (2, 2), (3, 3)])
     with pytest.raises(DegenerateInput):
         convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-
-
-def test_degenerate_hull_explicit_optin():
-    seg = convex_hull([(0, 0), (2, 2), (1, 1)], allow_degenerate=True)
-    assert seg.vertices == ((Q(0), Q(0)), (Q(2), Q(2)))
-    assert not seg.is_full_dim
-    with pytest.raises(DegenerateInput):
-        volume(seg)
 
 
 def test_dimension_cap():
@@ -195,7 +186,7 @@ def test_affine_shear_preserves_volume():
     assert volume(sheared) == 1
 
 
-def test_affine_singular_falls_back_to_hull():
+def test_affine_singular_raises():
     sq = cube(2)
     with pytest.raises(DegenerateInput):
         affine_image(sq, [[1, 0], [1, 0]])
@@ -236,18 +227,6 @@ def test_float_affine_image_is_the_hull_of_mapped_vertices():
 
 # ---------------------------------------------------------------------------
 # minkowski sums
-
-
-def test_minkowski_point_translates():
-    S = standard_simplex(2)
-    pt = convex_hull([(Q(3), Q(5)), (Q(3), Q(5))], allow_degenerate=True)
-    assert minkowski_sum(S, pt) == translate(S, (Q(3), Q(5)))
-
-
-def test_minkowski_segments_make_square():
-    seg1 = convex_hull([(0, 0), (1, 0)], allow_degenerate=True)
-    seg2 = convex_hull([(0, 0), (0, 1)], allow_degenerate=True)
-    assert minkowski_sum(seg1, seg2) == cube(2)
 
 
 def test_minkowski_triangle_difference_body():
@@ -461,8 +440,7 @@ def test_translation_invariance():
     P = convex_hull(random_exact_points(rng, 10, 3))
     for _ in range(5):
         b = tuple(Q(rng.randint(-100, 100), 13) for _ in range(3))
-        pt = convex_hull([b, b], allow_degenerate=True)
-        assert volume(minkowski_sum(P, pt)) == volume(P)
+        assert volume(convex_hull([vadd(v, b) for v in P.vertices])) == volume(P)
 
 
 def test_scaling_homogeneity_invariant():

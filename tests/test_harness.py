@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import random
 import re
@@ -22,7 +21,6 @@ from godbersen_kit.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     FLAVORS,
-    KINDS,
     minimize_over_translation,
     random_polytope,
     run_experiment,

@@ -9,7 +9,6 @@ import pytest
 
 from godbersen_kit.harness import FLAVORS, random_polytope as harness_polytope
 from godbersen_kit.mixed import (
-    MixedVolumeResult,
     difference_body_check,
     godbersen_ratio,
     mixed_volume_general,
@@ -33,7 +32,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT, rational as Q
+from godbersen_kit.scalars import rational as Q
 
 from oracles import random_exact_points
 

@@ -22,7 +22,6 @@ from godbersen_kit.polytopes import (
     minkowski_sum,
     negate,
     scale_polytope,
-    scaled_reflected_join,
     standard_simplex,
     translate,
     volume,
@@ -74,12 +73,6 @@ def random_centered(rng, n, m, denom=16):
 
 # ---------------------------------------------------------------------------
 # build_C and slices
-
-
-def test_build_c_rejects_degenerate_layers():
-    pt = convex_hull([(Q(0),), (Q(0),)], allow_degenerate=True)
-    with pytest.raises(DegenerateInput):
-        build_C(pt, pt)
 
 
 def test_build_c_segment():

@@ -2,20 +2,17 @@
 body, and the algebraic bridge to the binomial bound."""
 
 import math
-import random
 
 import pytest
 
 from godbersen_kit.linalg import dot
 from godbersen_kit.polytopes import (
     centered_simplex,
-    convex_hull,
-    negate,
     scaled_reflected_join,
     standard_simplex,
     volume,
 )
-from godbersen_kit.scalars import EXACT, rational as Q
+from godbersen_kit.scalars import rational as Q
 from godbersen_kit.simplexes import (
     build_Kt,
     chart_simplex,
