@@ -1,27 +1,27 @@
 """Gridded log-concave functional layer.
 
-Functions are represented by their values at the cell centers of a regular
+Densities are represented by their values at the cell centers of a regular
 grid over a box.  The central operation is the weighted sup-convolution
 
     D(z) = sup { f(u)^(1-t) * g(v)^t : (1-t)^2 u - t^2 v = z },
 
 equivalently, writing f = exp(-phi) and g = exp(-psi), the exponent of D is
-the infimal convolution of (1-t)*phi(w/(1-t)^2) and t*psi(-w/t^2).  Two
-evaluation routes are provided:
+the infimal convolution of (1-t)*phi(w/(1-t)^2) and t*psi(-w/t^2).
+``lambda_difference`` picks one of two routes from its inputs:
 
-* ``legendre`` — per-axis discrete Legendre transforms over slope-adapted
-  dual nodes.  It evaluates the infimal convolution of the piecewise-linear
-  interpolants of the exponents, which is exact whenever the exponents are
-  piecewise linear with sampled kinks, and second-order accurate for smooth
-  convex exponents.  Requires both inputs to be flagged log-concave.
+* ``legendre``, when both inputs are flagged log-concave — per-axis discrete
+  Legendre transforms over slope-adapted dual nodes.  It evaluates the
+  infimal convolution of the piecewise-linear interpolants of the exponents,
+  which is exact whenever the exponents are piecewise linear with sampled
+  kinks, and second-order accurate for smooth convex exponents.
   Slopes that differ by at most DUAL_MERGE_RTOL * max(1, max|slope|) share
   one dual node; moving a dual node by delta moves a transform value by at
   most delta * (|z| + |x|) over the primal and output boxes.  Exactness
   holds while the merged dual nodes of each axis fit under ``_dual_cap``
   (513 at n = 3, 1025 below); beyond it the nodes are subsampled.
-* ``pairs`` — direct windowed maximisation over all grid decompositions,
-  binned to output cells.  Works for arbitrary nonnegative inputs and serves
-  as the independent reference route.
+* ``pairs``, otherwise — direct windowed maximisation over all grid
+  decompositions, binned to output cells.  Works for arbitrary nonnegative
+  inputs and serves as the independent reference route.
 
 Evaluator protocol: an evaluator maps a list of per-axis 1-D coordinate
 arrays to the array of function values on that product grid (shape = the
@@ -55,9 +55,6 @@ SUPPORT_WINDOW = 1e-12
 LOG_CONCAVITY_TOL = 1e-9
 DUAL_MERGE_RTOL = 1e-12
 
-DENSITY = "density"
-POTENTIAL = "potential"
-
 
 def _dual_cap(dim):
     return 513 if dim >= 3 else 1025
@@ -72,18 +69,16 @@ def _mesh(axes):
 
 
 class GridFunction:
-    """Values of a function at the cell centers of a regular grid.
+    """Values of a finite, nonnegative density at the cell centers of a grid.
 
-    ``kind`` is "density" (nonnegative values, the default) or "potential"
-    (real values with +inf allowed, used for convex-function samples).
     ``evaluator``, when present, follows the module's evaluator protocol and
     enables refined quadrature.
     """
 
-    __slots__ = ("lo", "hi", "resolution", "values", "kind", "log_concave", "evaluator")
+    __slots__ = ("lo", "hi", "resolution", "values", "log_concave", "evaluator")
 
-    def __init__(self, lo, hi, resolution, values, *, kind=DENSITY,
-                 log_concave=False, evaluator=None):
+    def __init__(self, lo, hi, resolution, values, *, log_concave=False,
+                 evaluator=None):
         lo = tuple(float(c) for c in lo)
         hi = tuple(float(c) for c in hi)
         resolution = tuple(int(r) for r in resolution)
@@ -101,25 +96,16 @@ class GridFunction:
         arr = np.array(values, dtype=float)
         if arr.shape != resolution:
             arr = arr.reshape(resolution)
-        if kind == DENSITY:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("density values must be finite")
-            if arr.min() < -1e-12 * max(1.0, abs(float(arr.max()))):
-                raise ValueError("density values must be nonnegative")
-            arr = np.maximum(arr, 0.0)
-        elif kind == POTENTIAL:
-            if np.any(np.isneginf(arr)) or np.any(np.isnan(arr)):
-                raise ValueError("potential values must be > -inf and not NaN")
-            if log_concave:
-                raise ValueError("log_concave applies to densities only")
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("density values must be finite")
+        if arr.min() < -1e-12 * max(1.0, abs(float(arr.max()))):
+            raise ValueError("density values must be nonnegative")
+        arr = np.maximum(arr, 0.0)
         arr.flags.writeable = False
         self.lo = lo
         self.hi = hi
         self.resolution = resolution
         self.values = arr
-        self.kind = kind
         self.log_concave = bool(log_concave)
         self.evaluator = evaluator
         if self.log_concave:
@@ -158,46 +144,17 @@ class GridFunction:
 
     def __repr__(self):
         return (f"GridFunction(dim={self.dim}, resolution={self.resolution}, "
-                f"kind={self.kind!r}, log_concave={self.log_concave})")
+                f"log_concave={self.log_concave})")
 
 
-def sample_function(fn, lo, hi, resolution, *, kind=DENSITY, log_concave=False):
+def sample_function(fn, lo, hi, resolution, *, log_concave=False):
     """Build a GridFunction by evaluating ``fn`` per the evaluator protocol."""
     lo = tuple(float(c) for c in lo)
     hi = tuple(float(c) for c in hi)
     resolution = tuple(int(r) for r in resolution)
     values = np.asarray(fn(_center_axes(lo, hi, resolution)), dtype=float)
-    return GridFunction(lo, hi, resolution, values, kind=kind,
-                        log_concave=log_concave, evaluator=fn)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def grid_function_to_json(f):
-    d = {
-        "box": {"lo": list(f.lo), "hi": list(f.hi)},
-        "resolution": list(f.resolution),
-        "values": [float(v) for v in f.values.ravel()],
-    }
-    if f.kind != DENSITY:
-        d["kind"] = f.kind
-    if f.log_concave:
-        d["log_concave"] = True
-    return d
-
-
-def grid_function_from_json(d):
-    box = d["box"]
-    return GridFunction(
-        box["lo"],
-        box["hi"],
-        d["resolution"],
-        np.asarray(d["values"], dtype=float),
-        kind=d.get("kind", DENSITY),
-        log_concave=bool(d.get("log_concave", False)),
-    )
+    return GridFunction(lo, hi, resolution, values, log_concave=log_concave,
+                        evaluator=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +325,12 @@ def _exponent_data(f, scale_coord, scale_val, flip):
     return vals, axis_data
 
 
-def lambda_difference(f, g, lam, *, method=None):
+def lambda_difference(f, g, lam):
     """The weighted sup-convolution of two gridded densities.
 
-    ``method`` is "legendre", "pairs", or None for automatic dispatch
-    (legendre when both inputs are flagged log-concave, else pairs).  The
-    output box is (1-lam)^2 box_f + lam^2 (-box_g) at the shared resolution.
+    The route follows the inputs: legendre when both are flagged log-concave,
+    pairs otherwise.  The output box is (1-lam)^2 box_f + lam^2 (-box_g) at
+    the shared resolution.
 
     The legendre route is exact for piecewise-linear exponents while the
     merged dual nodes of each axis fit under ``_dual_cap``; merging slopes
@@ -387,19 +344,11 @@ def lambda_difference(f, g, lam, *, method=None):
         raise IncompatibleGrids("inputs have different dimensions")
     if f.resolution != g.resolution:
         raise IncompatibleGrids("inputs have different resolutions")
-    if f.kind != DENSITY or g.kind != DENSITY:
-        raise IncompatibleGrids("inputs must be densities")
-    if method is None:
-        method = "legendre" if (f.log_concave and g.log_concave) else "pairs"
-    if method not in ("legendre", "pairs"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "legendre" and not (f.log_concave and g.log_concave):
-        raise NotLogConcave("the legendre route requires log-concave inputs")
     lo, hi = _output_box(f, g, lam)
     resolution = f.resolution
     out_axes = _center_axes(lo, hi, resolution)
 
-    if method == "legendre":
+    if f.log_concave and g.log_concave:
         a_data = _exponent_data(f, (1.0 - lam) ** 2, 1.0 - lam, flip=False)
         b_data = _exponent_data(g, -(lam * lam), lam, flip=True)
         (la, lb), duals = _forward_stages([a_data, b_data])
@@ -492,8 +441,6 @@ def quadrature(f):
     |I_2R - I_R| / 3.  Without one: the midpoint sum at R, with a
     second-difference error estimate.
     """
-    if f.kind != DENSITY:
-        raise ValueError("quadrature integrates densities")
     cell = math.prod(f.widths)
     base = float(f.values.sum()) * cell
     if f.evaluator is not None:
@@ -510,11 +457,6 @@ def quadrature(f):
         second = np.abs(a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2])
         err += float(second.sum()) * cell / 24.0
     return QuadratureResult(base, base, base, err + 1e-15, False)
-
-
-def integrate(f):
-    """Best available midpoint-rule estimate of the integral of ``f``."""
-    return quadrature(f).value
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +479,6 @@ def geometric_mean(f, g, lam):
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
-    if f.kind != DENSITY or g.kind != DENSITY:
-        raise IncompatibleGrids("inputs must be densities")
     if not _same_grid(f, g):
         raise IncompatibleGrids("geometric_mean needs matching boxes and resolutions")
     values = np.power(f.values, lam) * np.power(g.values, 1.0 - lam)
@@ -607,81 +547,6 @@ def verify_functional_inequality(f, g, lam):
     }
     ratio = lhs / rhs if rhs else None
     return CheckReport(lhs, rhs, ratio, tol, passed, meta)
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform and infimal convolution of convex samples
-
-
-def _potential_axis_data(phi):
-    return [(phi.axis_centers(k), phi.lo[k], phi.hi[k]) for k in range(phi.dim)]
-
-
-def legendre(phi, *, out_box=None, out_resolution=None):
-    """Discrete Legendre transform of convex samples.
-
-    Evaluates sup_x (<x, y> - phi(x)) over the piecewise-linear model of the
-    samples (chord-extended to the box edges).  The output grid defaults to
-    the slope range of the input at the same resolution.  Returns a
-    potential-kind GridFunction with an evaluator.
-    """
-    if phi.kind != POTENTIAL:
-        raise ValueError("legendre expects a potential-kind GridFunction")
-    ext_vals = phi.values
-    ext_nodes = []
-    for k in range(phi.dim):
-        ext_vals, nodes = _extend_axis(ext_vals, phi.axis_centers(k), k,
-                                       phi.lo[k], phi.hi[k])
-        ext_nodes.append(nodes)
-    if out_box is None:
-        lo, hi = [], []
-        for k in range(phi.dim):
-            slopes = _axis_slopes(ext_vals, ext_nodes[k], k)
-            if slopes.size == 0:
-                lo.append(-1.0)
-                hi.append(1.0)
-            else:
-                lo.append(float(slopes.min()) - 1e-9)
-                hi.append(float(slopes.max()) + 1e-9)
-        out_box = (tuple(lo), tuple(hi))
-    out_lo, out_hi = out_box
-    res = tuple(out_resolution) if out_resolution is not None else phi.resolution
-    axes = _center_axes(out_lo, out_hi, res)
-
-    def _evaluator(target_axes, _v=ext_vals, _n=ext_nodes):
-        return _inverse_stages(_v, _n, target_axes)
-
-    values = _evaluator(axes)
-    return GridFunction(out_lo, out_hi, res, values, kind=POTENTIAL,
-                        evaluator=_evaluator)
-
-
-def inf_convolution(phi, psi):
-    """Discrete infimal convolution of two convex-sample grids.
-
-    Computed through the transform identity: the Legendre transforms of the
-    two inputs are added on shared slope-adapted dual nodes and transformed
-    back onto the sum box.
-    """
-    if phi.kind != POTENTIAL or psi.kind != POTENTIAL:
-        raise ValueError("inf_convolution expects potential-kind GridFunctions")
-    if phi.dim != psi.dim:
-        raise IncompatibleGrids("inputs have different dimensions")
-    (la, lb), duals = _forward_stages([
-        (phi.values, _potential_axis_data(phi)),
-        (psi.values, _potential_axis_data(psi)),
-    ])
-    s = la + lb
-    lo = tuple(a + b for a, b in zip(phi.lo, psi.lo))
-    hi = tuple(a + b for a, b in zip(phi.hi, psi.hi))
-    res = tuple(max(a, b) for a, b in zip(phi.resolution, psi.resolution))
-    axes = _center_axes(lo, hi, res)
-    values = _inverse_stages(s, duals, axes)
-
-    def _evaluator(target_axes, _s=s, _d=duals):
-        return _inverse_stages(_s, _d, target_axes)
-
-    return GridFunction(lo, hi, res, values, kind=POTENTIAL, evaluator=_evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +626,7 @@ def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
 
     f = _gauge_density(Kf, resolution)
     g = _gauge_density(Lf, resolution)
-    diff = lambda_difference(f, g, lam, method="legendre")
+    diff = lambda_difference(f, g, lam)
     join = convex_hull_union(scale_polytope(Kf, 1.0 - lam),
                              negate(scale_polytope(Lf, lam)))
 
@@ -814,7 +679,7 @@ def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
 
 
 # ---------------------------------------------------------------------------
-# built-in test functions
+# stock densities
 
 
 def sharp_exponential(n, *, hi=20.0, resolution=129):
@@ -875,16 +740,3 @@ def indicator_simplex(n, *, scale=2.0, resolution=129):
     return sample_function(ev, [-0.25 * s] * n, [1.25 * s] * n, [resolution] * n,
                            log_concave=True)
 
-
-BUILT_INS = ("sharp-exponential", "gaussian", "indicator-simplex")
-
-
-def built_in(name, n, *, resolution=129, **kwargs):
-    """Construct a named built-in test density."""
-    if name == "sharp-exponential":
-        return sharp_exponential(n, resolution=resolution, **kwargs)
-    if name == "gaussian":
-        return truncated_gaussian(n, resolution=resolution, **kwargs)
-    if name == "indicator-simplex":
-        return indicator_simplex(n, resolution=resolution, **kwargs)
-    raise ValueError(f"unknown built-in {name!r}; choose from {BUILT_INS}")

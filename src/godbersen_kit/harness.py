@@ -59,7 +59,7 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport, comparison_report, equality_report
-from .rs_bodies import verify_KL_inequality, verify_ckl_bound, verify_strange
+from .rs_bodies import MAX_BASE_DIM, verify_KL_inequality, verify_ckl_bound, verify_strange
 from .scalars import EXACT, FLOAT, FLOAT_EPS, as_scalar, rational, rationalize, scalar_to_json
 from .simplexes import gfr_implies_godbersen_bound, simplex_hull_ratio
 
@@ -84,6 +84,8 @@ _KINDS_WITH_J = ("godbersen", "godbersen-via-gfr")
 _KINDS_WITH_LAMBDA = ("godbersen-via-gfr", "gfr", "functional", "planar")
 _KINDS_WITH_THETA = ("kl", "strange", "ckl")
 _DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# exact n=4 polar bodies outgrow the record format, float n=5 takes minutes
+_STRANGE_MAX_DIM = {EXACT: 3, FLOAT: 4}
 
 
 def thread_cap():
@@ -168,6 +170,11 @@ class ExperimentConfig:
             raise ValueError("mode must be %r or %r" % (EXACT, FLOAT))
         if self.kind == "planar" and self.mode != EXACT:
             raise ValueError("kind 'planar' verifies exact invariants; use mode='exact'")
+        if self.kind == "ckl" and self.n > MAX_BASE_DIM:
+            raise ValueError("kind 'ckl' supports n <= %d" % MAX_BASE_DIM)
+        if self.kind == "strange" and self.n > _STRANGE_MAX_DIM[self.mode]:
+            raise ValueError("kind 'strange' supports n <= %d in %s mode"
+                             % (_STRANGE_MAX_DIM[self.mode], self.mode))
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ValueError("output_path must be a nonempty string")
 
@@ -661,11 +668,9 @@ def _functional_pair(config, trial):
         return np.exp(-b * sum(np.abs(g - shift) for g in grids))
 
     f = functional.sample_function(gauss, lo=(-half,) * n, hi=(half,) * n,
-                                   resolution=(resolution,) * n, kind="density",
-                                   log_concave=True)
+                                   resolution=(resolution,) * n, log_concave=True)
     g = functional.sample_function(laplace, lo=(-half,) * n, hi=(half,) * n,
-                                   resolution=(resolution,) * n, kind="density",
-                                   log_concave=True)
+                                   resolution=(resolution,) * n, log_concave=True)
     params = {"gaussian_weight": a, "laplace_weight": b, "laplace_shift": shift,
               "resolution": resolution, "half_width": half}
     return f, g, params

@@ -19,7 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -665,10 +664,6 @@ def polytope_from_json(obj):
     if any(len(p) != dim for p in pts):
         raise ValueError("vertex length disagrees with dim")
     return convex_hull(pts, mode)
-
-
-def dump_polytope(P, fp):
-    json.dump(polytope_to_json(P), fp, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -294,38 +294,6 @@ def brute_force_lambda_difference(f_axes, f_vals, g_axes, g_vals, lam, out_axes)
     return out
 
 
-def brute_force_inf_convolution(phi_axes, phi_vals, psi_axes, psi_vals, out_axes):
-    """Exhaustive pair minimisation for the discrete infimal convolution."""
-    n = len(phi_axes)
-    out_shape = tuple(len(a) for a in out_axes)
-    out = np.full(out_shape, np.inf)
-    steps = [a[1] - a[0] if len(a) > 1 else 1.0 for a in out_axes]
-    for iu in itertools.product(*[range(len(a)) for a in phi_axes]):
-        pu = float(phi_vals[iu])
-        if not np.isfinite(pu):
-            continue
-        for iv in itertools.product(*[range(len(a)) for a in psi_axes]):
-            pv = float(psi_vals[iv])
-            if not np.isfinite(pv):
-                continue
-            idx = []
-            ok = True
-            for k in range(n):
-                z = phi_axes[k][iu[k]] + psi_axes[k][iv[k]]
-                j = int(round((z - out_axes[k][0]) / steps[k]))
-                if j < 0 or j >= out_shape[k]:
-                    ok = False
-                    break
-                idx.append(j)
-            if not ok:
-                continue
-            val = pu + pv
-            idx = tuple(idx)
-            if val < out[idx]:
-                out[idx] = val
-    return out
-
-
 def unmerged_joint_dual_nodes(slope_sets, cap):
     """Dual nodes as every distinct float slope, rounding copies included,
     subsampled evenly to at most ``cap``."""

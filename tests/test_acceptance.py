@@ -14,8 +14,8 @@ import numpy as np
 
 from godbersen_kit.functional import (
     delta_support_identity_check,
-    integrate,
     lambda_difference,
+    quadrature,
     sample_function,
     sharp_pair,
     verify_functional_inequality,
@@ -212,8 +212,8 @@ def test_08_functional_sharp_pair_sandwich_and_support_identity():
         for lam in (0.25, 0.5, 0.75):
             f, g = sharp_pair(n, lam, resolution=129)
             diff = lambda_difference(f, g, lam)
-            assert abs(integrate(diff) - 1.0) <= 1e-3, (n, lam)
-            assert abs(integrate(g) - 1.0) <= 1e-3, (n, lam)
+            assert abs(quadrature(diff).value - 1.0) <= 1e-3, (n, lam)
+            assert abs(quadrature(g).value - 1.0) <= 1e-3, (n, lam)
 
     import random as _random
     rng = _random.Random(88_2026)

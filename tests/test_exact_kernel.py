@@ -95,7 +95,7 @@ def test_large_denominators_match_reference(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_cubes_and_cross_polytopes_merge_coplanar_facets(d):
+def test_cubes_and_cross_polytopes_non_simplicial_facets(d):
     for body in (cube(d), cross_polytope(d)):
         _assert_matches_reference(list(body.vertices))
     shifted = [tuple(Fraction(2 * c - 1, 3) + Fraction(1, 7) for c in v)

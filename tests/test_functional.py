@@ -1,6 +1,6 @@
 """Tests for the gridded log-concave layer: the weighted sup-convolution,
-its two evaluation routes, Legendre/infimal-convolution operators, refined
-quadrature, the integral inequality, and the support-function bridge."""
+its two evaluation routes, refined quadrature, the integral inequality, and
+the support-function bridge."""
 
 import math
 import random
@@ -14,20 +14,12 @@ from godbersen_kit.errors import (
     OriginNotInterior,
 )
 from godbersen_kit.functional import (
-    DENSITY,
-    POTENTIAL,
     GridFunction,
-    built_in,
     delta_support_identity_check,
     geometric_mean,
-    grid_function_from_json,
-    grid_function_to_json,
     indicator_simplex,
-    inf_convolution,
-    integrate,
     lambda_abs,
     lambda_difference,
-    legendre,
     quadrature,
     sample_function,
     sharp_exponential,
@@ -45,7 +37,6 @@ from godbersen_kit.polytopes import centroid, convex_hull, cube, translate
 from godbersen_kit.scalars import EXACT, FLOAT
 
 from oracles import (
-    brute_force_inf_convolution,
     brute_force_lambda_difference,
     random_exact_points,
     unmerged_joint_dual_nodes,
@@ -64,6 +55,12 @@ def laplace_density(n, half_width, resolution):
                            [resolution] * n, log_concave=True)
 
 
+def flag_free(f):
+    """A copy of ``f`` without the log-concavity flag: lambda_difference then
+    takes the pairs route."""
+    return GridFunction(f.lo, f.hi, f.resolution, f.values)
+
+
 # ---------------------------------------------------------------------------
 # container and validation
 
@@ -79,14 +76,8 @@ def test_grid_function_validation():
         GridFunction([0.0], [1.0], [4], [-1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         GridFunction([0.0], [1.0], [4], [0.0, np.inf, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        GridFunction([0.0], [1.0], [4], [0.0, -np.inf, 0.0, 0.0],
-                     kind=POTENTIAL)
-    with pytest.raises(ValueError):
-        GridFunction([0.0], [1.0], [4], np.zeros(4), kind=POTENTIAL,
-                     log_concave=True)
     f = GridFunction([0.0], [1.0], [4], [1.0, 2.0, 2.0, 1.0])
-    assert f.kind == DENSITY and f.dim == 1
+    assert f.dim == 1
     with pytest.raises(ValueError):
         f.values[0] = 5.0
 
@@ -111,16 +102,6 @@ def test_axes_and_widths():
     assert np.allclose(f.axis_centers(0), [0.125, 0.375, 0.625, 0.875])
     assert len(f.axis_centers(1, factor=2)) == 16
     assert f.axis_centers(1, factor=2)[0] == pytest.approx(-1.0 + 0.125 / 2)
-
-
-def test_json_round_trip():
-    f = laplace_density(2, 3.0, 9)
-    d = grid_function_to_json(f)
-    g = grid_function_from_json(d)
-    assert g.box == f.box
-    assert g.resolution == f.resolution
-    assert g.log_concave
-    assert np.array_equal(g.values, f.values)
 
 
 def test_lambda_abs():
@@ -162,9 +143,9 @@ def test_sharp_pair_pointwise_2d():
 def test_sharp_pair_unit_integrals(n, lam):
     f, g = sharp_pair(n, lam)
     d = lambda_difference(f, g, lam)
-    assert abs(integrate(f) - 1.0) < 1e-3
-    assert abs(integrate(g) - 1.0) < 1e-3
-    assert abs(integrate(d) - 1.0) < 1e-3
+    assert abs(quadrature(f).value - 1.0) < 1e-3
+    assert abs(quadrature(g).value - 1.0) < 1e-3
+    assert abs(quadrature(d).value - 1.0) < 1e-3
 
 
 def test_sharp_pair_kink_on_cell_edge():
@@ -187,7 +168,7 @@ def test_sharp_pair_kink_on_cell_edge():
 def test_pairs_route_matches_brute_force_1d():
     f = gaussian_density(1, 4.0, 41)
     g = laplace_density(1, 4.0, 41)
-    d = lambda_difference(f, g, 0.4, method="pairs")
+    d = lambda_difference(flag_free(f), flag_free(g), 0.4)
     oracle = brute_force_lambda_difference(
         [np.asarray(a) for a in f.axes], f.values,
         [np.asarray(a) for a in g.axes], g.values,
@@ -208,7 +189,7 @@ def test_pairs_route_matches_brute_force_2d():
     # so no decomposition lands on an output cell edge and the floor/round
     # binning conventions of implementation and oracle agree everywhere
     lam = 0.3
-    d = lambda_difference(f, g, lam, method="pairs")
+    d = lambda_difference(flag_free(f), flag_free(g), lam)
     oracle = brute_force_lambda_difference(
         [np.asarray(a) for a in f.axes], f.values,
         [np.asarray(a) for a in g.axes], g.values,
@@ -222,8 +203,8 @@ def test_routes_agree_within_grid_error():
     for res, cap in ((41, 0.12), (81, 0.06)):
         f = gaussian_density(1, 4.0, res)
         g = laplace_density(1, 4.0, res)
-        d_leg = lambda_difference(f, g, 0.4, method="legendre")
-        d_pairs = lambda_difference(f, g, 0.4, method="pairs")
+        d_leg = lambda_difference(f, g, 0.4)
+        d_pairs = lambda_difference(flag_free(f), flag_free(g), 0.4)
         assert d_leg.box == d_pairs.box
         dev = np.max(np.abs(d_leg.values - d_pairs.values))
         assert dev < cap
@@ -233,22 +214,13 @@ def test_method_dispatch_and_gates():
     f = gaussian_density(1, 3.0, 17)
     g = laplace_density(1, 3.0, 17)
     assert lambda_difference(f, g, 0.5).log_concave  # legendre route
-    plain = GridFunction(f.lo, f.hi, f.resolution, f.values)
-    assert not lambda_difference(plain, g, 0.5).log_concave  # pairs route
-    with pytest.raises(NotLogConcave):
-        lambda_difference(plain, g, 0.5, method="legendre")
+    assert not lambda_difference(flag_free(f), g, 0.5).log_concave  # pairs route
     with pytest.raises(ValueError):
         lambda_difference(f, g, 0.0)
-    with pytest.raises(ValueError):
-        lambda_difference(f, g, 0.5, method="fast")
     with pytest.raises(IncompatibleGrids):
         lambda_difference(f, laplace_density(1, 3.0, 19), 0.5)
     with pytest.raises(IncompatibleGrids):
         lambda_difference(f, laplace_density(2, 3.0, 17), 0.5)
-    pot = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-1.0], [1.0], [17], kind=POTENTIAL)
-    with pytest.raises(IncompatibleGrids):
-        lambda_difference(f, pot, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +294,6 @@ def test_quadrature_without_evaluator_reports_error_band():
     assert abs(q.value - truth) <= 5.0 * q.error_estimate
 
 
-def test_quadrature_rejects_potentials():
-    pot = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-1.0], [1.0], [9], kind=POTENTIAL)
-    with pytest.raises(ValueError):
-        quadrature(pot)
-
-
 # ---------------------------------------------------------------------------
 # pointwise geometric mean
 
@@ -342,76 +307,6 @@ def test_geometric_mean_values_and_gates():
     assert gm.evaluator is not None
     with pytest.raises(IncompatibleGrids):
         geometric_mean(f, laplace_density(1, 4.0, 33), 0.25)
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform and infimal convolution
-
-
-def test_legendre_self_dual_quadratic():
-    for n in (1, 2):
-        res = 61
-        phi = sample_function(
-            lambda axes: 0.5 * sum(g * g for g in _mesh(axes)),
-            [-3.0] * n, [3.0] * n, [res] * n, kind=POTENTIAL)
-        lp = legendre(phi)
-        target = 0.5 * sum(g * g for g in _mesh(lp.axes))
-        assert np.max(np.abs(lp.values - target)) < 5e-3
-        # requested output window: still the quadratic where unconstrained
-        lp2 = legendre(phi, out_box=((-2.5,) * n, (2.5,) * n))
-        target2 = 0.5 * sum(g * g for g in _mesh(lp2.axes))
-        assert np.max(np.abs(lp2.values - target2)) < 5e-3
-
-
-def test_legendre_requires_potential():
-    with pytest.raises(ValueError):
-        legendre(gaussian_density(1, 2.0, 9))
-
-
-def test_inf_convolution_huber_identity():
-    # quadratic box [-4,4] with absolute value: the result is the standard
-    # smoothed absolute value on the region where the box is inactive
-    phi = sample_function(lambda axes: 0.5 * sum(g * g for g in _mesh(axes)),
-                          [-4.0], [4.0], [81], kind=POTENTIAL)
-    psi = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-4.0], [4.0], [81], kind=POTENTIAL)
-    ic = inf_convolution(phi, psi)
-    z = np.asarray(ic.axes[0])
-    inner = np.abs(z) <= 4.5
-    huber = np.where(np.abs(z) <= 1.0, 0.5 * z * z, np.abs(z) - 0.5)
-    assert np.max(np.abs(ic.values[inner] - huber[inner])) < 5e-3
-
-
-def test_inf_convolution_matches_brute_force():
-    # deliberately incommensurate boxes and resolutions so no pair sum in
-    # the oracle lands exactly on an output cell edge
-    phi = sample_function(lambda axes: 0.5 * sum(g * g for g in _mesh(axes)),
-                          [-4.0], [4.0], [81], kind=POTENTIAL)
-    psi = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-3.7], [3.7], [67], kind=POTENTIAL)
-    ic = inf_convolution(phi, psi)
-    oracle = np.asarray(brute_force_inf_convolution(
-        [np.asarray(phi.axes[0])], phi.values,
-        [np.asarray(psi.axes[0])], psi.values,
-        [np.asarray(ic.axes[0])]))
-    mask = np.isfinite(oracle)
-    # the oracle bins pair sums to the nearest output node (slope * h_out/2
-    # bias) and only sees grid splits (one input cell of slack on top)
-    assert np.max(np.abs(ic.values[mask] - oracle[mask])) < 0.5
-    # away from the edges the result has slope at most 1 and the agreement
-    # tightens to sub-cell size
-    z = np.asarray(ic.axes[0])
-    inner = mask & (np.abs(z) <= 4.0)
-    assert np.max(np.abs(ic.values[inner] - oracle[inner])) < 0.2
-
-
-def test_inf_convolution_dimension_gate():
-    phi = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-1.0], [1.0], [9], kind=POTENTIAL)
-    psi = sample_function(lambda axes: sum(np.abs(g) for g in _mesh(axes)),
-                          [-1.0, -1.0], [1.0, 1.0], [9, 9], kind=POTENTIAL)
-    with pytest.raises(IncompatibleGrids):
-        inf_convolution(phi, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +416,8 @@ def test_inequality_gaussian_laplace():
 
 def test_inequality_requires_log_concave_flags():
     f = gaussian_density(1, 3.0, 33)
-    plain = GridFunction(f.lo, f.hi, f.resolution, f.values)
     with pytest.raises(NotLogConcave):
-        verify_functional_inequality(plain, f, 0.5)
+        verify_functional_inequality(flag_free(f), f, 0.5)
 
 
 def test_inequality_random_log_concave_pairs():
@@ -599,19 +493,17 @@ def test_support_identity_rejects_origin_on_boundary():
 
 
 # ---------------------------------------------------------------------------
-# built-ins
+# stock densities
 
 
 def test_built_in_names_and_shapes():
-    f = built_in("sharp-exponential", 1)
+    f = sharp_exponential(1)
     assert f.resolution == (129,) and f.log_concave
-    g = built_in("gaussian", 2, resolution=33)
+    g = truncated_gaussian(2, resolution=33)
     assert g.resolution == (33, 33)
-    h = built_in("indicator-simplex", 2, resolution=65)
+    h = indicator_simplex(2, resolution=65)
     # the simplex has volume scale^n / n! inside the sampling box
-    assert integrate(h) == pytest.approx(2.0 ** 2 / 2.0, abs=2e-2)
-    with pytest.raises(ValueError):
-        built_in("unknown", 1)
+    assert quadrature(h).value == pytest.approx(2.0 ** 2 / 2.0, abs=2e-2)
 
 
 def test_indicator_simplex_is_log_concave_grid():
@@ -622,4 +514,4 @@ def test_indicator_simplex_is_log_concave_grid():
 
 def test_sharp_exponential_integral():
     f = sharp_exponential(1)
-    assert abs(integrate(f) - 1.0) < 1e-3
+    assert abs(quadrature(f).value - 1.0) < 1e-3

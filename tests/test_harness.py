@@ -31,7 +31,6 @@ from godbersen_kit.polytopes import (
     centroid,
     contains_point,
     cube,
-    dump_polytope,
     polytope_to_json,
     scaled_reflected_join,
     translate,
@@ -235,6 +234,9 @@ def test_config_rejects_invalid_fields():
         dict(kind="godbersen-via-gfr", n=3, lambda_grid=("1/2",)),
         dict(kind="godbersen", n=2, mode="quad"),
         dict(kind="godbersen", n=2, output_path=""),
+        dict(kind="ckl", n=5),
+        dict(kind="strange", n=4),
+        dict(kind="strange", n=5, mode=FLOAT),
     ]
     for kwargs in bad_configs:
         with pytest.raises(ValueError):
@@ -598,9 +600,9 @@ def test_cli_mixed_volume(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     c_path = tmp_path / "c.json"
     with open(s_path, "w") as fp:
-        dump_polytope(centered_simplex(2), fp)
+        json.dump(polytope_to_json(centered_simplex(2)), fp)
     with open(c_path, "w") as fp:
-        dump_polytope(cube(2), fp)
+        json.dump(polytope_to_json(cube(2)), fp)
     assert main(["mixed-volume", "--bodies", str(s_path), str(c_path)]) == 0
     general = json.loads(capsys.readouterr().out)
     assert main(["mixed-volume", "--bodies", str(s_path), str(c_path),
