@@ -22,7 +22,7 @@ from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import polytope_from_json, polytope_to_json, scaled_reflected_join, volume
-from .scalars import EXACT, rational, scalar_to_json
+from .scalars import rational, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 EXPERIMENT_COMMANDS = ("godbersen", "gfr", "kl", "strange", "ckl", "functional")
@@ -70,8 +70,6 @@ def _experiment_command(args):
 
 def _reduce_planar_command(args):
     body = polytope_from_json(_load_json(args.input))
-    if body.mode != EXACT:
-        raise ValueError("reduce-planar requires an exact-mode polygon")
     lam = _parse_lambda(args.lam, exact=True)
     steps = reduce_to_triangle(body, lam)
     final = steps[-1].after if steps else body

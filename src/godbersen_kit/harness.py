@@ -102,22 +102,8 @@ def _grid_value(value, mode):
     mode) and require it to lie in [0, 1]."""
     if isinstance(value, bool):
         raise ValueError("grid entries must be numbers, got %r" % value)
-    if isinstance(value, str):
-        frac = Fraction(value)
-        out = rational(frac.numerator, frac.denominator)
-    elif isinstance(value, int):
-        out = rational(value)
-    elif isinstance(value, float):
-        if mode == EXACT:
-            # A float is an exact dyadic rational; keep it exact.
-            frac = Fraction(value)
-            out = rational(frac.numerator, frac.denominator)
-        else:
-            out = value
-    elif isinstance(value, Fraction):
-        out = rational(value.numerator, value.denominator)
-    else:
-        out = as_scalar(value, EXACT)
+    # In exact mode a float is an exact dyadic rational; keep it exact.
+    out = value if isinstance(value, float) and mode == FLOAT else Fraction(value)
     if not 0 <= out <= 1:
         raise ValueError("grid entry %s outside [0, 1]" % value)
     return out
@@ -344,14 +330,6 @@ class TranslationSolution:
     value: float
     lower_bound: float
     iterations: int
-
-    def to_json_dict(self):
-        return {
-            "x_star": [float(c) for c in self.x_star],
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "iterations": self.iterations,
-        }
 
 
 def join_volume_and_subgradient(a, b, x):

@@ -143,12 +143,12 @@ def simplex_max(c, A, b, eps=0):
     return OPTIMAL, T[-1][-1], y
 
 
-def feasible_interior(normals, offsets, dim, *, cap=1, eps=0):
+def feasible_interior(normals, offsets, dim, *, eps=0):
     """Point maximizing the (L1-scaled) slack inside {x : <a_i,x> <= b_i}.
 
     Returns (margin, x).  margin > 0 means x is strictly interior; margin == 0
     means the system is feasible but flat; margin is None when infeasible.
-    The slack variable is capped so unbounded regions still solve.
+    The slack variable is capped at 1 so unbounded regions still solve.
     """
     n_free = 2 * dim  # x = xp - xm with xp, xm >= 0
     c = [0] * n_free + [1]
@@ -164,7 +164,7 @@ def feasible_interior(normals, offsets, dim, *, cap=1, eps=0):
         A.append(row)
         b.append(b_i)
     A.append([0] * n_free + [1])
-    b.append(cap)
+    b.append(1)
     status, value, y = simplex_max(c, A, b, eps=eps)
     if status == INFEASIBLE:
         return None, None

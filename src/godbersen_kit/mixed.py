@@ -26,12 +26,6 @@ MAX_GENERAL_BODIES = 4
 class MixedVolumeResult:
     value: object
     method: str  # "cayley" or "polarization"
-    bodies: tuple
-    multiplicities: tuple
-
-
-def _describe(P):
-    return "dim=%d vertices=%d" % (P.dim, len(P.vertices))
 
 
 def mixed_volumes(K, T):
@@ -84,11 +78,9 @@ def volume_polynomial(K, T):
 
 def mixed_volume_pair(K, T, j):
     """V(K[j], T[n-j]), read off :func:`mixed_volumes`."""
-    n = K.dim
-    if not 0 <= j <= n:
+    if not 0 <= j <= K.dim:
         raise ValueError("j out of range")
-    return MixedVolumeResult(
-        mixed_volumes(K, T)[j], "cayley", (_describe(K), _describe(T)), (j, n - j))
+    return MixedVolumeResult(mixed_volumes(K, T)[j], "cayley")
 
 
 def mixed_volume_general(bodies):
@@ -123,9 +115,7 @@ def mixed_volume_general(bodies):
         else:
             total = total + term
     value = total / as_scalar(math.factorial(n), mode)
-    return MixedVolumeResult(
-        value, "polarization", tuple(_describe(B) for B in bodies), (1,) * n
-    )
+    return MixedVolumeResult(value, "polarization")
 
 
 def godbersen_ratio(K, j, mixed=None):

@@ -38,13 +38,12 @@ class SimplexHullFormula:
         }
 
 
-def _admissible_k(n, lam, mode):
-    """Integers k with (n+1)(1-lam) - 1 <= k <= (n+1)(1-lam), clamped to [0,n]."""
-    w = (n + 1) * (as_scalar(1, mode) - lam)
+def _admissible_k(n, w):
+    """Integers k with w - 1 <= k <= w, clamped to [0, n]: w = (n+1)(1-lam)
+    for the hull ratio, (n+1)/(1+t) for K_t."""
     hi = math.floor(w)
     lo = math.ceil(w - 1)
-    ks = sorted({min(n, max(0, k)) for k in range(lo, hi + 1)})
-    return ks
+    return sorted({min(n, max(0, k)) for k in range(lo, hi + 1)})
 
 
 def simplex_hull_ratio(n, lam):
@@ -53,7 +52,7 @@ def simplex_hull_ratio(n, lam):
     lam = as_scalar(lam, mode)
     if not (0 <= lam <= 1):
         raise ValueError("lambda must lie in [0, 1]")
-    ks = _admissible_k(n, lam, mode)
+    ks = _admissible_k(n, (n + 1) * (1 - lam))
     ratios = [
         as_scalar(math.comb(n, k), mode) * (1 - lam) ** k * lam ** (n - k) for k in ks
     ]
@@ -117,10 +116,7 @@ def chart_simplex(n):
 def kt_volume_ratio_formula(n, t):
     """C(n,k) t^(n-k) with k admissible for t: (n+1)/(1+t) - 1 <= k <= (n+1)/(1+t)."""
     t = exact_scalar(t)
-    w = rational(n + 1) / (1 + t)
-    hi = math.floor(w)
-    lo = math.ceil(w - 1)
-    ks = sorted({min(n, max(0, k)) for k in range(lo, hi + 1)})
+    ks = _admissible_k(n, rational(n + 1) / (1 + t))
     ratios = [rational(math.comb(n, k)) * t ** (n - k) for k in ks]
     for r in ratios[1:]:
         assert r == ratios[0], "tie expressions must coincide"

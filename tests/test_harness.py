@@ -184,10 +184,6 @@ def test_translation_search_reports_its_lower_bound():
     K = centered_simplex(2)
     sol = minimize_over_translation(K, 0.5)
     assert 0 < sol.lower_bound <= sol.value
-    as_json = sol.to_json_dict()
-    json.dumps(as_json)
-    assert as_json["value"] == sol.value
-    assert as_json["lower_bound"] == sol.lower_bound
 
 
 def test_translation_search_rejects_bad_lambda():
@@ -588,6 +584,10 @@ def test_cli_reduce_planar_trace(tmp_path):
     assert trace["hull-area-bound"]["pass"] is True
     for step in trace["steps"]:
         assert {"before", "after", "chosen_t", "endpoint"} <= set(step)
+    float_path = tmp_path / "float.json"
+    float_path.write_text(json.dumps(polytope_to_json(random_polytope(2, 10, 123, mode=FLOAT))))
+    assert main(["reduce-planar", "--input", str(float_path), "--lambda", "1/3",
+                 "--trace", str(tmp_path / "float-trace.json")]) == 3
 
 
 def test_cli_simplex_ratio_output(capsys):

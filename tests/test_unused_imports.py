@@ -1,7 +1,8 @@
-"""Every top-level import in the package and its tests is used.
+"""Every top-level import in the package and its tests is used, and every
+private top-level name in the package is read somewhere in the package.
 
 No linter ships with the toolkit, so this AST scan is the check: a deletion
-that leaves an import behind fails here.
+that leaves an import or a private helper behind fails here.
 """
 
 import ast
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "godbersen_kit").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "godbersen_kit").glob("*.py"))
+MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -28,12 +29,50 @@ def unused_imports(source):
     return [name for name in bound if name not in used]
 
 
+def unused_private_names(sources):
+    """Top-level ``_name``s (a def, a class or an assignment target, dunders
+    aside) defined in any of the sources that none of them reads, as a
+    name or as an attribute."""
+    defined = []
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys as system\nfrom a.b import c, d as e\n"
                           "from __future__ import annotations\nsystem.exit(c)\n") == [
         "os", "e"]
 
 
+def test_scan_finds_an_unused_private_name():
+    assert unused_private_names([
+        "_A = 1\n_B: int = 2\n_C, _D = 3, 4\n__all__ = []\nPUBLIC = _D\n"
+        "def _used():\n    return _A\n"
+        "class _Unused:\n    pass\n"
+        "def _helper():\n    pass\n",
+        "import m\nm._helper()\n_used()\n",
+    ]) == ["_B", "_C", "_Unused"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unused_private_names_in_the_package():
+    assert unused_private_names([path.read_text() for path in SRC]) == []
