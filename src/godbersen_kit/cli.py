@@ -15,14 +15,13 @@ Exit codes: 0 — success; 2 — a proved inequality failed beyond tolerance;
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import GodbersenKitError
 from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import polytope_from_json, polytope_to_json, scaled_reflected_join, volume
-from .scalars import rational, scalar_to_json
+from .scalars import exact_scalar, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 EXPERIMENT_COMMANDS = ("godbersen", "gfr", "kl", "strange", "ckl", "functional")
@@ -30,12 +29,10 @@ EXPERIMENT_COMMANDS = ("godbersen", "gfr", "kl", "strange", "ckl", "functional")
 
 def _parse_lambda(text, *, exact=False):
     """Parse "P/Q" or a decimal literal; exact=True always yields a rational."""
-    frac = Fraction(text)
-    if exact or "/" in text:
-        return rational(frac.numerator, frac.denominator)
-    if "." in text or "e" in text or "E" in text:
+    frac = exact_scalar(text)
+    if not exact and "/" not in text and any(c in text for c in ".eE"):
         return float(text)
-    return rational(frac.numerator, frac.denominator)
+    return frac
 
 
 def _load_json(path):

@@ -77,6 +77,7 @@ FLAVORS = ("hull-of-gaussians", "hull-of-sphere-points", "perturbed-simplex")
 SEED_STRIDE = 1_000_003
 PAIR_SEED_OFFSET = 524_287
 MAX_SEARCH_PROBES = 64
+COORDINATE_DENOMINATOR = 1 << 20
 CSV_COLUMNS = ("kind", "n", "j", "lambda", "theta", "seed", "trial",
                "lhs", "rhs", "ratio", "pass")
 
@@ -103,7 +104,10 @@ def _grid_value(value, mode):
     if isinstance(value, bool):
         raise ValueError("grid entries must be numbers, got %r" % value)
     # In exact mode a float is an exact dyadic rational; keep it exact.
-    out = value if isinstance(value, float) and mode == FLOAT else Fraction(value)
+    if isinstance(value, float):
+        out = value if mode == FLOAT else Fraction(value)
+    else:
+        out = as_scalar(value, EXACT)
     if not 0 <= out <= 1:
         raise ValueError("grid entry %s outside [0, 1]" % value)
     return out
@@ -243,13 +247,14 @@ class ExperimentConfig:
 # random bodies
 
 
-def _raw_points(rng, n, m, flavor, perturbation, denominator):
+def _raw_points(rng, n, m, flavor, perturbation):
     if flavor == "perturbed-simplex":
         eps = rational(1, 8) if perturbation is None else as_scalar(perturbation, EXACT)
         pts = []
         for i in range(n + 1):
             base = tuple(rational(1 if j == i - 1 else 0) for j in range(n))
-            jitter = tuple(rationalize(rng.gauss(0.0, 1.0), denominator) for _ in range(n))
+            jitter = tuple(rationalize(rng.gauss(0.0, 1.0), COORDINATE_DENOMINATOR)
+                           for _ in range(n))
             pts.append(tuple(b + eps * d for b, d in zip(base, jitter)))
         return pts
     pts = []
@@ -261,12 +266,12 @@ def _raw_points(rng, n, m, flavor, perturbation, denominator):
                 raw = [1.0] + [0.0] * (n - 1)
                 norm = 1.0
             raw = [c / norm for c in raw]
-        pts.append(tuple(rationalize(c, denominator) for c in raw))
+        pts.append(tuple(rationalize(c, COORDINATE_DENOMINATOR) for c in raw))
     return pts
 
 
 def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
-                    perturbation=None, denominator=1 << 20):
+                    perturbation=None):
     """Deterministic seeded random body: centered, volume ~= 1.
 
     Coordinates are rationalized before the hull is taken, so the body is
@@ -296,14 +301,14 @@ def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
     rng = random.Random(seed)
     last = None
     for _ in range(10):
-        pts = _raw_points(rng, n, m, flavor, perturbation, denominator)
+        pts = _raw_points(rng, n, m, flavor, perturbation)
         try:
             body = convex_hull(pts, EXACT)
         except DegenerateInput as exc:
             last = exc
             continue
         body = translate(body, tuple(-c for c in centroid(body)))
-        factor = rationalize(float(volume(body)) ** (-1.0 / n), denominator)
+        factor = rationalize(float(volume(body)) ** (-1.0 / n), COORDINATE_DENOMINATOR)
         if factor > 0:
             body = scale_polytope(body, factor)
         return as_float_body(body) if mode == FLOAT else body

@@ -47,10 +47,6 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
@@ -115,25 +111,17 @@ def slide_interval(K, vertex_index):
     return _interval(cyc, vertex_index % len(cyc))
 
 
-def _slide_vertices(cyc, i2, t):
-    x1, x3 = cyc[i2 - 1], cyc[(i2 + 1) % len(cyc)]
-    u = _sub(x3, x1)
-    x2 = cyc[i2]
-    p = (x2[0] + t * u[0], x2[1] + t * u[1])
-    verts = list(cyc)
-    verts[i2] = p
-    return verts, u, p
-
-
-def _recentered(vertices, theta, t, u):
-    shift = (-theta * t * u[0], -theta * t * u[1])
-    moved = [(v[0] + shift[0], v[1] + shift[1]) for v in vertices]
-    return convex_hull(moved, EXACT), shift
-
-
-def _theta(cyc, i2, area):
+def _slid(cyc, i2, t, area):
+    """The polygon with cyc[i2] slid by t along its chord, recentered, and
+    the recentering shift.  The slide moves the centroid by theta*t*u, with
+    theta = area(x1, x2, x3) / (3 * area)."""
     x1, x2, x3 = cyc[i2 - 1], cyc[i2], cyc[(i2 + 1) % len(cyc)]
-    return abs(_cross(_sub(x2, x1), _sub(x3, x1))) / (6 * area)
+    u = _sub(x3, x1)
+    theta = abs(_cross(_sub(x2, x1), u)) / (6 * area)
+    shift = (-theta * t * u[0], -theta * t * u[1])
+    moved = [(v[0] + shift[0], v[1] + shift[1]) for v in cyc]
+    moved[i2] = (x2[0] + t * u[0] + shift[0], x2[1] + t * u[1] + shift[1])
+    return convex_hull(moved, EXACT), shift
 
 
 def slide_vertex(K, vertex_index, t):
@@ -144,12 +132,7 @@ def slide_vertex(K, vertex_index, t):
     _require_polygon(K)
     _require_centered(K)
     cyc = _cycle(K)
-    i2 = vertex_index % len(cyc)
-    area = volume(K)
-    verts, u, _ = _slide_vertices(cyc, i2, t)
-    theta = _theta(cyc, i2, area)
-    P, _ = _recentered(verts, theta, t, u)
-    return P
+    return _slid(cyc, vertex_index % len(cyc), t, volume(K))[0]
 
 
 @dataclass(frozen=True)
@@ -187,51 +170,25 @@ def _objective(P, lam):
     return volume(scaled_reflected_join(P, lam))
 
 
-def _absorbed_endpoint_vertices(cyc, i2, t, endpoint):
-    """Vertex list at an endpoint with the absorbed vertex deleted
-    symbolically: the slid vertex lands on a neighbouring edge line, making
-    one of the three collinear points redundant."""
-    n = len(cyc)
-    verts, u, p = _slide_vertices(cyc, i2, t)
-    if endpoint == "alpha":
-        x1, xN = cyc[i2 - 1], cyc[i2 - 2]
-        # x1 lies between xN and the slid vertex: drop x1; otherwise the
-        # slid vertex landed on the edge itself and is the redundant one
-        if _dot(_sub(x1, xN), _sub(p, x1)) >= 0:
-            drop = (i2 - 1) % n
-        else:
-            drop = i2
-    else:
-        x3, x4 = cyc[(i2 + 1) % n], cyc[(i2 + 2) % n]
-        if _dot(_sub(x4, x3), _sub(x3, p)) >= 0:
-            drop = (i2 + 1) % n
-        else:
-            drop = i2
-    return [v for i, v in enumerate(verts) if i != drop], u
-
-
 def remove_vertex_step(K, lam, vertex_index):
-    """Slide one vertex to the endpoint with the larger join area and
-    absorb the collinear vertex there, recentering to keep the centroid at
-    the origin.  Area is preserved and the join area never decreases."""
+    """Slide one vertex to the endpoint with the larger join area, where
+    the hull absorbs the collinear neighbour, recentering to keep the
+    centroid at the origin.  Area is preserved and the join area never
+    decreases."""
     _require_polygon(K)
     _require_centered(K)
     cyc = _cycle(K)
-    return _step(K, cyc, lam, vertex_index % len(cyc))
+    return _step(K, cyc, lam, vertex_index % len(cyc), _objective(K, lam))
 
 
-def _step(K, cyc, lam, i2):
-    """remove_vertex_step on the ccw cycle of K."""
-    lam = exact_scalar(lam)
+def _step(K, cyc, lam, i2, obj_before):
+    """remove_vertex_step on the ccw cycle of K, whose join area is
+    obj_before."""
     alpha, beta = _interval(cyc, i2)
     area = volume(K)
-    theta = _theta(cyc, i2, area)
-    obj_before = _objective(K, lam)
-
     candidates = []
     for endpoint, t in (("alpha", alpha), ("beta", beta)):
-        verts, u = _absorbed_endpoint_vertices(cyc, i2, t, endpoint)
-        after, shift = _recentered(verts, theta, t, u)
+        after, shift = _slid(cyc, i2, t, area)
         candidates.append((endpoint, t, after, shift, _objective(after, lam)))
 
     best = candidates[1] if candidates[1][4] > candidates[0][4] else candidates[0]
@@ -249,6 +206,12 @@ def _step(K, cyc, lam, i2):
     )
 
 
+def _centered(K):
+    """K translated so that its centroid is the origin."""
+    c = centroid(K)
+    return translate(K, tuple(-x for x in c)) if any(x != 0 for x in c) else K
+
+
 def reduce_to_triangle(K, lam):
     """Remove vertices one by one until a triangle remains.
 
@@ -259,19 +222,16 @@ def reduce_to_triangle(K, lam):
     objective is non-decreasing along the chain.
     """
     _require_polygon(K)
-    c = centroid(K)
-    P = translate(K, tuple(-x for x in c)) if any(x != 0 for x in c) else K
+    P = _centered(K)
+    obj = _objective(P, lam)
     steps = []
     while len(P.vertices) > 3:
         _require_centered(P)
         cyc = ccw_vertices(P)
-        widths = []
-        for i in range(len(cyc)):
-            alpha, beta = _interval(cyc, i)
-            widths.append((beta - alpha, i))
-        step = _step(P, cyc, lam, min(widths)[1])
+        widths = [beta - alpha for alpha, beta in (_interval(cyc, i) for i in range(len(cyc)))]
+        step = _step(P, cyc, lam, widths.index(min(widths)), obj)
         steps.append(step)
-        P = step.after
+        P, obj = step.after, step.objective_after
     return steps
 
 
@@ -279,8 +239,7 @@ def verify_planar_gfr(K, lam):
     """Check the planar bound: after centering at the centroid, the join
     area is at most the centered-triangle value at equal area."""
     _require_polygon(K)
-    c = centroid(K)
-    P = translate(K, tuple(-x for x in c)) if any(x != 0 for x in c) else K
+    P = _centered(K)
     lam = exact_scalar(lam)
     formula = simplex_hull_ratio(2, lam)
     area = volume(P)
@@ -291,7 +250,7 @@ def verify_planar_gfr(K, lam):
         "lambda": lam,
         "area": area,
         "vertex_count": len(P.vertices),
-        "centroid_shift": list(c),
+        "centroid_shift": list(centroid(K)),
         "formula_k": list(formula.k),
     }
     return CheckReport(lhs, rhs, ratio, 0, bool(lhs <= rhs), meta)

@@ -536,7 +536,7 @@ def scaled_reflected_join(K, lam):
         return K
     if lam == 1:
         return negate(K)
-    return convex_hull_union(scale_polytope(K, 1 - lam), scale_polytope(K, -lam))
+    return convex_hull([vscale(v, s) for s in (1 - lam, -lam) for v in K.vertices], K.mode)
 
 
 # ---------------------------------------------------------------------------

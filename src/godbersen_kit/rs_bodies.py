@@ -7,7 +7,6 @@ checkable volume identities and feeds the product-volume inequalities.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateInput,
@@ -18,7 +17,6 @@ from .errors import (
 )
 from .polytopes import (
     HPolytope,
-    VPolytope,
     contains_point,
     contains_polytope,
     convex_hull,
@@ -30,7 +28,6 @@ from .polytopes import (
     polar_body,
     scale_polytope,
     scaled_reflected_join,
-    to_hrep,
     to_vrep,
     volume,
 )
@@ -38,13 +35,6 @@ from .reports import CheckReport, comparison_report
 from .scalars import EXACT, as_scalar, rational
 
 MAX_BASE_DIM = 4
-
-
-@dataclass(frozen=True)
-class CKLBody:
-    base_K: VPolytope
-    base_L: VPolytope
-    body: VPolytope
 
 
 def _zero(n, mode):
@@ -69,7 +59,7 @@ def build_C(K, L):
     one = as_scalar(1, K.mode)
     pts = [v + (zero,) for v in L.vertices]
     pts += [tuple(-c for c in w) + (one,) for w in K.vertices]
-    return CKLBody(K, L, convex_hull(pts, K.mode))
+    return convex_hull(pts, K.mode)
 
 
 def _section(P, axes, fixed, message):
@@ -92,10 +82,9 @@ def _section(P, axes, fixed, message):
 def slice_of_C(C, theta):
     """The height-theta slice of the joined body, as an n-dim polytope in
     the chart that drops the height coordinate."""
-    body = C.body if isinstance(C, CKLBody) else C
-    n = body.dim - 1
-    theta = as_scalar(theta, body.mode)
-    H = _section(body, range(n), ((n, theta),), "slice height outside the body")
+    n = C.dim - 1
+    theta = as_scalar(theta, C.mode)
+    H = _section(C, range(n), ((n, theta),), "slice height outside the body")
     try:
         return to_vrep(H)
     except EmptyIntersection:
@@ -166,13 +155,12 @@ def _scaled_intersection(K, L, theta):
     and no LP is needed to find an interior point."""
     if theta == 0 or theta == 1:
         return HPolytope(K.dim, K.mode, (), empty=False, full_dim=False)
-    A = to_hrep(scale_polytope(K, theta))
-    B = to_hrep(scale_polytope(L, 1 - theta))
-    cut = HPolytope(K.dim, K.mode, A.halfspaces + B.halfspaces,
-                    interior_point=_zero(K.dim, K.mode))
-    if all(offset > cut.eps for _, offset in cut.halfspaces):
+    halfspaces = tuple((f.outward_normal, f.offset * s)
+                       for P, s in ((K, theta), (L, 1 - theta)) for f in P.facets)
+    cut = HPolytope(K.dim, K.mode, halfspaces, interior_point=_zero(K.dim, K.mode))
+    if all(offset > cut.eps for _, offset in halfspaces):
         return cut
-    return intersect(A, B)
+    return intersect(cut)
 
 
 def verify_ckl_bound(K, L, theta):
@@ -185,8 +173,7 @@ def verify_ckl_bound(K, L, theta):
     theta = as_scalar(theta, K.mode)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
-    C = build_C(K, L)
-    lhs = volume(C.body)
+    lhs = volume(build_C(K, L))
     I = _scaled_intersection(K, L, theta)
     if I.empty or not I.full_dim:
         return CheckReport(
@@ -335,9 +322,8 @@ def verify_layered_lower_bound(K, L):
     if not (contains_point(K, origin) and contains_point(L, origin)):
         raise OriginNotContained("both bodies must contain the origin")
     join = convex_hull_union(negate(K), L)
-    C = build_C(K, L)
     lhs = volume(join) / as_scalar(n + 1, mode)
-    rhs = volume(C.body)
+    rhs = volume(build_C(K, L))
     return comparison_report(
         lhs, rhs, tol=_tol_for(mode, rhs), meta={"n": n, "join_volume": volume(join)}
     )

@@ -33,14 +33,18 @@ def rational(numerator, denominator=1):
 
 
 def exact_scalar(x):
-    """Coerce ``x`` to an exact rational; floats are refused."""
+    """Coerce ``x`` to an exact rational; floats are refused, and a zero
+    denominator ("1/0") raises ValueError."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, float):
         raise TypeError(
             "refusing to coerce float %r into exact arithmetic; use rationalize()" % x
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
 
 
 def float_scalar(x):

@@ -31,6 +31,7 @@ from godbersen_kit.polytopes import (
     centroid,
     contains_point,
     cube,
+    polytope_from_json,
     polytope_to_json,
     scaled_reflected_join,
     translate,
@@ -101,7 +102,7 @@ def test_random_polytope_rejects_bad_arguments():
 def test_random_polytope_surfaces_degenerate_after_retries(monkeypatch):
     calls = [0]
 
-    def collinear(rng, n, m, flavor, perturbation, denominator):
+    def collinear(rng, n, m, flavor, perturbation):
         calls[0] += 1
         return [(rational(i), rational(i)) for i in range(m)]
 
@@ -222,6 +223,8 @@ def test_config_rejects_invalid_fields():
         dict(kind="godbersen", n=2, seed="abc"),
         dict(kind="gfr", n=2, lambda_grid=(1.5,)),
         dict(kind="gfr", n=2, lambda_grid=()),
+        dict(kind="gfr", n=2, lambda_grid=("1/0",)),
+        dict(kind="kl", n=2, theta_grid=("1/0",), mode=FLOAT),
         dict(kind="godbersen", n=3, j_list=(0,)),
         dict(kind="godbersen", n=3, j_list=(3,)),
         dict(kind="kl", n=2, j_list=(1,)),
@@ -568,6 +571,27 @@ def test_cli_config_errors_exit_3(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"kind": "kl", "n": 99}))
     assert main(["kl", "--config", str(invalid)]) == 3
+
+
+def test_cli_zero_denominators_exit_3(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "gfr", "n": 2, "lambda_grid": ["1/0"],
+                               "output_path": str(tmp_path / "out")}))
+    assert main(["gfr", "--config", str(cfg)]) == 3
+    square = {"dim": 2, "mode": "exact",
+              "vertices": [["-1", "-1"], ["1", "-1"], ["1", "1"], ["-1", "1"]]}
+    good = tmp_path / "square.json"
+    good.write_text(json.dumps(square))
+    assert main(["reduce-planar", "--input", str(good), "--lambda", "1/0",
+                 "--trace", str(tmp_path / "t1.json")]) == 3
+    square["vertices"][0][0] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
+        polytope_from_json(square)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(square))
+    assert main(["reduce-planar", "--input", str(bad), "--lambda", "1/3",
+                 "--trace", str(tmp_path / "t2.json")]) == 3
+    assert not (tmp_path / "t1.json").exists() and not (tmp_path / "t2.json").exists()
 
 
 def test_cli_reduce_planar_trace(tmp_path):

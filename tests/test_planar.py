@@ -107,17 +107,34 @@ def test_slide_preserves_area_and_centroid_inside_interval():
             assert all(c == 0 for c in centroid(Q))
 
 
+def _absorbed_hull(P, i, t, drop):
+    """Oracle: the cycle of P with vertex i slid by t and vertex ``drop``
+    deleted, hulled and recentered independently of planar's own code."""
+    cyc = ccw_vertices(P)
+    n = len(cyc)
+    x1, x2, x3 = cyc[i - 1], cyc[i], cyc[(i + 1) % n]
+    u = (x3[0] - x1[0], x3[1] - x1[1])
+    slid = list(cyc)
+    slid[i] = (x2[0] + t * u[0], x2[1] + t * u[1])
+    Q = convex_hull([v for j, v in enumerate(slid) if j != drop % n], EXACT)
+    return translate(Q, tuple(-c for c in centroid(Q)))
+
+
 def test_endpoint_deletion_matches_hull_oracle():
-    # the symbolically deleted vertex must be exactly the one the hull
-    # canonicalization would drop from the full slid vertex list
+    # at alpha the slid vertex lands on the line through x1's other edge and
+    # absorbs x1; at beta it absorbs x3; the slid vertex itself stays
     rng = random.Random(29)
     for _ in range(12):
         P = random_centered_polygon(rng, 9)
         i = rng.randrange(len(P.vertices))
+        alpha, beta = slide_interval(P, i)
+        for t, drop in ((alpha, i - 1), (beta, i + 1)):
+            expected = _absorbed_hull(P, i, t, drop)
+            assert len(expected.vertices) == len(P.vertices) - 1
+            assert slide_vertex(P, i, t).vertices == expected.vertices
         step = remove_vertex_step(P, rational(2, 5), i)
-        full = slide_vertex(P, i, step.chosen_t)
-        assert full.vertices == step.after.vertices
-        assert len(step.after.vertices) == len(P.vertices) - 1
+        drop = i - 1 if step.endpoint == "alpha" else i + 1
+        assert step.after.vertices == _absorbed_hull(P, i, step.chosen_t, drop).vertices
 
 
 def test_float_polygons_are_refused():
@@ -228,6 +245,23 @@ def test_reduce_sorts_the_cycle_once_per_round(monkeypatch):
     steps = reduce_to_triangle(P, rational(1, 3))
     assert len(steps) == len(P.vertices) - 3
     assert calls == [len(s.before.vertices) for s in steps]
+
+
+def test_reduce_builds_each_join_once(monkeypatch):
+    # one join for the centered input, then one per endpoint candidate: a
+    # step's join area after is the next step's area before
+    calls = []
+    original = planar.scaled_reflected_join
+
+    def counting(P, lam):
+        calls.append(P)
+        return original(P, lam)
+
+    monkeypatch.setattr(planar, "scaled_reflected_join", counting)
+    P = random_centered_polygon(random.Random(59), 10)
+    steps = reduce_to_triangle(P, rational(1, 3))
+    assert len(steps) >= 2
+    assert len(calls) == 1 + 2 * len(steps)
 
 
 def test_step_trace_is_json_serializable():

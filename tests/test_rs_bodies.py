@@ -53,7 +53,7 @@ def assert_layered(K, L, C):
     zero, one = Q(0), Q(1)
     layers = [v + (zero,) for v in L.vertices]
     layers += [tuple(-c for c in w) + (one,) for w in K.vertices]
-    assert list(C.body.vertices) == sorted(layers)
+    assert list(C.vertices) == sorted(layers)
     assert slice_of_C(C, zero) == L
     assert slice_of_C(C, one) == negate(K)
     for theta in (Q(1, 4), Q(1, 2), Q(3, 4)):
@@ -79,10 +79,10 @@ def test_build_c_segment():
     seg = cube(1, low=-1, high=1)
     C = build_C(seg, seg)
     assert_layered(seg, seg, C)
-    assert volume(C.body) == 2
+    assert volume(C) == 2
     # direct 2-d hull oracle
     direct = convex_hull([(-1, 0), (1, 0), (-1, 1), (1, 1)], "exact")
-    assert C.body == direct
+    assert C == direct
     for theta in (Q(0), Q(1, 3), Q(1)):
         s = slice_of_C(C, theta)
         assert volume(s) == 2
@@ -108,7 +108,7 @@ def test_build_c_volume_matches_slice_quadrature():
         theta = Q(2 * i + 1, 2 * steps)
         total += volume(slice_of_C(C, theta))
     estimate = total / steps
-    exact = volume(C.body)
+    exact = volume(C)
     assert abs(float(estimate - exact)) <= 1e-3 * float(exact)
 
 
@@ -117,8 +117,8 @@ def test_build_c_layer_vertices():
     L = standard_simplex(2)
     C = build_C(K, L)
     assert_layered(K, L, C)
-    assert len(C.body.vertices) == len(K.vertices) + len(L.vertices)
-    heights = {v[-1] for v in C.body.vertices}
+    assert len(C.vertices) == len(K.vertices) + len(L.vertices)
+    heights = {v[-1] for v in C.vertices}
     assert heights == {Q(0), Q(1)}
 
 

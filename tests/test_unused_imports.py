@@ -1,5 +1,7 @@
-"""Every top-level import in the package and its tests is used, and every
-private top-level name in the package is read somewhere in the package.
+"""Every top-level import in the package and its tests is used, every
+private top-level name in the package is read somewhere in the package,
+and every field of a package dataclass is read as an attribute somewhere
+in the package or its tests.
 
 No linter ships with the toolkit, so this AST scan is the check: a deletion
 that leaves an import or a private helper behind fails here.
@@ -53,6 +55,27 @@ def unused_private_names(sources):
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass")
+
+
+def unread_dataclass_fields(sources, readers):
+    """``Class.field`` for each annotated field of a ``@dataclass`` class in
+    ``sources`` that no module in ``readers`` reads as an attribute."""
+    fields = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += ["%s.%s" % (node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [field for field in fields if field.split(".")[1] not in read]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys as system\nfrom a.b import c, d as e\n"
                           "from __future__ import annotations\nsystem.exit(c)\n") == [
@@ -69,6 +92,15 @@ def test_scan_finds_an_unused_private_name():
     ]) == ["_B", "_C", "_Unused"]
 
 
+def test_scan_finds_an_unread_dataclass_field():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "@dataclasses.dataclass\nclass B:\n    z: int\n"
+              "class Plain:\n    w: int\n")
+    reader = "def f(a, b, p):\n    a.y = p.w\n    return b.z\n"
+    assert unread_dataclass_fields([source], [source, reader]) == ["A.x", "A.y"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -76,3 +108,8 @@ def test_no_unused_top_level_imports(path):
 
 def test_no_unused_private_names_in_the_package():
     assert unused_private_names([path.read_text() for path in SRC]) == []
+
+
+def test_no_unread_dataclass_fields_in_the_package():
+    readers = [path.read_text() for path in MODULES]
+    assert unread_dataclass_fields([path.read_text() for path in SRC], readers) == []
