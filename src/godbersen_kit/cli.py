@@ -70,7 +70,7 @@ def _reduce_planar_command(args):
     lam = _parse_lambda(args.lam, exact=True)
     steps = reduce_to_triangle(body, lam)
     final = steps[-1].after if steps else body
-    report = verify_planar_gfr(body, lam)
+    report = verify_planar_gfr(body, lam, steps[0].objective_before if steps else None)
     trace = {
         "input": polytope_to_json(body),
         "lambda": scalar_to_json(lam),

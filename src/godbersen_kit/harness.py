@@ -697,8 +697,11 @@ def _planar_trial(config, trial):
         ok_monotone = all(s.objective_after >= s.objective_before for s in steps)
         ok_chain = all(steps[i].objective_before == steps[i - 1].objective_after
                        for i in range(1, len(steps)))
-        final_obj = (steps[-1].objective_after if steps
+        # The centered input's join area; a triangle has no chain, but
+        # random_polytope has centered the body already.
+        start_obj = (steps[0].objective_before if steps
                      else volume(scaled_reflected_join(body, _grid_value(lam, EXACT))))
+        final_obj = steps[-1].objective_after if steps else start_obj
         bound = simplex_hull_ratio(2, lam).ratio * area
         base = comparison_report(final_obj, bound, tol=0, meta={
             "lambda": lam,
@@ -713,7 +716,7 @@ def _planar_trial(config, trial):
         all_ok = (base.passed and ok_area and ok_centroid and ok_counts
                   and ok_monotone and ok_chain)
         chain = dataclasses.replace(base, passed=bool(all_ok))
-        direct = verify_planar_gfr(body, lam)
+        direct = verify_planar_gfr(body, lam, start_obj)
         for check, report in (("triangle-reduction-chain", chain), ("hull-area-bound", direct)):
             records.append(_record(config, trial, report, check=check, hard=True, lam=lam,
                                    bodies=[body]))

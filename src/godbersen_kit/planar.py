@@ -235,15 +235,17 @@ def reduce_to_triangle(K, lam):
     return steps
 
 
-def verify_planar_gfr(K, lam):
+def verify_planar_gfr(K, lam, join_area=None):
     """Check the planar bound: after centering at the centroid, the join
-    area is at most the centered-triangle value at equal area."""
+    area is at most the centered-triangle value at equal area.  A caller
+    that holds the centered polygon's join area (a reduction chain's first
+    ``objective_before``) passes it as ``join_area``."""
     _require_polygon(K)
     P = _centered(K)
     lam = exact_scalar(lam)
     formula = simplex_hull_ratio(2, lam)
     area = volume(P)
-    lhs = _objective(P, lam)
+    lhs = _objective(P, lam) if join_area is None else join_area
     rhs = formula.ratio * area
     ratio = lhs / rhs if rhs != 0 else None
     meta = {

@@ -5,7 +5,10 @@ The hull is an incremental beneath-beyond insertion; all downstream
 quantities (volume, centroid, facet structure) fall out of the same
 boundary triangulation.  One integer kernel serves both modes: a float
 is a dyadic rational, so a float hull is the exact hull of its inputs'
-binary values, with its scalars rounded once on the way out.
+binary values, with its scalars rounded once on the way out.  The kernel
+reads each point as ints over its own denominator (a per-point weight w,
+a power of two for a float) and scales to one common denominator only for
+the volume fan.
 :func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
 volumes and the translation search's probes alike.
 
@@ -144,123 +147,158 @@ class HPolytope:
 # hull construction
 
 
-def _integer_points(points, d):
-    """Points as ints, scaled by S = (d+1) * lcm(denominators).
-
-    Every coordinate is read through ``as_integer_ratio()``, so a float
-    enters at its exact binary value.  S > 0, so order, deduplication and
-    affine independence are unchanged, and the factor d+1 makes the
-    centroid of any d+1 of them integral too.  Returns (int points, S).
-    """
-    ratios = [[c.as_integer_ratio() for c in p] for p in points]
-    scale = (d + 1) * math.lcm(*(q for r in ratios for _, q in r))
-    return [tuple(n * (scale // q) for n, q in r) for r in ratios], scale
+def _homogeneous(p):
+    """The point p as (X, w): w is the lcm of its own coordinates'
+    denominators and X = p * w, as ints.  Every coordinate is read through
+    ``as_integer_ratio()``, so a float enters at its exact binary value."""
+    ratios = [c.as_integer_ratio() for c in p]
+    w = math.lcm(*(q for _, q in ratios))
+    return tuple(n * (w // q) for n, q in ratios), w
 
 
-def _affine_basis(pts, d):
-    """Indices of d+1 affinely independent points, or None."""
+def _affine_basis(hpts, d):
+    """Indices of d+1 affinely independent points, or None.  Points are
+    affinely independent exactly when their (X, w) are linearly independent,
+    so the greedy choice is the one the differences p_i - p_0 would make."""
     tracker = RankTracker()
-    chosen = [0]
-    for i in range(1, len(pts)):
-        if tracker.add(vsub(pts[i], pts[0])):
+    chosen = []
+    for i, (X, w) in enumerate(hpts):
+        if tracker.add(X + (w,)):
             chosen.append(i)
             if len(chosen) == d + 1:
                 return chosen
     return None
 
 
-def _facet_plane(pts, verts, interior):
-    """Primitive integer plane through the facet, facing away from interior."""
-    normal, offset = hyperplane_through([pts[i] for i in verts])
-    # Dividing the cofactors by their gcd leaves the primitive normal, which
-    # is already the canonical form of the plane.
-    g = math.gcd(*normal)
-    if g > 1:
-        normal = tuple(c // g for c in normal)
-        offset //= g
-    if dot(normal, interior) > offset:
-        normal = tuple(-c for c in normal)
-        offset = -offset
-    return normal, offset
+def _simplex_planes(hpts, basis):
+    """(vertex indices, N, O) of each facet of the basis simplex, in the
+    order of the vertex it leaves out, facing away from that vertex."""
+    common = math.lcm(*(hpts[i][1] for i in basis))
+    ys = {i: tuple(c * (common // hpts[i][1]) for c in hpts[i][0]) for i in basis}
+    planes = []
+    for opposite in basis:
+        verts = tuple(i for i in basis if i != opposite)
+        # normal . (common * x) = offset on the facet.
+        normal, offset = hyperplane_through([ys[i] for i in verts])
+        normal = tuple(c * common for c in normal)
+        g = math.gcd(*normal, offset)
+        normal, offset = tuple(c // g for c in normal), offset // g
+        X, w = hpts[opposite]
+        if dot(normal, X) > offset * w:
+            normal, offset = tuple(-c for c in normal), -offset
+        planes.append((verts, normal, offset))
+    return planes
 
 
-def _hull_core(pts):
-    """Beneath-beyond insertion on distinct int points.
+def _hull_core(hpts):
+    """Beneath-beyond insertion on distinct homogeneous points (X, w).
 
-    Returns (sorted points, simplicial facets, interior point).  Simplicial
-    facets triangulate the boundary, each with its primitive plane.  Points
-    on the current boundary are skipped (they cannot be extreme for the
-    full set).
+    Returns (basis, simplices): the indices of the first simplex, and
+    simplicial facets (sorted vertex indices, N, O) that triangulate the
+    boundary.  A plane is a primitive integer (N, O), and a point lies
+    beyond it when h(p) = N.X - O w > 0.  Points on the current boundary
+    are skipped (they cannot be extreme for the full set).
+
+    Only the first simplex's planes are solved for.  A facet that a new
+    point p raises over a horizon ridge, between the visible facet pi1 and
+    its hidden neighbour pi2, is the pencil h1(p) pi2 - h2(p) pi1 (the
+    hyperplane rotation of gift wrapping): it vanishes on the ridge and at
+    p, and since h1(p) > 0 >= h2(p) it is negative inside.
     """
-    d = len(pts[0])
-    if len(pts) < d + 1:
+    d = len(hpts[0][0])
+    if len(hpts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
-    pts.sort()
-    basis = _affine_basis(pts, d)
+    basis = _affine_basis(hpts, d)
     if basis is None:
         raise DegenerateInput("points span a lower-dimensional affine subspace")
-    return _insert_points(pts, basis)
-
-
-def _insert_points(pts, basis):
-    d = len(pts[0])
-    interior = tuple(sum(pts[i][c] for i in basis) // (d + 1) for c in range(d))
 
     facets = {}
+    ridges = {}  # ridge (d-1 sorted vertex indices) -> the two facets on it
     next_id = 0
-    for skip in range(d + 1):
-        verts = tuple(sorted(basis[j] for j in range(d + 1) if j != skip))
-        facets[next_id] = (verts, *_facet_plane(pts, verts, interior))
+
+    def add(verts, normal, offset):
+        nonlocal next_id
+        facets[next_id] = (verts, normal, offset)
+        for skip in range(d):
+            ridges.setdefault(verts[:skip] + verts[skip + 1 :], []).append(next_id)
         next_id += 1
 
+    for plane in _simplex_planes(hpts, basis):
+        add(*plane)
+
     in_simplex = set(basis)
-    for idx in range(len(pts)):
+    for idx, (X, w) in enumerate(hpts):
         if idx in in_simplex:
             continue
-        p = pts[idx]
-        visible = []
-        for fid, (verts, normal, offset) in facets.items():
-            if dot(normal, p) > offset:
-                visible.append(fid)
+        visible = {}
+        for fid, (_, normal, offset) in facets.items():
+            h = dot(normal, X) - offset * w
+            if h > 0:
+                visible[fid] = h
         if not visible:
             continue
-        ridge_count = {}
-        for fid in visible:
-            verts = facets[fid][0]
+        raised = []
+        for fid, h1 in visible.items():
+            verts, n1, o1 = facets[fid]
             for skip in range(d):
                 ridge = verts[:skip] + verts[skip + 1 :]
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+                a, b = ridges[ridge]
+                other = b if a == fid else a
+                if other in visible:
+                    continue
+                _, n2, o2 = facets[other]
+                h2 = dot(n2, X) - o2 * w
+                normal = tuple(h1 * c2 - h2 * c1 for c1, c2 in zip(n1, n2))
+                offset = h1 * o2 - h2 * o1
+                g = math.gcd(*normal, offset)
+                raised.append((tuple(sorted(ridge + (idx,))),
+                               tuple(c // g for c in normal), offset // g))
         for fid in visible:
-            del facets[fid]
-        for ridge, count in ridge_count.items():
-            if count != 1:
-                continue
-            verts = tuple(sorted(ridge + (idx,)))
-            facets[next_id] = (verts, *_facet_plane(pts, verts, interior))
-            next_id += 1
+            verts = facets.pop(fid)[0]
+            for skip in range(d):
+                ridge = verts[:skip] + verts[skip + 1 :]
+                owners = ridges[ridge]
+                owners.remove(fid)
+                if not owners:
+                    del ridges[ridge]
+        for plane in raised:
+            add(*plane)
 
-    return pts, list(facets.values()), interior
+    return basis, list(facets.values())
 
 
 def triangulate(points):
     """The integer kernel's triangulation of the boundary of conv(points).
 
     ``points`` are tuples of one mode's scalars, read at their exact values.
+    The kernel runs on each point's own denominator (see :func:`_hull_core`);
+    one common scale S = (d+1) * lcm(denominators) is formed for the fan.
     Returns (ints, scale, interior, simplices): ints[i] is points[i] times
-    the scale S, as ints; interior is an int point inside conv(ints); each
-    simplex is (vertex indices into ``points``, primitive outward normal,
-    offset), the first of equal points standing for all of them.  Raises
-    DegenerateInput when the points span less than their dimension.
+    S, as ints; interior is an int point inside conv(ints); each simplex is
+    (vertex indices into ``points``, primitive outward normal, offset), in
+    the scaled units, the first of equal points standing for all of them.
+    Raises DegenerateInput when the points span less than their dimension.
     """
-    ints, scale = _integer_points(points, len(points[0]))
+    d = len(points[0])
+    hpts = [_homogeneous(p) for p in points]
+    scale = (d + 1) * math.lcm(*(w for _, w in hpts))
+    ints = [tuple(c * (scale // w) for c in X) for X, w in hpts]
     first = {}  # int point -> index of its first input point
-    for i, w in enumerate(ints):
-        first.setdefault(w, i)
-    kernel, simplices, interior = _hull_core(list(first))
-    row = [first[w] for w in kernel].__getitem__
-    # Each simplex keeps its vertex order, so shared ridges still compare equal.
-    return ints, scale, interior, [(tuple(map(row, verts)), normal, offset)
-                                   for verts, normal, offset in simplices]
+    for i, y in enumerate(ints):
+        first.setdefault(y, i)
+    rows = sorted(first.values(), key=ints.__getitem__)
+    basis, simplices = _hull_core([hpts[i] for i in rows])
+    # The factor d+1 in S makes the centroid of the first simplex integral.
+    interior = tuple(sum(ints[rows[i]][c] for i in basis) // (d + 1) for c in range(d))
+    out = []
+    for verts, normal, offset in simplices:
+        # N.x = O scaled by S, with the normal made primitive on its own.
+        # Each simplex keeps its vertex order, so shared ridges still compare
+        # equal.
+        g = math.gcd(*normal)
+        out.append((tuple(rows[i] for i in verts), tuple(c // g for c in normal),
+                    offset * scale // g))
+    return ints, scale, interior, out
 
 
 def boundary_fan(ints, interior, simplices):
@@ -414,8 +452,19 @@ def contains_point(P, x, *, strict=False):
 
 
 def contains_polytope(P, Q):
-    """True iff every vertex of Q satisfies every facet half-space of P."""
-    return all(contains_point(P, v) for v in Q.vertices)
+    """True iff every vertex of Q satisfies every facet half-space of P.
+
+    In exact mode each vertex is read once as (X, w) and each facet as an
+    integer normal n with offset a/b, so the test b (n.X) <= a w runs on
+    ints."""
+    if P.mode != EXACT:
+        return all(contains_point(P, v) for v in Q.vertices)
+    planes = []
+    for f in P.facets:
+        normal, q = _homogeneous(f.outward_normal)
+        planes.append((normal, *(f.offset * q).as_integer_ratio()))
+    return all(b * dot(normal, X) <= a * w
+               for X, w in map(_homogeneous, Q.vertices) for normal, a, b in planes)
 
 
 def gauge(P, u):

@@ -1,27 +1,20 @@
-"""Joined cone bodies one dimension up, their slices, and the volume
-inequalities tying products, intersections, and polar sums together.
+"""Joined cone bodies one dimension up and the volume inequalities tying
+products, intersections, and polar sums together.
 
 The central object is C = conv(L at height 0, -K at height 1).  Its
-height-theta slice is (1-theta)L - theta*K, which turns Fubini into
-checkable volume identities and feeds the product-volume inequalities.
+height-theta slice is (1-theta)L - theta*K, which feeds the
+product-volume inequalities.
 """
 
 import math
 
-from .errors import (
-    DegenerateInput,
-    EmptyIntersection,
-    EmptySection,
-    OriginNotContained,
-    OriginNotInterior,
-)
+from .errors import OriginNotContained, OriginNotInterior
 from .polytopes import (
     HPolytope,
     contains_point,
     contains_polytope,
     convex_hull,
     convex_hull_union,
-    gauge,
     intersect,
     minkowski_sum,
     negate,
@@ -62,35 +55,6 @@ def build_C(K, L):
     return convex_hull(pts, K.mode)
 
 
-def _section(P, axes, fixed, message):
-    """P cut by the coordinates ``fixed`` ((index, value) pairs), as an
-    HPolytope in the chart of ``axes``.  A facet parallel to the cut either
-    contains it, and is dropped, or excludes it: EmptySection(message)."""
-    eps = P.eps
-    halfspaces = []
-    for f in P.facets:
-        normal = tuple(f.outward_normal[i] for i in axes)
-        offset = f.offset - sum(f.outward_normal[i] * value for i, value in fixed)
-        if all(abs(c) <= eps for c in normal):
-            if offset < -eps:
-                raise EmptySection(message)
-            continue
-        halfspaces.append((normal, offset))
-    return HPolytope(len(axes), P.mode, tuple(halfspaces))
-
-
-def slice_of_C(C, theta):
-    """The height-theta slice of the joined body, as an n-dim polytope in
-    the chart that drops the height coordinate."""
-    n = C.dim - 1
-    theta = as_scalar(theta, C.mode)
-    H = _section(C, range(n), ((n, theta),), "slice height outside the body")
-    try:
-        return to_vrep(H)
-    except EmptyIntersection:
-        raise EmptySection("slice is empty")
-
-
 def g_volume_closed_form(K, L):
     """Product-body volume in dimension 2n+1: Vol(K) Vol(L) n!n!/(2n+1)!."""
     if K.dim != L.dim or K.mode != L.mode:
@@ -100,51 +64,6 @@ def g_volume_closed_form(K, L):
         math.factorial(n) * math.factorial(n), math.factorial(2 * n + 1)
     )
     return volume(K) * volume(L) * as_scalar(factor, K.mode)
-
-
-def section_projection_check(P, axes, point=None):
-    """Section-projection inequality for an axis-aligned subspace.
-
-    E = {x : x_i = point_i for i not in axes}; H = P cap E measured in the
-    axes chart, the projection drops the axes coordinates.  Checks
-    j!(n-j)!/n! * Vol_j(H) * Vol_{n-j}(proj) <= Vol_n(P).
-    """
-    n = P.dim
-    axes = tuple(sorted(axes))
-    j = len(axes)
-    if not 1 <= j <= n - 1:
-        raise ValueError("need a proper nontrivial coordinate subspace")
-    if point is None:
-        point = _zero(n, P.mode)
-    other = tuple(i for i in range(n) if i not in axes)
-
-    H = _section(P, axes, tuple((i, point[i]) for i in other), "subspace misses the polytope")
-    flat_section = False
-    try:
-        section = to_vrep(H)
-        vol_section = volume(section)
-    except EmptyIntersection:
-        raise EmptySection("subspace misses the polytope")
-    except DegenerateInput:
-        flat_section = True
-        vol_section = as_scalar(0, P.mode)
-
-    proj_pts = [tuple(v[i] for i in other) for v in P.vertices]
-    projection = convex_hull(proj_pts, P.mode)
-    factor = as_scalar(
-        rational(math.factorial(j) * math.factorial(n - j), math.factorial(n)), P.mode
-    )
-    lhs = factor * vol_section * volume(projection)
-    rhs = volume(P)
-    meta = {
-        "n": n,
-        "axes": list(axes),
-        "section_volume": vol_section,
-        "projection_volume": volume(projection),
-        "flat_section": flat_section,
-        "equality_attained": bool(lhs == rhs) if P.mode == EXACT else None,
-    }
-    return comparison_report(lhs, rhs, tol=_tol_for(P.mode, rhs), meta=meta)
 
 
 def _scaled_intersection(K, L, theta):
@@ -228,28 +147,6 @@ def verify_KL_inequality(K, L, theta):
         "equality_attained": bool(abs(lhs - rhs) <= tol),
     }
     return comparison_report(lhs, rhs, tol=tol, meta=meta)
-
-
-def homothety_support_identity(K, L, theta, directions):
-    """At equality in the KL bound the bodies are homothets:
-    h_{L polar} = ((1-theta)/theta) h_{K polar} directionwise, i.e. the
-    gauges satisfy gauge_L(u) * (1-theta)/theta = ... = gauge_K-compatible.
-    Returns (all_hold, samples)."""
-    theta = as_scalar(theta, K.mode)
-    factor = (1 - theta) / theta
-    samples = []
-    ok = True
-    tol = 0 if K.mode == EXACT else 1e-9
-    for u in directions:
-        hk = gauge(K, u)
-        hl = gauge(L, u)
-        if hk is None or hl is None:
-            match = hk is None and hl is None
-        else:
-            match = abs(hl - factor * hk) <= tol * max(1, abs(hl))
-        samples.append((tuple(u), hk, hl))
-        ok = ok and match
-    return ok, samples
 
 
 def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3, 4))):

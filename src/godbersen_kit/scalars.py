@@ -6,9 +6,9 @@ Two modes exist everywhere in the package:
   kept reduced with positive denominator, so canonical form is free.
 * ``"float"``  -- IEEE float64 with tolerance-based predicates.
 
-The hull kernel serves both: it scales its points' exact values (a float
-is a dyadic rational) to Python ints, and converts only the values it
-returns.
+The hull kernel serves both: it reads each point's exact value (a float
+is a dyadic rational) as Python ints over the point's own denominator,
+and converts only the values it returns.
 
 Floats never silently enter exact arithmetic: :func:`exact_scalar` rejects
 them, and deliberate conversion goes through :func:`rationalize`.

@@ -2,7 +2,13 @@
 
 Everything here is deliberately naive: exhaustive scans and LPs instead of
 incremental geometry, Monte-Carlo instead of triangulation.  Slow is fine;
-sharing code with the implementation under test is not.
+sharing code with the implementation under test is not.  The common-scale
+kernel is the reference for the package's kernel on per-point weights: the
+same triangulation, on one common denominator with a plane solve per facet.
+
+The last section is different: checks of the paper's statements that only
+tests run (sections, slices, the KL homothety, the body K_t), built on the
+package's own hulls.
 """
 
 import itertools
@@ -10,11 +16,22 @@ import math
 
 import numpy as np
 
-from godbersen_kit.linalg import dot, solve, vsub
+from godbersen_kit.linalg import RankTracker, dot, hyperplane_through, solve, vsub
 from godbersen_kit.lp import OPTIMAL, simplex_max
-from godbersen_kit.errors import DegenerateInput
-from godbersen_kit.polytopes import Facet, VPolytope
-from godbersen_kit.scalars import EXACT, exact_scalar, rational
+from godbersen_kit.errors import DegenerateInput, EmptyIntersection, EmptySection
+from godbersen_kit.polytopes import (
+    Facet,
+    HPolytope,
+    VPolytope,
+    convex_hull,
+    gauge,
+    to_vrep,
+    volume,
+)
+from godbersen_kit.reports import comparison_report
+from godbersen_kit.rs_bodies import _tol_for, _zero
+from godbersen_kit.scalars import EXACT, as_scalar, exact_scalar, rational
+from godbersen_kit.simplexes import _admissible_k
 
 
 def is_convex_combination(p, others):
@@ -208,6 +225,68 @@ def reference_convex_hull(points):
                      tuple(w / total for w in weighted), interior)
 
 
+# ---------------------------------------------------------------------------
+# reference integer kernel: one common scale, one cofactor plane per facet
+
+
+def common_scale_triangulate(points):
+    """``polytopes.triangulate`` as it ran on one common denominator.
+
+    Every point is scaled by S = (d+1) * lcm(all denominators), and every
+    facet plane, not only the first simplex's, comes from the cofactors of
+    ``hyperplane_through``, made primitive and oriented by the interior
+    point.  Returns the same (ints, scale, interior, simplices).
+    """
+    d = len(points[0])
+    ratios = [[c.as_integer_ratio() for c in p] for p in points]
+    scale = (d + 1) * math.lcm(*(q for r in ratios for _, q in r))
+    ints = [tuple(n * (scale // q) for n, q in r) for r in ratios]
+    first = {}
+    for i, y in enumerate(ints):
+        first.setdefault(y, i)
+    pts = sorted(first)
+    if len(pts) < d + 1:
+        raise DegenerateInput("need at least d+1 distinct points")
+    tracker = RankTracker()
+    basis = [0]
+    for i in range(1, len(pts)):
+        if tracker.add(vsub(pts[i], pts[0])):
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    else:
+        raise DegenerateInput("points span a lower-dimensional affine subspace")
+    interior = tuple(sum(pts[i][c] for i in basis) // (d + 1) for c in range(d))
+
+    def plane(verts):
+        normal, offset = hyperplane_through([pts[i] for i in verts])
+        g = math.gcd(*normal)
+        normal, offset = tuple(c // g for c in normal), offset // g
+        if dot(normal, interior) > offset:
+            normal, offset = tuple(-c for c in normal), -offset
+        return verts, normal, offset
+
+    facets = [plane(tuple(b for j, b in enumerate(basis) if j != skip))
+              for skip in range(d + 1)]
+    for idx, p in enumerate(pts):
+        if idx in basis:
+            continue
+        visible = [f for f in facets if dot(f[1], p) > f[2]]
+        if not visible:
+            continue
+        ridges = {}
+        for verts, _, _ in visible:
+            for skip in range(d):
+                ridge = verts[:skip] + verts[skip + 1 :]
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        facets = [f for f in facets if not dot(f[1], p) > f[2]]
+        facets += [plane(tuple(sorted(ridge + (idx,))))
+                   for ridge, count in ridges.items() if count == 1]
+    row = [first[y] for y in pts]
+    return ints, scale, interior, [(tuple(row[v] for v in verts), normal, offset)
+                                   for verts, normal, offset in facets]
+
+
 def monte_carlo_volume(P_float, n_samples=1_000_000, seed=0):
     """Rejection sampling in the bounding box; returns (estimate, stderr)."""
     rng = np.random.default_rng(seed)
@@ -305,3 +384,162 @@ def unmerged_joint_dual_nodes(slope_sets, cap):
         idx = np.unique(np.linspace(0, len(u) - 1, cap).round().astype(int))
         u = u[idx]
     return u
+
+# ---------------------------------------------------------------------------
+# statements the package checks only in tests: axis sections and slices,
+# the KL homothety at equality, and the joined two-simplex body K_t
+
+
+def _section(P, axes, fixed, message):
+    """P cut by the coordinates ``fixed`` ((index, value) pairs), as an
+    HPolytope in the chart of ``axes``.  A facet parallel to the cut either
+    contains it, and is dropped, or excludes it: EmptySection(message)."""
+    eps = P.eps
+    halfspaces = []
+    for f in P.facets:
+        normal = tuple(f.outward_normal[i] for i in axes)
+        offset = f.offset - sum(f.outward_normal[i] * value for i, value in fixed)
+        if all(abs(c) <= eps for c in normal):
+            if offset < -eps:
+                raise EmptySection(message)
+            continue
+        halfspaces.append((normal, offset))
+    return HPolytope(len(axes), P.mode, tuple(halfspaces))
+
+
+def slice_of_C(C, theta):
+    """The height-theta slice of the joined body, as an n-dim polytope in
+    the chart that drops the height coordinate."""
+    n = C.dim - 1
+    theta = as_scalar(theta, C.mode)
+    H = _section(C, range(n), ((n, theta),), "slice height outside the body")
+    try:
+        return to_vrep(H)
+    except EmptyIntersection:
+        raise EmptySection("slice is empty")
+
+
+def section_projection_check(P, axes, point=None):
+    """Section-projection inequality for an axis-aligned subspace.
+
+    E = {x : x_i = point_i for i not in axes}; H = P cap E measured in the
+    axes chart, the projection drops the axes coordinates.  Checks
+    j!(n-j)!/n! * Vol_j(H) * Vol_{n-j}(proj) <= Vol_n(P).
+    """
+    n = P.dim
+    axes = tuple(sorted(axes))
+    j = len(axes)
+    if not 1 <= j <= n - 1:
+        raise ValueError("need a proper nontrivial coordinate subspace")
+    if point is None:
+        point = _zero(n, P.mode)
+    other = tuple(i for i in range(n) if i not in axes)
+
+    H = _section(P, axes, tuple((i, point[i]) for i in other), "subspace misses the polytope")
+    flat_section = False
+    try:
+        section = to_vrep(H)
+        vol_section = volume(section)
+    except EmptyIntersection:
+        raise EmptySection("subspace misses the polytope")
+    except DegenerateInput:
+        flat_section = True
+        vol_section = as_scalar(0, P.mode)
+
+    proj_pts = [tuple(v[i] for i in other) for v in P.vertices]
+    projection = convex_hull(proj_pts, P.mode)
+    factor = as_scalar(
+        rational(math.factorial(j) * math.factorial(n - j), math.factorial(n)), P.mode
+    )
+    lhs = factor * vol_section * volume(projection)
+    rhs = volume(P)
+    meta = {
+        "n": n,
+        "axes": list(axes),
+        "section_volume": vol_section,
+        "projection_volume": volume(projection),
+        "flat_section": flat_section,
+        "equality_attained": bool(lhs == rhs) if P.mode == EXACT else None,
+    }
+    return comparison_report(lhs, rhs, tol=_tol_for(P.mode, rhs), meta=meta)
+
+
+def homothety_support_identity(K, L, theta, directions):
+    """At equality in the KL bound the bodies are homothets,
+    L = (theta/(1-theta)) K, so gauge_L(u) = ((1-theta)/theta) gauge_K(u)
+    in every direction u (both None, +infinity, when u leaves both
+    recession cones).  Returns (all_hold, samples), a sample being
+    (u, gauge_K(u), gauge_L(u))."""
+    theta = as_scalar(theta, K.mode)
+    factor = (1 - theta) / theta
+    samples = []
+    ok = True
+    tol = 0 if K.mode == EXACT else 1e-9
+    for u in directions:
+        hk = gauge(K, u)
+        hl = gauge(L, u)
+        if hk is None or hl is None:
+            match = hk is None and hl is None
+        else:
+            match = abs(hl - factor * hk) <= tol * max(1, abs(hl))
+        samples.append((tuple(u), hk, hl))
+        ok = ok and match
+    return ok, samples
+
+
+def kt_ambient_vertices(n, t):
+    """Vertex data of the joined body in the ambient space, one dimension up.
+
+    Returns (simplex_vertices, reflected_vertices): e_1..e_{n+1} and
+    v_j = (1+t)a - t e_j, all on the hyperplane of coordinate sum 1.
+    """
+    t = exact_scalar(t)
+    es = [
+        tuple(rational(1 if i == j else 0) for j in range(n + 1)) for i in range(n + 1)
+    ]
+    a = tuple(rational(1, n + 1) for _ in range(n + 1))
+    vs = [
+        tuple((1 + t) * a[c] - t * es[j][c] for c in range(n + 1)) for j in range(n + 1)
+    ]
+    return es, vs
+
+
+def kt_facet_direction(n, k, t):
+    """The direction certifying the generic facet with k simplex vertices:
+    k entries of -t, then n-k ones, then (1+t)k - n."""
+    t = exact_scalar(t)
+    return tuple(
+        [-t] * k + [rational(1)] * (n - k) + [(1 + t) * k - n]
+    )
+
+
+def build_Kt(n, t):
+    """Hull of a simplex and its reflected t-scaled copy, as an exact
+    n-polytope in the affine chart that drops the last ambient coordinate.
+
+    The chart sends e_j -> e_j (j <= n) and e_{n+1} -> 0; volume ratios
+    against the chart simplex are chart-invariant.
+    """
+    t = exact_scalar(t)
+    if not (rational(1, n) <= t <= 1):
+        raise ValueError("t must lie in [1/n, 1]")
+    es, vs = kt_ambient_vertices(n, t)
+    chart_points = [p[:n] for p in es] + [v[:n] for v in vs]
+    return convex_hull(chart_points, EXACT)
+
+
+def chart_simplex(n):
+    """Image of the ambient simplex under the same chart: conv{0, e_1..e_n}."""
+    pts = [tuple(rational(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    pts.append(tuple(rational(0) for _ in range(n)))
+    return convex_hull(pts, EXACT)
+
+
+def kt_volume_ratio_formula(n, t):
+    """C(n,k) t^(n-k) with k admissible for t: (n+1)/(1+t) - 1 <= k <= (n+1)/(1+t)."""
+    t = exact_scalar(t)
+    ks = _admissible_k(n, rational(n + 1) / (1 + t))
+    ratios = [rational(math.comb(n, k)) * t ** (n - k) for k in ks]
+    for r in ratios[1:]:
+        assert r == ratios[0], "tie expressions must coincide"
+    return ks, ratios[0]

@@ -1,0 +1,176 @@
+"""Differential test: ``polytopes.triangulate``, which runs on each point's
+own denominator and takes every facet plane after the first simplex from
+the pencil through its horizon ridge, against the common-scale cofactor
+kernel in ``oracles.common_scale_triangulate``.
+
+The two must return identical (ints, scale, interior, simplices), simplex
+order included, on random and non-simplicial clouds, on the hull clouds of
+the exact sweeps (polar chains whose denominators do not nest), and on the
+float clouds of the translation search.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from godbersen_kit import harness, mixed, polytopes
+from godbersen_kit.errors import DegenerateInput
+from godbersen_kit.polytopes import (
+    _homogeneous,
+    contains_point,
+    contains_polytope,
+    convex_hull,
+    cross_polytope,
+    cube,
+    triangulate,
+    translate,
+)
+from oracles import common_scale_triangulate
+
+TRIANGULATE = polytopes.triangulate
+
+
+def _assert_same(points):
+    try:
+        expected = common_scale_triangulate(points)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            triangulate(points)
+        return
+    assert triangulate(points) == expected
+
+
+def _cloud(rng, d, m, denominators):
+    return [tuple(Fraction(rng.randint(-3 * q, 3 * q), q)
+                  for q in (rng.choice(denominators) for _ in range(d)))
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_random_clouds_match_common_scale_kernel(d):
+    rng = random.Random(8000 + d)
+    for _ in range(30 if d < 5 else 10):
+        cloud = _cloud(rng, d, rng.randint(d + 1, d + 12),
+                       rng.choice([[1], [5, 64], [1000003, 7, 2**40], [3**70, 2**100 + 1]]))
+        # Repeats and a midpoint: duplicates and boundary points.
+        _assert_same(cloud + cloud[:2] + [tuple((a + b) / 2 for a, b in zip(*cloud[:2]))])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_non_simplicial_bodies_match_common_scale_kernel(d):
+    for body in (cube(d), cross_polytope(d)):
+        _assert_same(list(body.vertices))
+        _assert_same([tuple(Fraction(2 * c - 1, 3) + Fraction(1, 7) for c in v)
+                      for v in body.vertices])
+        _assert_same([tuple(float(c) / 3 + 0.1 for c in v) for v in body.vertices])
+    if d <= 4:
+        K = convex_hull(_cloud(random.Random(8100 + d), d, d + 3, [4, 9]))
+        _assert_same([tuple(a - b for a, b in zip(v, w))
+                      for v in K.vertices for w in K.vertices])
+
+
+def test_flat_clouds_raise_in_both():
+    _assert_same([(Fraction(i), Fraction(2 * i), Fraction(0)) for i in range(5)])
+    _assert_same([(Fraction(1, 3), Fraction(0))] * 4)
+
+
+def _sweep_clouds(monkeypatch, kind, n, mode, **fields):
+    """Every point list that trial 0 of a sweep triangulates."""
+    clouds = []
+
+    def recording(points):
+        clouds.append(list(points))
+        return TRIANGULATE(points)
+
+    for module in (polytopes, mixed, harness):
+        monkeypatch.setattr(module, "triangulate", recording)
+    config = harness.ExperimentConfig.from_json(
+        dict({"kind": kind, "n": n, "trials": 1, "mode": mode, "seed": 8200}, **fields))
+    harness.run_trial(config, 0)
+    monkeypatch.undo()
+    return clouds
+
+
+def _nests(cloud):
+    weights = {_homogeneous(p)[1] for p in cloud}
+    return math.lcm(*weights) == max(weights)
+
+
+@pytest.mark.parametrize("kind", ["kl", "strange"])
+def test_polar_chain_clouds_match_common_scale_kernel(monkeypatch, kind):
+    clouds = _sweep_clouds(monkeypatch, kind, 3, "exact")
+    # The polar chains mix denominators that no one of them divides.
+    assert any(not _nests(c) for c in clouds)
+    for cloud in clouds:
+        assert triangulate(cloud) == common_scale_triangulate(cloud)
+
+
+def test_cayley_and_search_clouds_match_common_scale_kernel(monkeypatch):
+    clouds = _sweep_clouds(monkeypatch, "godbersen", 3, "exact")
+    searched = _sweep_clouds(monkeypatch, "gfr", 2, "float", lambda_grid=["1/2"])
+    assert sum(isinstance(c[0][0], float) for c in searched) >= 4
+    for cloud in clouds + searched:
+        assert triangulate(cloud) == common_scale_triangulate(cloud)
+
+
+def test_only_the_first_simplex_solves_for_its_planes(monkeypatch):
+    solves = []
+    original = polytopes.hyperplane_through
+
+    def counting(points):
+        solves.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(polytopes, "hyperplane_through", counting)
+    for d in (2, 3, 4):
+        solves.clear()
+        convex_hull(_cloud(random.Random(8300 + d), d, 12 + 3 * d, [3, 8, 25]))
+        assert solves == [d] * (d + 1)
+
+
+# ---------------------------------------------------------------------------
+# integer containment against the Fraction facet loop
+
+
+def _fraction_contains(P, Q):
+    return all(contains_point(P, v) for v in Q.vertices)
+
+
+def test_integer_containment_matches_fraction_loop_on_and_off_facets():
+    rng = random.Random(8400)
+    for d in (2, 3, 4):
+        P = convex_hull(_cloud(rng, d, d + 6, [3, 7, 2**20]))
+        facet = P.facets[0]
+        on = [P.vertices[i] for i in facet.vertex_indices]
+        # Vertices exactly on a facet (slack 0) are inside.
+        Q = convex_hull(on + [tuple(c / 2 for c in P._centroid)] + [
+            tuple((a + b) / 2 for a, b in zip(P._centroid, v)) for v in on])
+        assert contains_polytope(P, Q) and _fraction_contains(P, Q)
+        assert contains_polytope(P, P)
+        norm2 = sum(c * c for c in facet.outward_normal)
+        for k in (1, 10, 60, 200):
+            # Pushed out of the facet by 1/2^k along its normal: outside.
+            step = Fraction(1, 2**k) / norm2
+            out = translate(Q, tuple(c * step for c in facet.outward_normal))
+            assert not contains_polytope(P, out)
+            assert not _fraction_contains(P, out)
+            back = translate(Q, tuple(-c * step for c in facet.outward_normal))
+            assert contains_polytope(P, back) == _fraction_contains(P, back)
+
+
+def test_integer_containment_on_random_pairs():
+    rng = random.Random(8500)
+    seen = set()
+    for d, _ in itertools.product((2, 3), range(20)):
+        P = convex_hull(_cloud(rng, d, d + 5, [5, 12, 3**20]))
+        Q = convex_hull(_cloud(rng, d, d + 3, [2, 9, 7**9]))
+        Q = translate(Q, tuple(-c for c in Q._centroid))
+        Q = translate(polytopes.scale_polytope(Q, Fraction(1, rng.randint(1, 40))),
+                      P._centroid)
+        inside = contains_polytope(P, Q)
+        assert inside == _fraction_contains(P, Q)
+        seen.add(inside)
+    assert seen == {True, False}

@@ -264,6 +264,38 @@ def test_reduce_builds_each_join_once(monkeypatch):
     assert len(calls) == 1 + 2 * len(steps)
 
 
+def test_planar_trial_builds_each_join_once(monkeypatch):
+    # the hull-area-bound check reads the chain's first join area instead of
+    # building the centered input's join again
+    from godbersen_kit import harness
+
+    calls = []
+    original = planar.scaled_reflected_join
+
+    def counting(P, lam):
+        calls.append(P)
+        return original(P, lam)
+
+    monkeypatch.setattr(planar, "scaled_reflected_join", counting)
+    monkeypatch.setattr(harness, "scaled_reflected_join", counting)
+    config = harness.ExperimentConfig.from_json(
+        {"kind": "planar", "n": 2, "trials": 2, "mode": "exact", "seed": 401})
+    for trial in range(2):
+        calls.clear()
+        records = harness.run_trial(config, trial)
+        steps = sum(r["meta"]["steps"] for r in records
+                    if r["check"] == "triangle-reduction-chain")
+        assert steps > 0
+        assert len(calls) == len(config.lambda_grid) + 2 * steps
+
+
+def test_verify_planar_gfr_takes_a_known_join_area():
+    P = random_centered_polygon(random.Random(61), 7)
+    lam = rational(1, 3)
+    rep = verify_planar_gfr(P, lam)
+    assert verify_planar_gfr(P, lam, volume(scaled_reflected_join(P, lam))) == rep
+
+
 def test_step_trace_is_json_serializable():
     steps = reduce_to_triangle(centered_square(), rational(1, 2))
     text = json.dumps([s.to_json_dict() for s in steps], sort_keys=True)

@@ -32,9 +32,6 @@ from godbersen_kit.rs_bodies import (
     corner_polar_sum_body,
     corner_simplex_pair,
     g_volume_closed_form,
-    homothety_support_identity,
-    section_projection_check,
-    slice_of_C,
     verify_KL_inequality,
     verify_ckl_bound,
     verify_corner_equality,
@@ -44,7 +41,12 @@ from godbersen_kit.rs_bodies import (
 )
 from godbersen_kit.scalars import rational as Q
 
-from oracles import random_exact_points
+from oracles import (
+    homothety_support_identity,
+    random_exact_points,
+    section_projection_check,
+    slice_of_C,
+)
 
 
 def assert_layered(K, L, C):

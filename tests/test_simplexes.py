@@ -13,14 +13,14 @@ from godbersen_kit.polytopes import (
     volume,
 )
 from godbersen_kit.scalars import rational as Q
-from godbersen_kit.simplexes import (
+from godbersen_kit.simplexes import gfr_implies_godbersen_bound, simplex_hull_ratio
+
+from oracles import (
     build_Kt,
     chart_simplex,
-    gfr_implies_godbersen_bound,
     kt_ambient_vertices,
     kt_facet_direction,
     kt_volume_ratio_formula,
-    simplex_hull_ratio,
 )
 
 
