@@ -20,7 +20,7 @@ from .errors import GodbersenKitError
 from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
 from .planar import reduce_to_triangle, verify_planar_gfr
-from .polytopes import polytope_from_json, polytope_to_json, scaled_reflected_join, volume
+from .polytopes import centroid, polytope_from_json, polytope_to_json, translate
 from .scalars import exact_scalar, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
@@ -69,16 +69,16 @@ def _reduce_planar_command(args):
     body = polytope_from_json(_load_json(args.input))
     lam = _parse_lambda(args.lam, exact=True)
     steps = reduce_to_triangle(body, lam)
-    final = steps[-1].after if steps else body
     report = verify_planar_gfr(body, lam, steps[0].objective_before if steps else None)
+    # A triangle takes no step: it ends as the centered input, whose join
+    # area is the report's lhs.
+    final = steps[-1].after if steps else translate(body, tuple(-c for c in centroid(body)))
     trace = {
         "input": polytope_to_json(body),
         "lambda": scalar_to_json(lam),
         "steps": [step.to_json_dict() for step in steps],
         "final": polytope_to_json(final),
-        "final_objective": scalar_to_json(
-            steps[-1].objective_after if steps
-            else volume(scaled_reflected_join(body, lam))),
+        "final_objective": scalar_to_json(steps[-1].objective_after if steps else report.lhs),
         "hull-area-bound": report.to_json_dict(),
     }
     with open(args.trace, "w") as fp:

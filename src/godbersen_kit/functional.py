@@ -559,17 +559,13 @@ def _require_interior_origin(P, name):
             raise OriginNotInterior(f"origin is not interior to {name}")
 
 
-DEFAULT_DIRECTIONS_2D = tuple(
-    (math.cos(2.0 * math.pi * k / 16.0), math.sin(2.0 * math.pi * k / 16.0))
-    for k in range(16)
-)
-
-
-def _default_directions(n):
+def _sample_directions(n):
+    """The at most 16 unit directions the support identity is sampled along."""
     if n == 1:
         return ((1.0,), (-1.0,))
     if n == 2:
-        return DEFAULT_DIRECTIONS_2D
+        return tuple((math.cos(2.0 * math.pi * k / 16.0), math.sin(2.0 * math.pi * k / 16.0))
+                     for k in range(16))
     dirs = []
     for k in range(n):
         e = [0.0] * n
@@ -604,7 +600,7 @@ def _gauge_density(P, resolution):
     return sample_function(ev, [-half] * n, [half] * n, [res] * n, log_concave=True)
 
 
-def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
+def delta_support_identity_check(K, L, lam, *, resolution=129):
     """Bridge check between the functional and geometric layers.
 
     For f = exp(-gauge_K) and g = exp(-gauge_L), the exponent of their
@@ -621,8 +617,6 @@ def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
     _require_interior_origin(Kf, "K")
     _require_interior_origin(Lf, "L")
     n = Kf.dim
-    if directions is None:
-        directions = _default_directions(n)
 
     f = _gauge_density(Kf, resolution)
     g = _gauge_density(Lf, resolution)
@@ -633,7 +627,7 @@ def delta_support_identity_check(K, L, lam, *, directions=None, resolution=129):
     r = 0.45 * min(min(diff.hi), min(-c for c in diff.lo))
     samples = []
     max_rel = 0.0
-    for d in directions:
+    for d in _sample_directions(n):
         z = tuple(r * c for c in d)
         dens = float(np.asarray(
             diff.evaluator([np.array([zc]) for zc in z])).ravel()[0])
@@ -693,15 +687,14 @@ def sharp_exponential(n, *, hi=20.0, resolution=129):
                            log_concave=True)
 
 
-def sharp_pair(n, lam, resolution=129, *, tail=14.0):
+def sharp_pair(n, lam, resolution=129):
     """Two truncations of exp(-sum x_i) on [0, R]^n tuned so the exponent kink
     of their weighted sup-convolution falls exactly on an output cell edge at
     the given resolution and at its doubling, keeping refined quadrature
     clean.  Returns (f_role, g_role)."""
     lam_frac = Fraction(lam).limit_denominator(10 ** 6)
     res = int(resolution)
-    t = Fraction(tail).limit_denominator(10 ** 6)
-    r_f = t / (1 - lam_frac)
+    r_f = Fraction(14) / (1 - lam_frac)
     k = math.ceil(res * lam_frac)
     if k >= res:
         k = res - 1
@@ -721,9 +714,8 @@ def truncated_gaussian(n, *, half_width=5.0, resolution=129):
                            [resolution] * n, log_concave=True)
 
 
-def indicator_simplex(n, *, scale=2.0, resolution=129):
-    """Indicator of {x >= 0, sum x <= scale} on a padded box."""
-    s = float(scale)
+def indicator_simplex(n, *, resolution=129):
+    """Indicator of {x >= 0, sum x <= 2} on a padded box."""
 
     def ev(axes):
         grids = _mesh(axes)
@@ -734,9 +726,8 @@ def indicator_simplex(n, *, scale=2.0, resolution=129):
             gb = np.broadcast_to(g, shape)
             inside &= gb >= 0.0
             total = total + gb
-        inside &= total <= s
+        inside &= total <= 2.0
         return inside.astype(float)
 
-    return sample_function(ev, [-0.25 * s] * n, [1.25 * s] * n, [resolution] * n,
-                           log_concave=True)
+    return sample_function(ev, [-0.5] * n, [2.5] * n, [resolution] * n, log_concave=True)
 

@@ -18,8 +18,11 @@ Design rules the whole module obeys:
   verify proved statements; any hard failure makes :func:`run_experiment`
   return exit code 2.  Soft records track conjectured bounds or
   search-based certificates; their failures never fail the run — they are
-  marked ``violation_candidate`` and carry a full reproduction payload
-  (exact vertex coordinates plus the seed/trial that produced them).
+  marked ``violation_candidate``.  Every failing record carries one
+  ``reproduction`` payload: the trial's kind, n, seed, trial and mode, the
+  record's non-null j/lambda/theta, then the trial's exact input vertices
+  (the density parameters for ``functional``, the config for
+  ``trial-error``).
 * **No false alarms.**  When a soft or hard check fails in float mode it is
   re-run in exact arithmetic on the exact source body before being
   reported; only an exact failure survives into the record.
@@ -430,50 +433,34 @@ def minimize_over_translation(K, lam):
 # records
 
 
-def _record(config, trial, report, *, check, hard, j=None, lam=None, theta=None,
-            bodies=(), context=None, reproduction=None):
-    """One output record of ``report``.
+def _record(config, trial, report, check, hard, axes, payload):
+    """One output record of ``report``; ``axes`` maps any of "j", "lambda"
+    and "theta" to the record's own value.
 
-    A failing report carries a ``reproduction`` payload, by default the
-    trial's identity, ``context`` (the record's own j, lambda and theta
-    when not given) and the exact vertices of ``bodies``.  A failing soft
-    report is also marked ``violation_candidate``.
+    Every failing record carries the same ``reproduction``: the trial's
+    kind, n, seed, trial and mode, then the record's non-null j, lambda and
+    theta, then the trial's ``payload``.  A failing soft record is also
+    marked ``violation_candidate``.
     """
-    rec = dict(report.to_json_dict())
-    rec["kind"] = config.kind
-    rec["check"] = check
-    rec["hard"] = bool(hard)
-    rec["n"] = config.n
-    rec["j"] = j
-    rec["lambda"] = None if lam is None else scalar_to_json(lam)
-    rec["theta"] = None if theta is None else scalar_to_json(theta)
-    rec["seed"] = config.seed
-    rec["trial"] = trial
+    rec = dict(report.to_json_dict(), kind=config.kind, check=check, hard=bool(hard),
+               n=config.n, j=axes.get("j"), seed=config.seed, trial=trial)
+    for axis in ("lambda", "theta"):
+        rec[axis] = None if axes.get(axis) is None else scalar_to_json(axes[axis])
     if not report.passed:
-        if reproduction is None:
-            if context is None:
-                axes = {"j": j, "lam": rec["lambda"], "theta": rec["theta"]}
-                context = {k: v for k, v in axes.items() if v is not None}
-            reproduction = _reproduction(config, trial, bodies, **context)
-        rec["reproduction"] = reproduction
+        rec["reproduction"] = {
+            "kind": config.kind, "n": config.n, "seed": config.seed, "trial": trial,
+            "mode": config.mode,
+            **{k: rec[k] for k in ("j", "lambda", "theta") if rec[k] is not None},
+            **payload}
         if not hard:
             rec["violation_candidate"] = True
     return rec
 
 
-def _reproduction(config, trial, bodies, **context):
-    payload = {
-        "kind": config.kind,
-        "n": config.n,
-        "seed": config.seed,
-        "trial": trial,
-        "mode": config.mode,
-    }
-    payload.update(context)
-    payload["vertices"] = [
-        [[scalar_to_json(c) for c in v] for v in body.vertices] for body in bodies
-    ]
-    return payload
+def _vertices(*bodies):
+    """Reproduction payload of a polytope trial: its exact input bodies."""
+    return {"vertices": [[[scalar_to_json(c) for c in v] for v in body.vertices]
+                         for body in bodies]}
 
 
 def _verified(config, check, working, exact, accept=None):
@@ -518,36 +505,32 @@ def _godbersen_trial(config, trial):
     # One Cayley fan per body serves every check below.
     mixed = functools.cache(lambda K: mixed_volumes(K, negate(K)))
     ratio = functools.cache(lambda K, j: godbersen_ratio(K, j, mixed(K)))
-    records = []
+    checks = []
     for j in config.j_list:
         rep = _verified(config, lambda K: ratio(K, j), (working,), (exact,))
-        records.append(_record(config, trial, rep, check="translation-bound", hard=True,
-                               j=j, bodies=[exact]))
         conj = _verified(config, lambda K: _binomial_conjecture(ratio(K, j)),
                          (working,), (exact,))
-        records.append(_record(config, trial, conj, check="binomial-conjecture", hard=False,
-                               j=j, bodies=[exact]))
+        checks += [("translation-bound", True, rep, {"j": j}),
+                   ("binomial-conjecture", False, conj, {"j": j})]
 
     diff = _verified(config, lambda K: difference_body_check(K, mixed(K)),
                      (working,), (exact,), accept=lambda rep: rep.meta["expansion_identity"])
-    records.append(_record(config, trial, diff, check="difference-body-bound", hard=True,
-                           bodies=[exact]))
     expansion = equality_report(
         diff.meta["expansion_sum"], diff.meta["difference_volume"],
         tol=0 if diff.meta.get("arithmetic") == EXACT or config.mode == EXACT
         else 1e-9 * abs(float(diff.meta["difference_volume"])),
         meta={"n": config.n})
-    records.append(_record(config, trial, expansion, check="difference-body-expansion",
-                           hard=True, bodies=[exact]))
-    return records
+    checks += [("difference-body-bound", True, diff, {}),
+               ("difference-body-expansion", True, expansion, {})]
+    return _vertices(exact), checks
 
 
-def _search_bound_record(config, trial, working, exact, lam, *, j=None):
-    """Soft record: translation-search value against the simplex hull bound."""
+def _search_bound(config, working, lam):
+    """Translation-search value against the simplex hull bound (a soft check)."""
     sol = minimize_over_translation(working, float(lam))
     formula = simplex_hull_ratio(config.n, lam)
     rhs = float(formula.ratio) * float(volume(working))
-    rep = comparison_report(
+    return comparison_report(
         sol.value, rhs, tol=1e-6 * abs(rhs),
         meta={
             "n": config.n,
@@ -559,28 +542,27 @@ def _search_bound_record(config, trial, working, exact, lam, *, j=None):
             "lower_bound": sol.lower_bound,
             "body_volume": float(volume(working)),
         })
-    return _record(config, trial, rep, check="translation-search-bound", hard=False,
-                   j=j, lam=lam, bodies=[exact], context={"lam": scalar_to_json(lam), "j": j})
 
 
 def _via_gfr_trial(config, trial):
     working, exact = _trial_body(config, trial)
-    records = []
+    checks = []
     for j in config.j_list:
         lam = rational(config.n + 1 - j, config.n + 1)
-        alg = gfr_implies_godbersen_bound(config.n, j)
-        records.append(_record(config, trial, alg, check="hull-ratio-implies-binomial-bound",
-                               hard=True, j=j, lam=lam, context={"j": j}))
-        records.append(_search_bound_record(config, trial, working, exact, lam, j=j))
-    return records
+        axes = {"j": j, "lambda": lam}
+        checks += [("hull-ratio-implies-binomial-bound", True,
+                    gfr_implies_godbersen_bound(config.n, j), axes),
+                   ("translation-search-bound", False, _search_bound(config, working, lam), axes)]
+    return _vertices(exact), checks
 
 
 def _gfr_trial(config, trial):
     working, exact = _trial_body(config, trial)
-    records = []
+    checks = []
     half = rational(1, 2)
     for lam in config.lambda_grid:
-        records.append(_search_bound_record(config, trial, working, exact, lam))
+        checks.append(("translation-search-bound", False, _search_bound(config, working, lam),
+                       {"lambda": lam}))
         if lam == half:
             formula = simplex_hull_ratio(config.n, lam)
             lhs = formula.ratio * (2 ** config.n)
@@ -590,9 +572,8 @@ def _gfr_trial(config, trial):
                 lhs, rhs, tol=0 if not isinstance(lam, float) else 1e-12 * float(rhs),
                 meta={"n": config.n,
                       "identity": "hull-ratio at 1/2 equals central binomial over 2^n"})
-            records.append(_record(config, trial, cross, check="halfway-binomial-cross-check",
-                                   hard=True, lam=lam, context={}))
-    return records
+            checks.append(("halfway-binomial-cross-check", True, cross, {"lambda": lam}))
+    return _vertices(exact), checks
 
 
 def _theta_trial(config, trial):
@@ -602,13 +583,11 @@ def _theta_trial(config, trial):
     else:
         verify, check = verify_ckl_bound, "layered-body-volume-bound"
     (k, k_exact), (l, l_exact) = (_trial_body(config, trial, offset=i) for i in (0, 1))
-    records = []
-    for theta in config.theta_grid:
-        rep = _verified(config, verify, (k, l, theta),
-                        (k_exact, l_exact, _grid_value(theta, EXACT)))
-        records.append(_record(config, trial, rep, check=check, hard=True, theta=theta,
-                               bodies=[k_exact, l_exact]))
-    return records
+    checks = [(check, True, _verified(config, verify, (k, l, theta),
+                                      (k_exact, l_exact, _grid_value(theta, EXACT))),
+               {"theta": theta})
+              for theta in config.theta_grid]
+    return _vertices(k_exact, l_exact), checks
 
 
 def _strange_trial(config, trial):
@@ -620,11 +599,9 @@ def _strange_trial(config, trial):
     inclusion = CheckReport(
         None, None, None, 0, bool(rep.meta["inclusions_hold"]),
         {"n": config.n, "inclusion_by_theta": rep.meta["inclusion_by_theta"]})
-    return [
-        _record(config, trial, rep, check="join-polar-sum-product", hard=True,
-                bodies=[k_exact, l_exact]),
-        _record(config, trial, inclusion, check="scaled-intersection-inclusion", hard=True,
-                bodies=[k_exact, l_exact]),
+    return _vertices(k_exact, l_exact), [
+        ("join-polar-sum-product", True, rep, {}),
+        ("scaled-intersection-inclusion", True, inclusion, {}),
     ]
 
 
@@ -664,11 +641,9 @@ def _functional_trial(config, trial):
 
     n = config.n
     f, g, params = _functional_pair(config, trial)
-    records = []
+    checks = []
     for lam in config.lambda_grid:
         rep = functional.verify_functional_inequality(f, g, float(lam))
-        reproduction = {**params, "kind": config.kind, "n": n, "seed": config.seed,
-                        "trial": trial, "lambda": scalar_to_json(lam)}
         lower = CheckReport(
             rep.meta["lower_bound"], rep.meta["integral_difference"],
             rep.meta["lower_bound"] / rep.meta["integral_difference"]
@@ -676,10 +651,9 @@ def _functional_trial(config, trial):
             3.0 * rep.meta["err_difference"], bool(rep.meta["lower_bound_pass"]),
             {"n": n, "direction": "lhs <= rhs up to quadrature error",
              "err_difference": rep.meta["err_difference"]})
-        for check, report in (("product-inequality", rep), ("product-lower-bound", lower)):
-            records.append(_record(config, trial, report, check=check, hard=True, lam=lam,
-                                   reproduction=reproduction))
-    return records
+        checks += [("product-inequality", True, rep, {"lambda": lam}),
+                   ("product-lower-bound", True, lower, {"lambda": lam})]
+    return params, checks
 
 
 def _planar_trial(config, trial):
@@ -687,7 +661,7 @@ def _planar_trial(config, trial):
     flavor = FLAVORS[trial % 2]
     body = random_polytope(2, m, _trial_seed(config, trial), flavor, mode=EXACT)
     area = volume(body)
-    records = []
+    checks = []
     for lam in config.lambda_grid:
         steps = reduce_to_triangle(body, lam)
         ok_area = all(volume(s.after) == area for s in steps)
@@ -716,11 +690,10 @@ def _planar_trial(config, trial):
         all_ok = (base.passed and ok_area and ok_centroid and ok_counts
                   and ok_monotone and ok_chain)
         chain = dataclasses.replace(base, passed=bool(all_ok))
-        direct = verify_planar_gfr(body, lam, start_obj)
-        for check, report in (("triangle-reduction-chain", chain), ("hull-area-bound", direct)):
-            records.append(_record(config, trial, report, check=check, hard=True, lam=lam,
-                                   bodies=[body]))
-    return records
+        checks += [("triangle-reduction-chain", True, chain, {"lambda": lam}),
+                   ("hull-area-bound", True, verify_planar_gfr(body, lam, start_obj),
+                    {"lambda": lam})]
+    return _vertices(body), checks
 
 
 _TRIAL_RUNNERS = {
@@ -736,10 +709,17 @@ _TRIAL_RUNNERS = {
 
 
 def run_trial(config, trial):
-    """All records for one trial, in their fixed emission order."""
+    """All records for one trial, in their fixed emission order.
+
+    The kind's runner returns the trial's reproduction payload and its
+    checks, each a ``(name, hard, report, axes)`` tuple; every record is
+    built here from one check.
+    """
     if not 0 <= trial < config.trials:
         raise ValueError("trial %d outside 0..%d" % (trial, config.trials - 1))
-    return _TRIAL_RUNNERS[config.kind](config, trial)
+    payload, checks = _TRIAL_RUNNERS[config.kind](config, trial)
+    return [_record(config, trial, report, check, hard, axes, payload)
+            for check, hard, report, axes in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +793,7 @@ def _isolated_trial(config, trial):
         failed = CheckReport(None, None, None, 0, False,
                              {"error": type(exc).__name__, "message": str(exc)})
         payload = {k: v for k, v in config.to_json_dict().items() if k != "output_path"}
-        return [_record(config, trial, failed, check="trial-error", hard=True,
-                        reproduction={"config": payload, "trial": trial})]
+        return [_record(config, trial, failed, "trial-error", True, {}, {"config": payload})]
 
 
 def run_experiment(config):

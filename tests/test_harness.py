@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import importlib.util
 import re
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
+from godbersen_kit.reports import CheckReport
 from godbersen_kit.scalars import EXACT, FLOAT, rational
 from godbersen_kit.simplexes import simplex_hull_ratio
 
@@ -325,12 +327,7 @@ def test_run_experiment_hard_failure_exits_2(tmp_path, monkeypatch):
     base = str(tmp_path / "fail")
 
     def failing_trial(config, trial):
-        return [{
-            "kind": config.kind, "check": "forced-failure", "hard": True,
-            "n": config.n, "j": None, "lambda": None, "theta": None,
-            "seed": config.seed, "trial": trial, "lhs": 2.0, "rhs": 1.0,
-            "ratio": 2.0, "tol": 0.0, "pass": False, "meta": {},
-        }]
+        return {}, [("forced-failure", True, CheckReport(2.0, 1.0, 2.0, 0.0, False, {}), {})]
 
     monkeypatch.setitem(harness._TRIAL_RUNNERS, "kl", failing_trial)
     code = run_experiment(ExperimentConfig(kind="kl", n=2, trials=1,
@@ -344,14 +341,8 @@ def test_run_experiment_soft_failure_does_not_fail_run(tmp_path, monkeypatch):
     base = str(tmp_path / "soft")
 
     def soft_trial(config, trial):
-        return [{
-            "kind": config.kind, "check": "conjecture", "hard": False,
-            "n": config.n, "j": 1, "lambda": None, "theta": None,
-            "seed": config.seed, "trial": trial, "lhs": 2.0, "rhs": 1.0,
-            "ratio": 2.0, "tol": 0.0, "pass": False, "meta": {},
-            "violation_candidate": True,
-            "reproduction": {"vertices": [[["0", "0"]]]},
-        }]
+        report = CheckReport(2.0, 1.0, 2.0, 0.0, False, {})
+        return {"vertices": [[["0", "0"]]]}, [("conjecture", False, report, {"j": 1})]
 
     monkeypatch.setitem(harness._TRIAL_RUNNERS, "godbersen", soft_trial)
     code = run_experiment(ExperimentConfig(kind="godbersen", n=2, trials=1,
@@ -359,7 +350,8 @@ def test_run_experiment_soft_failure_does_not_fail_run(tmp_path, monkeypatch):
     assert code == 0
     rec = _read_records(base)[0]
     assert rec["violation_candidate"] is True
-    assert "reproduction" in rec
+    assert rec["reproduction"] == {"kind": "godbersen", "n": 2, "seed": 0, "trial": 0,
+                                   "mode": EXACT, "j": 1, "vertices": [[["0", "0"]]]}
 
 
 @pytest.mark.parametrize("kind", ["kl", "functional"])
@@ -461,13 +453,62 @@ def test_functional_lower_bound_failure_carries_reproduction(monkeypatch):
     assert lower["check"] == "product-lower-bound" and lower["pass"] is False
     assert lower["hard"] is True and "violation_candidate" not in lower
     assert set(lower["reproduction"]) == {
-        "kind", "n", "seed", "trial", "gaussian_weight", "laplace_weight",
+        "kind", "n", "seed", "trial", "mode", "gaussian_weight", "laplace_weight",
         "laplace_shift", "resolution", "half_width", "lambda"}
     assert lower["reproduction"]["lambda"] == "1/2"
     fail_product[0] = True
     product, _ = run_trial(config, 0)
     assert product["pass"] is False
     assert product["reproduction"] == lower["reproduction"]
+
+
+@pytest.mark.parametrize("kind,extra,axes", [
+    ("gfr", {"lambda_grid": ("1/4",)}, {"lambda"}),
+    ("godbersen-via-gfr", {}, {"j", "lambda"}),
+])
+def test_failing_search_records_are_soft_candidates(tmp_path, monkeypatch, kind, extra, axes):
+    def above_the_bound(K, lam):
+        return harness.TranslationSolution((0.0,) * K.dim, 1e6, 0.0, 1)
+
+    monkeypatch.setattr(harness, "minimize_over_translation", above_the_bound)
+    base = str(tmp_path / kind)
+    config = ExperimentConfig(kind=kind, n=2, trials=1, seed=1, output_path=base, **extra)
+    assert run_experiment(config) == 0
+    records = _read_records(base)
+    search = [rec for rec in records if rec["check"] == "translation-search-bound"]
+    exact = harness._trial_body(config, 0)[1]
+    assert search and all(rec["pass"] for rec in records if rec["hard"])
+    for rec in search:
+        assert rec["pass"] is False and rec["hard"] is False
+        assert rec["violation_candidate"] is True
+        reproduction = rec["reproduction"]
+        assert set(reproduction) == {"kind", "n", "seed", "trial", "mode", "vertices"} | axes
+        assert None not in reproduction.values()
+        assert reproduction["vertices"] == [[[str(c) for c in v] for v in exact.vertices]]
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind,n,extra", [
+    ("godbersen", 3, {}),
+    ("godbersen-via-gfr", 2, {}),
+    ("gfr", 2, {"lambda_grid": ("1/4", "1/2")}),
+    ("kl", 2, {}),
+    ("strange", 2, {}),
+    ("ckl", 2, {}),
+    ("functional", 1, {"lambda_grid": ("1/4", "1/2")}),
+    ("planar", 2, {"lambda_grid": ("1/4", "1/2")}),
+])
+def test_trial_record_count_matches_the_benchmark(kind, n, extra):
+    # The benchmark marks a trial wrong when its record count differs.
+    config = ExperimentConfig(kind=kind, n=n, trials=1, seed=2, **extra)
+    assert len(run_trial(config, 0)) == _benchmark_workloads().records_per_trial(config)
 
 
 def test_run_experiment_unwritable_path_exits_3():
@@ -612,6 +653,21 @@ def test_cli_reduce_planar_trace(tmp_path):
     float_path.write_text(json.dumps(polytope_to_json(random_polytope(2, 10, 123, mode=FLOAT))))
     assert main(["reduce-planar", "--input", str(float_path), "--lambda", "1/3",
                  "--trace", str(tmp_path / "float-trace.json")]) == 3
+
+
+def test_cli_reduce_planar_centers_a_triangle(tmp_path):
+    triangle = {"dim": 2, "mode": "exact", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    poly_path = tmp_path / "triangle.json"
+    trace_path = tmp_path / "trace.json"
+    poly_path.write_text(json.dumps(triangle))
+    assert main(["reduce-planar", "--input", str(poly_path), "--lambda", "1/3",
+                 "--trace", str(trace_path)]) == 0
+    trace = json.loads(trace_path.read_text())
+    assert trace["steps"] == []
+    assert trace["final_objective"] == trace["hull-area-bound"]["lhs"] == "2/9"
+    final = polytope_from_json(trace["final"])
+    assert centroid(final) == (0, 0)
+    assert volume(scaled_reflected_join(final, rational(1, 3))) == Fraction(2, 9)
 
 
 def test_cli_simplex_ratio_output(capsys):
