@@ -356,8 +356,8 @@ def join_volume_and_subgradient(a, b, x):
 
     cloud = np.vstack([a, b + x])
     d = cloud.shape[1]
-    ints, scale, interior, simplices = triangulate([tuple(p) for p in cloud.tolist()])
-    value = fan_volume(sum(boundary_fan(ints, interior, simplices)), d, scale, FLOAT)
+    hpts, basis, simplices = triangulate([tuple(p) for p in cloud.tolist()])
+    value = fan_volume(boundary_fan(hpts, basis[0], simplices), d, FLOAT)
     rows = np.array([verts for verts, _, _ in simplices])
     fan = cloud[rows] - cloud.mean(axis=0)
     # |det M| inv(M)^T = sign(det M) cof(M): cofactors oriented to a positive fan.

@@ -14,8 +14,16 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .linalg import det, solve, vsub
-from .polytopes import minkowski_sum, negate, scale_polytope, triangulate, volume
+from .linalg import solve
+from .polytopes import (
+    boundary_fan,
+    fan_total,
+    minkowski_sum,
+    negate,
+    scale_polytope,
+    triangulate,
+    volume,
+)
 from .reports import comparison_report
 from .scalars import EXACT, as_scalar, rational
 
@@ -34,7 +42,8 @@ def mixed_volumes(K, T):
     The Cayley polytope C = conv(K x {0} u T x {1}) slices at height t to
     (1-t)K + tT.  :func:`~.polytopes.triangulate` triangulates C's
     boundary; fanned from the lexicographically smallest point, a vertex
-    of C, that triangulates C.  A simplex S with b of its n+2 vertices at
+    of C, that triangulates C (:func:`~.polytopes.boundary_fan`, on each
+    point's own denominator).  A simplex S with b of its n+2 vertices at
     height 1 slices to volumes proportional to (1-t)^(n+1-b) t^(b-1), so it
     adds (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).  Float
     values are the exact ones rounded once.
@@ -43,17 +52,15 @@ def mixed_volumes(K, T):
         raise ValueError("operands must share dimension and mode")
     n = K.dim
     lifted = [(*v, 0) for v in K.vertices] + [(*v, 1) for v in T.vertices]
-    pts, scale, _, simplices = triangulate(lifted)
-    apex = pts.index(min(pts))
-    totals = [0] * (n + 1)
-    for verts, _, _ in simplices:
-        top = (pts[apex][n] != 0) + sum(pts[v][n] != 0 for v in verts)
-        # Cones through the apex, or with every vertex at one height, are flat.
-        if apex not in verts and 0 < top < n + 2:
-            totals[n + 1 - top] += abs(det([vsub(pts[v], pts[apex]) for v in verts]))
-    # (n+1) |D| / ((n+1)! S^(n+1)) = |D| / (n! S^(n+1))
+    hpts, basis, simplices = triangulate(lifted)
+    apex = basis[0]
+    # b of each cone's n+2 points at height 1; cones at one height are flat.
+    b = {verts: sum(hpts[v][0][n] != 0 for v in (apex, *verts)) for verts, _, _ in simplices}
+    scale, weights, cones = boundary_fan(hpts, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
+    # (n+1) t / ((n+1)! L^(n+2)) = t / (n! L^(n+2))
     div = rational if K.mode == EXACT else operator.truediv
-    return [div(t, math.factorial(n) * scale ** (n + 1)) for t in totals]
+    return [div(fan_total(scale, weights, [c for c in cones if b[c[0]] == n + 1 - j]),
+                math.factorial(n) * scale ** (n + 2)) for j in range(n + 1)]
 
 
 def volume_polynomial(K, T):

@@ -7,8 +7,9 @@ boundary triangulation.  One integer kernel serves both modes: a float
 is a dyadic rational, so a float hull is the exact hull of its inputs'
 binary values, with its scalars rounded once on the way out.  The kernel
 reads each point as ints over its own denominator (a per-point weight w,
-a power of two for a float) and scales to one common denominator only for
-the volume fan.
+a power of two for a float), and the volume fan runs on the same (X, w)
+rows, so no common denominator is formed.  The volume is computed with
+the hull; the centroid only when it is read.
 :func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
 volumes and the translation search's probes alike.
 
@@ -22,6 +23,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ from .errors import (
     OriginNotInterior,
     Unbounded,
 )
-from .linalg import RankTracker, det, dot, hyperplane_through, vadd, vscale, vsub
+from .linalg import RankTracker, det, dot, hyperplane_through, vadd, vscale
 from .lp import feasible_interior
 from .scalars import (
     EXACT,
@@ -78,10 +81,11 @@ class VPolytope:
     """Canonical vertex representation of a full-dimensional polytope.
 
     Construct through :func:`convex_hull` (or the serialization helpers);
-    the constructor trusts its arguments.
+    the constructor trusts its arguments.  ``centroid`` is a point or a
+    function of no arguments that computes it on first read.
     """
 
-    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_centroid", "_interior")
+    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_cent", "_interior")
 
     def __init__(self, dim, mode, vertices, facets, volume, centroid, interior):
         self.dim = dim
@@ -89,8 +93,14 @@ class VPolytope:
         self.vertices = vertices
         self.facets = facets
         self._volume = volume
-        self._centroid = centroid
+        self._cent = centroid
         self._interior = interior
+
+    @property
+    def _centroid(self):
+        if callable(self._cent):
+            self._cent = self._cent()
+        return self._cent
 
     def __eq__(self, other):
         return (
@@ -267,54 +277,85 @@ def _hull_core(hpts):
     return basis, list(facets.values())
 
 
+def _lex_sorted(indices, points, hpts):
+    """``indices`` in the lexicographic order of their points.  The first
+    coordinate to 64 binary places, an int, decides most comparisons; only
+    ties in it compare the points themselves."""
+    return sorted(indices, key=lambda i: ((hpts[i][0][0] << 64) // hpts[i][1], points[i]))
+
+
 def triangulate(points):
     """The integer kernel's triangulation of the boundary of conv(points).
 
-    ``points`` are tuples of one mode's scalars, read at their exact values.
-    The kernel runs on each point's own denominator (see :func:`_hull_core`);
-    one common scale S = (d+1) * lcm(denominators) is formed for the fan.
-    Returns (ints, scale, interior, simplices): ints[i] is points[i] times
-    S, as ints; interior is an int point inside conv(ints); each simplex is
-    (vertex indices into ``points``, primitive outward normal, offset), in
-    the scaled units, the first of equal points standing for all of them.
-    Raises DegenerateInput when the points span less than their dimension.
+    ``points`` are tuples of one mode's scalars, read at their exact values,
+    each as (X, w) over its own denominator (see :func:`_hull_core`); no
+    common scale is formed.  Returns (hpts, basis, simplices): hpts[i] is
+    the (X, w) of points[i]; basis holds the indices of the first simplex,
+    basis[0] the lexicographically smallest point, which is a vertex; each
+    simplex is (vertex indices into ``points``, N, O), the primitive
+    integer plane N.x = O of its facet with N facing out.  The first of
+    equal points stands for all of them.  Raises DegenerateInput when the
+    points span less than their dimension.
     """
-    d = len(points[0])
     hpts = [_homogeneous(p) for p in points]
-    scale = (d + 1) * math.lcm(*(w for _, w in hpts))
-    ints = [tuple(c * (scale // w) for c in X) for X, w in hpts]
-    first = {}  # int point -> index of its first input point
-    for i, y in enumerate(ints):
-        first.setdefault(y, i)
-    rows = sorted(first.values(), key=ints.__getitem__)
+    first = {}  # (X, w) -> index of its first input point
+    for i, hp in enumerate(hpts):
+        first.setdefault(hp, i)
+    rows = _lex_sorted(first.values(), points, hpts)
     basis, simplices = _hull_core([hpts[i] for i in rows])
-    # The factor d+1 in S makes the centroid of the first simplex integral.
-    interior = tuple(sum(ints[rows[i]][c] for i in basis) // (d + 1) for c in range(d))
-    out = []
-    for verts, normal, offset in simplices:
-        # N.x = O scaled by S, with the normal made primitive on its own.
-        # Each simplex keeps its vertex order, so shared ridges still compare
-        # equal.
-        g = math.gcd(*normal)
-        out.append((tuple(rows[i] for i in verts), tuple(c // g for c in normal),
-                    offset * scale // g))
-    return ints, scale, interior, out
+    return hpts, [rows[i] for i in basis], [
+        (tuple(rows[i] for i in verts), normal, offset) for verts, normal, offset in simplices]
 
 
-def boundary_fan(ints, interior, simplices):
-    """|D| of each boundary simplex coned to the interior point, in the
-    order of ``simplices``: d! times the cone's volume in the scaled units
-    of :func:`triangulate`."""
-    return [abs(det([vsub(ints[v], interior) for v in verts])) for verts, _, _ in simplices]
+def boundary_fan(hpts, apex, simplices):
+    """The boundary simplices coned to the vertex ``apex``, skipping the
+    cones through it, on each point's own (X, w).
+
+    The edge from the apex to a point v is m (p_v - p_apex) as ints, over
+    the pair's own denominator m = lcm(w_v, w_apex): the homogeneous rows
+    (w, X) with the apex row eliminated once per point.  Returns
+    (L, weights, cones): L is the lcm of the weights w of the apex and the
+    simplices' points, weights[v] = L / m, and each cone is (vertex
+    indices, |D|) with D the determinant of its d edges, so that its
+    t = L |D| prod(weights[v]) is d! L^(d+1) times its volume."""
+    used = {apex, *(v for verts, _, _ in simplices for v in verts)}
+    scale = math.lcm(*{hpts[v][1] for v in used})
+    Xa, wa = hpts[apex]
+    edges = {}
+    weights = {}
+    for v in used:
+        X, w = hpts[v]
+        m = math.lcm(w, wa)
+        edges[v] = tuple(x * (m // w) - y * (m // wa) for x, y in zip(X, Xa))
+        weights[v] = scale // m
+    cones = [(verts, abs(det([edges[v] for v in verts])))
+             for verts, _, _ in simplices if apex not in verts]
+    return scale, weights, cones
 
 
-def fan_volume(total, d, scale, mode):
-    """Volume total / (d! S^d) of a fan whose |D| sum to ``total``, exact or
-    rounded once.  Raises DegenerateInput when a float volume rounds to 0
-    or beyond the float range."""
+def fan_total(scale, weights, cones):
+    """Sum of the cones' t = L |D| prod(weights[v]) (see :func:`boundary_fan`).
+
+    The cones are grouped by their first vertex, then by their second and
+    so on, so that each weight, an int about as large as L, multiplies a
+    group's sum once rather than every cone's product."""
+
+    def grouped(group, k):
+        if k == len(group[0][0]):
+            return sum(D for _, D in group)
+        return sum(weights[v] * grouped(list(sub), k + 1)
+                   for v, sub in itertools.groupby(group, key=lambda cone: cone[0][k]))
+
+    return scale * grouped(sorted(cones), 0) if cones else 0
+
+
+def fan_volume(fan, d, mode):
+    """Volume of a d-dimensional :func:`boundary_fan`, its :func:`fan_total`
+    over d! L^(d+1), exact or rounded once.  Raises DegenerateInput when a
+    float volume rounds to 0 or beyond the float range."""
     div = rational if mode == EXACT else operator.truediv
     try:
-        vol = div(total, math.factorial(d) * scale**d)
+        vol = div(fan_total(*fan), math.factorial(d) * fan[0] ** (d + 1))
     except OverflowError:  # a float quotient beyond the largest float
         vol = math.inf
     if vol == 0 or vol == math.inf:
@@ -322,21 +363,37 @@ def fan_volume(total, d, scale, mode):
     return vol
 
 
-def _hull_finish(pts, simplices, interior):
-    """Vertices, facets and volume fan of the integer hull.
+def _fan_centroid(hpts, apex, fan, div):
+    """Volume centroid of a :func:`boundary_fan`: the t-weighted mean of the
+    cones' vertex means, on the points scaled to the fan's L."""
+    scale, weights, cones = fan
+    d = len(hpts[apex][0])
+    used = {v for verts, _ in cones for v in verts} | {apex}
+    ys = {v: tuple(c * (scale // hpts[v][1]) for c in hpts[v][0]) for v in used}  # L p, as ints
+    total = 0
+    weighted = [0] * d
+    for verts, D in cones:
+        t = scale * D * math.prod(weights[v] for v in verts)
+        total += t
+        for c in range(d):
+            weighted[c] += t * sum(ys[v][c] for v in verts)
+    return tuple(div(w + total * a, total * scale * (d + 1)) for w, a in zip(weighted, ys[apex]))
 
-    Returns (vertices, facets, total, weighted): the indices of the extreme
-    points, sorted by point; one (primitive normal, offset, vertex positions)
-    per facet, sorted; and, with D_i the determinant of simplex i fanned from
-    the interior point, total = sum |D_i| and weighted[c] = sum |D_i| *
-    (coordinate c summed over the simplex's d points and the interior point).
 
-    Two simplices are coplanar exactly when their primitive (normal, offset)
-    keys are equal, so each key is one facet, and every vertex of a facet is
-    a vertex of the simplices on its plane.  A point is therefore extreme
-    when the normals of the facets whose simplices use it reach rank d.
+def _hull_finish(points, hpts, simplices):
+    """Vertices and facets of the hull.
+
+    Returns (vertices, facets): the indices of the extreme points, sorted by
+    point; and one (primitive normal n, O, g, vertex positions) per facet,
+    sorted, where g = gcd(N), n = N / g and the facet is n.x <= O / g.
+
+    The kernel's primitive plane (N, O) is canonical per facet, so two
+    simplices are coplanar exactly when their planes are equal; each plane
+    is one facet, and every vertex of a facet is a vertex of the simplices
+    on its plane.  A point is therefore extreme when the normals of the
+    facets whose simplices use it reach rank d.
     """
-    d = len(interior)
+    d = len(points[0])
     planes = {}
     for verts, normal, offset in simplices:
         planes.setdefault((normal, offset), set()).update(verts)
@@ -346,29 +403,24 @@ def _hull_finish(pts, simplices, interior):
             normals.setdefault(v, []).append(normal)
 
     vertices = []
-    for v in sorted(normals, key=pts.__getitem__):
+    for v in _lex_sorted(normals, points, hpts):
         tracker = RankTracker()
         for n in normals[v]:
             if tracker.add(n) and tracker.rank == d:
                 vertices.append(v)
                 break
     position = {v: i for i, v in enumerate(vertices)}
-    facets = sorted(
-        (normal, offset, tuple(sorted(position[v] for v in members if v in position)))
-        for (normal, offset), members in planes.items()
-    )
-
-    total = 0
-    weighted = [0] * d
-    for (verts, _, _), vol in zip(simplices, boundary_fan(pts, interior, simplices)):
-        total += vol
-        for c in range(d):
-            weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts))
-    return vertices, facets, total, weighted
+    facets = []
+    for (normal, offset), members in planes.items():
+        g = math.gcd(*normal)
+        facets.append((tuple(c // g for c in normal), offset, g,
+                       tuple(sorted(position[v] for v in members if v in position))))
+    facets.sort()
+    return vertices, facets
 
 
-def _float_plane(normal, offset, scale):
-    """Unit float plane of a primitive integer plane over the scale S.
+def _float_plane(normal, offset, g):
+    """Unit float plane of the primitive normal n and offset O / g.
 
     Dividing by the largest component first keeps every quotient within
     [-1, 1]; the integers themselves may lie beyond the float range.
@@ -376,7 +428,7 @@ def _float_plane(normal, offset, scale):
     top = max(abs(c) for c in normal)
     unit = [c / top for c in normal]
     norm = math.hypot(*unit)
-    return tuple(c / norm for c in unit), offset / (top * scale) / norm
+    return tuple(c / norm for c in unit), offset / (top * g) / norm
 
 
 def convex_hull(points, mode=None):
@@ -385,7 +437,9 @@ def convex_hull(points, mode=None):
     Exact mode demands rational-like coordinates; float coordinates select
     float mode.  Both modes run one integer kernel on the points' exact
     values.  A float hull's vertices are input points, and its volume,
-    centroid and interior point are the exact values rounded once.
+    centroid and interior point are the exact values rounded once.  The
+    interior point is the mean of the kernel's first simplex; the centroid
+    is computed from the volume fan when it is first read.
     Raises DegenerateInput when the points span less than the ambient
     dimension, or when a float hull's volume rounds to 0 or beyond the
     float range.
@@ -400,23 +454,26 @@ def convex_hull(points, mode=None):
     if mode is None:
         mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
     pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
-    ints, scale, interior, simplices = triangulate(pts)
-    vertices, facets, total, weighted = _hull_finish(ints, simplices, interior)
-    vol = fan_volume(total, d, scale, mode)
+    hpts, basis, simplices = triangulate(pts)
+    vertices, facets = _hull_finish(pts, hpts, simplices)
+    fan = boundary_fan(hpts, basis[0], simplices)
+    vol = fan_volume(fan, d, mode)
     if mode == EXACT:
         div = rational
-        facets = [(tuple(rational(c) for c in n), rational(o, scale), m) for n, o, m in facets]
+        facets = [(tuple(rational(c) for c in n), rational(o, g), m) for n, o, g, m in facets]
     else:
         div = operator.truediv  # int / int rounds the exact quotient once
-        facets = sorted((*_float_plane(n, o, scale), m) for n, o, m in facets)
+        facets = sorted((*_float_plane(n, o, g), m) for n, o, g, m in facets)
+    q = math.lcm(*(hpts[i][1] for i in basis))
     return VPolytope(
         d,
         mode,
         tuple(pts[v] for v in vertices),
         tuple(Facet(members, normal, offset) for normal, offset, members in facets),
         vol,
-        tuple(div(w, total * scale * (d + 1)) for w in weighted),
-        tuple(div(c, scale) for c in interior),
+        functools.partial(_fan_centroid, hpts, basis[0], fan, div),
+        tuple(div(sum(hpts[i][0][c] * (q // hpts[i][1]) for i in basis), q * (d + 1))
+              for c in range(d)),
     )
 
 
@@ -430,7 +487,8 @@ def volume(P):
 
 
 def centroid(P):
-    """Volume centroid, computed with the same triangulation as volume()."""
+    """Volume centroid, computed from the same fan as volume() when first
+    read, and kept."""
     return P._centroid
 
 
@@ -518,9 +576,8 @@ def translate(P, t):
         Facet(f.vertex_indices, f.outward_normal, f.offset + dot(f.outward_normal, t))
         for f in P.facets
     )
-    return VPolytope(
-        P.dim, P.mode, vertices, facets, P._volume, vadd(P._centroid, t), vadd(P._interior, t)
-    )
+    return VPolytope(P.dim, P.mode, vertices, facets, P._volume,
+                     lambda: vadd(P._centroid, t), vadd(P._interior, t))
 
 
 def scale_polytope(P, s):
@@ -528,18 +585,17 @@ def scale_polytope(P, s):
     if s == 0:
         raise ValueError("scale factor must be nonzero; a point is not a polytope")
     vertices = [vscale(v, s) for v in P.vertices]
-    factor = abs(s) ** P.dim
-    vol = P._volume * factor
-    cent = vscale(P._centroid, s)
+    vol = P._volume * abs(s) ** P.dim
     inter = vscale(P._interior, s)
     if s > 0:
         facets = [Facet(f.vertex_indices, f.outward_normal, f.offset * s) for f in P.facets]
-        return VPolytope(P.dim, P.mode, tuple(vertices), tuple(facets), vol, cent, inter)
+        return VPolytope(P.dim, P.mode, tuple(vertices), tuple(facets), vol,
+                         lambda: vscale(P._centroid, s), inter)
     facets = [
         Facet(f.vertex_indices, tuple(-c for c in f.outward_normal), f.offset * -s)
         for f in P.facets
     ]
-    return _remap(vertices, facets, vol, cent, inter, P.dim, P.mode)
+    return _remap(vertices, facets, vol, lambda: vscale(P._centroid, s), inter, P.dim, P.mode)
 
 
 def negate(P):
