@@ -29,10 +29,6 @@ class OriginNotContained(GodbersenKitError):
     """An operation requiring 0 in the body (possibly on the boundary)."""
 
 
-class EmptySection(GodbersenKitError):
-    """A slice of a polytope by an affine subspace came out empty."""
-
-
 class IncompatibleGrids(GodbersenKitError):
     """Grid functions whose boxes/resolutions do not match as required."""
 

@@ -401,8 +401,8 @@ def minimize_over_translation(K, lam):
     c = y = best = np.ldexp(start, -e)
     # The LP runs in u = z - c, split as u = up - um, and v = t0 - t, all
     # >= 0, with t0 the cuts' largest value at c: each cut reads
-    # g.u + v <= t0 - (its value at c), so every right-hand side is >= 0
-    # and the LP needs no phase 1.  It maximizes v.
+    # g.u + v <= t0 - (its value at c), so every right-hand side is >= 0,
+    # as ``simplex_max`` requires.  It maximizes v.
     facets = [list(f.outward_normal) + [-x for x in f.outward_normal] + [0.0]
               for f in body.facets]
     slacks = [math.ldexp(float(f.offset), -e) - float(np.dot(f.outward_normal, c))

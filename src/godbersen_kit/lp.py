@@ -1,15 +1,15 @@
-"""Dense two-phase simplex over exact rationals (float works too).
+"""Dense one-phase simplex over exact rationals (float works too).
 
 Problems here are tiny (tens of variables/constraints): interior-point
-search, gauge evaluations, membership certificates.  Bland's rule keeps
-termination unconditional; with exact scalars there is no rounding left
-to worry about at all.
+search, the translation search's cutting planes.  Every caller states its
+LP with right-hand sides >= 0, so the slack basis is feasible and no
+phase 1 is needed.  Bland's rule keeps termination unconditional; with
+exact scalars there is no rounding left to worry about at all.
 """
 
 from __future__ import annotations
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -23,7 +23,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run(T, basis, ncols, eps):
+def _run(T, basis, eps):
     """Pivot until the (maximization) objective row has no improving column.
 
     The objective row is T[-1]; entry j holds z_j - c_j, so column j improves
@@ -32,7 +32,7 @@ def _run(T, basis, ncols, eps):
     m = len(T) - 1
     while True:
         enter = None
-        for j in range(ncols):
+        for j in range(len(T[m]) - 1):
             if T[m][j] < -eps:
                 enter = j
                 break
@@ -56,88 +56,29 @@ def _run(T, basis, ncols, eps):
 
 
 def simplex_max(c, A, b, eps=0):
-    """Maximize c.y subject to A y <= b, y >= 0.
+    """Maximize c.y subject to A y <= b, y >= 0, for b >= 0.
 
-    Returns (status, value, y).  Exact arithmetic when inputs are rational
-    (eps=0); float callers pass a small positive eps.
+    The pivots start from the slack basis, whose point y = 0 is feasible
+    because b >= 0; a negative entry of b raises ValueError.  Returns
+    (status, value, y), status OPTIMAL or UNBOUNDED (value and y None).
+    Exact arithmetic when inputs are rational (eps=0); float callers pass a
+    small positive eps.
     """
+    if any(b_i < 0 for b_i in b):
+        raise ValueError("simplex_max needs every right-hand side >= 0")
     m = len(A)
     n = len(c)
-    zero = 0
-
-    art_rows = [i for i in range(m) if b[i] < 0]
-    n_art = len(art_rows)
-    base_cols = n + m            # structural + slack columns, stable indices
-    ncols = base_cols + n_art    # artificials live at the tail
-    art_col = {i: base_cols + k for k, i in enumerate(art_rows)}
-
     T = []
-    basis = [0] * m
     for i in range(m):
-        row = [zero] * (ncols + 1)
-        flip = -1 if b[i] < 0 else 1
-        for j in range(n):
-            row[j] = flip * A[i][j]
-        row[n + i] = flip  # slack coefficient
-        row[-1] = flip * b[i]
-        if i in art_col:
-            row[art_col[i]] = 1
-            basis[i] = art_col[i]
-        else:
-            basis[i] = n + i
+        row = list(A[i]) + [0] * m + [b[i]]  # structural, slack, rhs
+        row[n + i] = 1
         T.append(row)
-
-    if n_art:
-        # Phase 1: maximize -(sum of artificials); optimum 0 iff feasible.
-        obj = [zero] * (ncols + 1)
-        for col in art_col.values():
-            obj[col] = 1
-        T.append(obj)
-        for i in range(m):
-            if basis[i] >= base_cols:
-                T[-1] = [a - b_ for a, b_ in zip(T[-1], T[i])]
-        status = _run(T, basis, ncols, eps)
-        assert status == OPTIMAL, "phase-1 objective bounded by zero"
-        if -T[-1][-1] > eps:
-            return INFEASIBLE, None, None
-        T.pop()
-
-        # Pivot leftover zero-level artificials out of the basis; a row with
-        # no structural/slack pivot available is redundant and is dropped.
-        drop = []
-        for i in range(len(T)):
-            if basis[i] >= base_cols:
-                pivot_col = None
-                for j in range(base_cols):
-                    if abs(T[i][j]) > eps:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    drop.append(i)
-                else:
-                    _pivot(T, basis, i, pivot_col)
-        for i in reversed(drop):
-            del T[i]
-            del basis[i]
-        # Artificial columns are trailing, so slicing them off is safe.
-        T = [row[:base_cols] + [row[-1]] for row in T]
-        ncols = base_cols
-
-    obj = [zero] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -c[j]
-    T.append(obj)
-    mrows = len(T) - 1
-    for i in range(mrows):
-        col = basis[i]
-        if T[-1][col] != 0:
-            factor = T[-1][col]
-            T[-1] = [a - factor * b_ for a, b_ in zip(T[-1], T[i])]
-    status = _run(T, basis, ncols, eps)
-    if status == UNBOUNDED:
+    T.append([-c_j for c_j in c] + [0] * (m + 1))
+    basis = list(range(n, n + m))
+    if _run(T, basis, eps) == UNBOUNDED:
         return UNBOUNDED, None, None
-    y = [zero] * n
-    for i in range(mrows):
+    y = [0] * n
+    for i in range(m):
         if basis[i] < n:
             y[basis[i]] = T[i][-1]
     return OPTIMAL, T[-1][-1], y
@@ -146,28 +87,37 @@ def simplex_max(c, A, b, eps=0):
 def feasible_interior(normals, offsets, dim, *, eps=0):
     """Point maximizing the (L1-scaled) slack inside {x : <a_i,x> <= b_i}.
 
-    Returns (margin, x).  margin > 0 means x is strictly interior; margin == 0
-    means the system is feasible but flat; margin is None when infeasible.
-    The slack variable is capped at 1 so unbounded regions still solve.
+    Maximizes t subject to <a_i,x> + |a_i|_1 t <= b_i and t <= 1, the cap
+    letting unbounded regions solve.  Returns (margin, x), margin the
+    optimal t: margin > 0 means x is strictly interior, margin == 0 that
+    the system is feasible but flat; (None, None) means margin < 0
+    (below -eps in float), an infeasible system.
+
+    The point x = 0, t = t0 with t0 = min(0, min_i b_i / |a_i|_1) is
+    feasible, so the LP runs in u = t - t0 >= 0 and x = xp - xm (xp,
+    xm >= 0) with every right-hand side >= 0.  The t column's 1s are the
+    input's own, so exact inputs give an exact margin and x.
     """
-    n_free = 2 * dim  # x = xp - xm with xp, xm >= 0
-    c = [0] * n_free + [1]
-    A = []
-    b = []
+    n_free = 2 * dim
+    A, b, scales = [], [], []
     for a_i, b_i in zip(normals, offsets):
         scale = sum(abs(x) for x in a_i)
         if scale == 0:
             if b_i < 0:
                 return None, None
             continue
-        row = list(a_i) + [-x for x in a_i] + [scale]
-        A.append(row)
+        A.append(list(a_i) + [-x for x in a_i] + [scale])
         b.append(b_i)
-    A.append([0] * n_free + [1])
-    b.append(1)
-    status, value, y = simplex_max(c, A, b, eps=eps)
-    if status == INFEASIBLE:
+        scales.append(scale)
+    if not A:  # no row constrains x: the cap alone binds
+        return 1, (0,) * dim
+    one = scales[0] / scales[0]
+    t0 = min([0] + [b_i / s for b_i, s in zip(b, scales)])
+    # In float, b_i - s t0 can round below 0 on the row that sets t0.
+    b = [max(b_i - s * t0, 0) for b_i, s in zip(b, scales)] + [one - t0]
+    A.append([0] * n_free + [one])
+    _, u, y = simplex_max([0] * n_free + [one], A, b, eps=eps)
+    margin = t0 + u
+    if margin < -eps:
         return None, None
-    assert status == OPTIMAL
-    x = tuple(y[i] - y[dim + i] for i in range(dim))
-    return value, x
+    return margin, tuple(y[i] - y[dim + i] for i in range(dim))

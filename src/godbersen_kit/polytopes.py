@@ -69,10 +69,8 @@ def _coordinate_scale(points):
 
 @dataclass(frozen=True)
 class Facet:
-    """One facet: indices into the owning polytope's vertex list, plus its
-    supporting half-space <x, outward_normal> <= offset."""
+    """One facet's supporting half-space <x, outward_normal> <= offset."""
 
-    vertex_indices: tuple
     outward_normal: tuple
     offset: object
 
@@ -85,16 +83,15 @@ class VPolytope:
     function of no arguments that computes it on first read.
     """
 
-    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_cent", "_interior")
+    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_cent")
 
-    def __init__(self, dim, mode, vertices, facets, volume, centroid, interior):
+    def __init__(self, dim, mode, vertices, facets, volume, centroid):
         self.dim = dim
         self.mode = mode
         self.vertices = vertices
         self.facets = facets
         self._volume = volume
         self._cent = centroid
-        self._interior = interior
 
     @property
     def _centroid(self):
@@ -384,8 +381,8 @@ def _hull_finish(points, hpts, simplices):
     """Vertices and facets of the hull.
 
     Returns (vertices, facets): the indices of the extreme points, sorted by
-    point; and one (primitive normal n, O, g, vertex positions) per facet,
-    sorted, where g = gcd(N), n = N / g and the facet is n.x <= O / g.
+    point; and one (primitive normal n, O, g) per facet, sorted, where
+    g = gcd(N), n = N / g and the facet is n.x <= O / g.
 
     The kernel's primitive plane (N, O) is canonical per facet, so two
     simplices are coplanar exactly when their planes are equal; each plane
@@ -409,12 +406,10 @@ def _hull_finish(points, hpts, simplices):
             if tracker.add(n) and tracker.rank == d:
                 vertices.append(v)
                 break
-    position = {v: i for i, v in enumerate(vertices)}
     facets = []
-    for (normal, offset), members in planes.items():
+    for normal, offset in planes:
         g = math.gcd(*normal)
-        facets.append((tuple(c // g for c in normal), offset, g,
-                       tuple(sorted(position[v] for v in members if v in position))))
+        facets.append((tuple(c // g for c in normal), offset, g))
     facets.sort()
     return vertices, facets
 
@@ -436,10 +431,9 @@ def convex_hull(points, mode=None):
 
     Exact mode demands rational-like coordinates; float coordinates select
     float mode.  Both modes run one integer kernel on the points' exact
-    values.  A float hull's vertices are input points, and its volume,
-    centroid and interior point are the exact values rounded once.  The
-    interior point is the mean of the kernel's first simplex; the centroid
-    is computed from the volume fan when it is first read.
+    values.  A float hull's vertices are input points, and its volume and
+    centroid are the exact values rounded once.  The centroid is computed
+    from the volume fan when it is first read.
     Raises DegenerateInput when the points span less than the ambient
     dimension, or when a float hull's volume rounds to 0 or beyond the
     float range.
@@ -460,20 +454,17 @@ def convex_hull(points, mode=None):
     vol = fan_volume(fan, d, mode)
     if mode == EXACT:
         div = rational
-        facets = [(tuple(rational(c) for c in n), rational(o, g), m) for n, o, g, m in facets]
+        facets = [(tuple(rational(c) for c in n), rational(o, g)) for n, o, g in facets]
     else:
         div = operator.truediv  # int / int rounds the exact quotient once
-        facets = sorted((*_float_plane(n, o, g), m) for n, o, g, m in facets)
-    q = math.lcm(*(hpts[i][1] for i in basis))
+        facets = sorted(_float_plane(n, o, g) for n, o, g in facets)
     return VPolytope(
         d,
         mode,
         tuple(pts[v] for v in vertices),
-        tuple(Facet(members, normal, offset) for normal, offset, members in facets),
+        tuple(Facet(normal, offset) for normal, offset in facets),
         vol,
         functools.partial(_fan_centroid, hpts, basis[0], fan, div),
-        tuple(div(sum(hpts[i][0][c] * (q // hpts[i][1]) for i in basis), q * (d + 1))
-              for c in range(d)),
     )
 
 
@@ -557,45 +548,24 @@ def coordinate_bits(P):
 # a general affine image is a fresh hull)
 
 
-def _remap(vertices, facets, volume_, centroid_, interior, dim, mode):
-    order = sorted(range(len(vertices)), key=lambda i: vertices[i])
-    rank = {old: new for new, old in enumerate(order)}
-    new_vertices = tuple(vertices[i] for i in order)
-    new_facets = tuple(
-        Facet(tuple(sorted(rank[i] for i in f.vertex_indices)), f.outward_normal, f.offset)
-        for f in facets
-    )
-    new_facets = tuple(sorted(new_facets, key=lambda f: (f.outward_normal, f.offset)))
-    return VPolytope(dim, mode, new_vertices, new_facets, volume_, centroid_, interior)
-
-
 def translate(P, t):
     t = tuple(as_scalar(c, P.mode) for c in t)
     vertices = tuple(vadd(v, t) for v in P.vertices)
-    facets = tuple(
-        Facet(f.vertex_indices, f.outward_normal, f.offset + dot(f.outward_normal, t))
-        for f in P.facets
-    )
-    return VPolytope(P.dim, P.mode, vertices, facets, P._volume,
-                     lambda: vadd(P._centroid, t), vadd(P._interior, t))
+    facets = tuple(Facet(f.outward_normal, f.offset + dot(f.outward_normal, t)) for f in P.facets)
+    return VPolytope(P.dim, P.mode, vertices, facets, P._volume, lambda: vadd(P._centroid, t))
 
 
 def scale_polytope(P, s):
+    """sP: vertices and offsets scale by s, and s < 0 also flips the normals,
+    so both lists are sorted again."""
     s = as_scalar(s, P.mode)
     if s == 0:
         raise ValueError("scale factor must be nonzero; a point is not a polytope")
-    vertices = [vscale(v, s) for v in P.vertices]
-    vol = P._volume * abs(s) ** P.dim
-    inter = vscale(P._interior, s)
-    if s > 0:
-        facets = [Facet(f.vertex_indices, f.outward_normal, f.offset * s) for f in P.facets]
-        return VPolytope(P.dim, P.mode, tuple(vertices), tuple(facets), vol,
-                         lambda: vscale(P._centroid, s), inter)
-    facets = [
-        Facet(f.vertex_indices, tuple(-c for c in f.outward_normal), f.offset * -s)
-        for f in P.facets
-    ]
-    return _remap(vertices, facets, vol, lambda: vscale(P._centroid, s), inter, P.dim, P.mode)
+    planes = sorted((tuple(c if s > 0 else -c for c in f.outward_normal), f.offset * abs(s))
+                    for f in P.facets)
+    return VPolytope(P.dim, P.mode, tuple(sorted(vscale(v, s) for v in P.vertices)),
+                     tuple(Facet(*plane) for plane in planes), P._volume * abs(s) ** P.dim,
+                     lambda: vscale(P._centroid, s))
 
 
 def negate(P):
@@ -649,12 +619,7 @@ def scaled_reflected_join(K, lam):
 
 
 def to_hrep(P):
-    return HPolytope(
-        P.dim,
-        P.mode,
-        tuple((f.outward_normal, f.offset) for f in P.facets),
-        interior_point=P._interior,
-    )
+    return HPolytope(P.dim, P.mode, tuple((f.outward_normal, f.offset) for f in P.facets))
 
 
 def _interior_of(H):
@@ -666,7 +631,7 @@ def _interior_of(H):
     margin, x = feasible_interior(normals, offsets, H.dim, eps=eps)
     if margin is None:
         raise EmptyIntersection("no feasible point")
-    if not margin > (1e-9 if H.mode == FLOAT else 0):
+    if not margin > eps:
         raise DegenerateInput("feasible set is lower-dimensional")
     return x
 

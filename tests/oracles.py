@@ -18,7 +18,7 @@ import numpy as np
 
 from godbersen_kit.linalg import RankTracker, dot, hyperplane_through, solve, vsub
 from godbersen_kit.lp import OPTIMAL, simplex_max
-from godbersen_kit.errors import DegenerateInput, EmptyIntersection, EmptySection
+from godbersen_kit.errors import DegenerateInput, EmptyIntersection, GodbersenKitError
 from godbersen_kit.polytopes import (
     Facet,
     HPolytope,
@@ -35,26 +35,24 @@ from godbersen_kit.simplexes import _admissible_k
 
 
 def is_convex_combination(p, others):
-    """Exact LP feasibility: p = sum l_i q_i, sum l_i = 1, l_i >= 0.
+    """Exact separation LP: maximize a.p - b subject to a.q <= b for every
+    q in ``others`` and -1 <= a_j <= 1.  p lies in the hull of ``others``
+    exactly when the optimum is 0; a separating (a, b) makes it positive.
 
-    Encoded for the <=-form solver as pairs of inequalities; objective 0.
+    a = ap - am and b = bp - bm are split into parts >= 0, so every
+    right-hand side is 0 or 1.
     """
     d = len(p)
-    m = len(others)
-    rows = []
-    rhs = []
-    for c in range(d):
-        row = [q[c] for q in others]
-        rows.append(row)
-        rhs.append(p[c])
-        rows.append([-x for x in row])
-        rhs.append(-p[c])
-    rows.append([rational(1)] * m)
-    rhs.append(rational(1))
-    rows.append([rational(-1)] * m)
-    rhs.append(rational(-1))
-    status, _, _ = simplex_max([rational(0)] * m, rows, rhs)
-    return status == OPTIMAL
+    one, zero = rational(1), rational(0)
+    rows = [list(q) + [-x for x in q] + [-one, one] for q in others]
+    rhs = [zero] * len(others)
+    for j in range(d):
+        unit = [one if i == j else zero for i in range(d)]
+        rows.append(unit + [-x for x in unit] + [zero, zero])
+        rows.append([-x for x in unit] + unit + [zero, zero])
+        rhs += [one, one]
+    status, value, _ = simplex_max(list(p) + [-x for x in p] + [-one, one], rows, rhs)
+    return status == OPTIMAL and value == 0
 
 
 def brute_force_extreme_points(points):
@@ -208,10 +206,7 @@ def reference_convex_hull(points):
         p for p in pts
         if _fraction_rank(n for n, o in planes if dot(n, p) == o) == d
     )
-    hull_facets = tuple(
-        Facet(tuple(i for i, v in enumerate(vertices) if dot(n, v) == o), n, o)
-        for n, o in planes
-    )
+    hull_facets = tuple(Facet(n, o) for n, o in planes)
     total = rational(0)
     weighted = [rational(0)] * d
     for verts in facets:
@@ -222,7 +217,7 @@ def reference_convex_hull(points):
     if total == 0:
         raise DegenerateInput("zero-volume hull")
     return VPolytope(d, EXACT, tuple(vertices), hull_facets, total,
-                     tuple(w / total for w in weighted), interior)
+                     tuple(w / total for w in weighted))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +383,10 @@ def unmerged_joint_dual_nodes(slope_sets, cap):
 # ---------------------------------------------------------------------------
 # statements the package checks only in tests: axis sections and slices,
 # the KL homothety at equality, and the joined two-simplex body K_t
+
+
+class EmptySection(GodbersenKitError):
+    """A slice of a polytope by an affine subspace came out empty."""
 
 
 def _section(P, axes, fixed, message):

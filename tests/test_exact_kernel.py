@@ -21,7 +21,7 @@ RATIONAL = type(rational(1))
 
 
 def _fields(P):
-    return (P.dim, P.mode, P.vertices, P.facets, P._volume, P._centroid, P._interior)
+    return (P.dim, P.mode, P.vertices, P.facets, P._volume, P._centroid)
 
 
 def _scalars(P):
@@ -31,7 +31,6 @@ def _scalars(P):
         yield f.offset
     yield P._volume
     yield from P._centroid
-    yield from P._interior
 
 
 def _assert_matches_reference(points):

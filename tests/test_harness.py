@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import godbersen_kit.functional as functional
@@ -22,6 +23,7 @@ from godbersen_kit.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     FLAVORS,
+    join_volume_and_subgradient,
     minimize_over_translation,
     random_polytope,
     run_experiment,
@@ -159,6 +161,20 @@ def test_translation_search_lower_bound_is_below_the_exact_objective(body):
             z = _random_rational_point(K, rng)
             f = volume(scaled_reflected_join(translate(K, tuple(-c for c in z)), lam))
             assert lower <= float(f) * (1 + 1e-12), z
+
+
+def test_translation_search_lower_bound_is_below_a_near_minimizer():
+    # The search takes 18 probes on this body.  x_ref is where it ends,
+    # pinned to 17 digits, so f(x_ref) is within the search's 1e-9 gap of
+    # the minimum: a lower bound inflated by even 0.1% stops the search
+    # early and ends above it.
+    K = random_polytope(3, 9, 2)
+    sol = minimize_over_translation(K, 0.5)
+    assert sol.iterations >= 5
+    x_ref = np.array([-0.111963901435338, 0.11683034909392417, -0.02141821266588078])
+    verts = np.array(K.vertices, dtype=float)
+    f_ref, _ = join_volume_and_subgradient(0.5 * verts, -0.5 * verts, x_ref)
+    assert sol.lower_bound <= f_ref * (1 + 1e-12)
 
 
 def test_translation_search_lambda_zero_is_volume():

@@ -28,7 +28,7 @@ from oracles import reference_convex_hull
 
 
 def _fields(P):
-    return (P.dim, P.mode, P.vertices, P.facets, P._volume, P._centroid, P._interior)
+    return (P.dim, P.mode, P.vertices, P.facets, P._volume, P._centroid)
 
 
 def _polar_chain_cloud(rng, d, m):

@@ -20,6 +20,7 @@ import pytest
 
 from godbersen_kit import harness, mixed, polytopes
 from godbersen_kit.errors import DegenerateInput
+from godbersen_kit.linalg import dot
 from godbersen_kit.polytopes import (
     _homogeneous,
     contains_point,
@@ -166,7 +167,7 @@ def test_integer_containment_matches_fraction_loop_on_and_off_facets():
     for d in (2, 3, 4):
         P = convex_hull(_cloud(rng, d, d + 6, [3, 7, 2**20]))
         facet = P.facets[0]
-        on = [P.vertices[i] for i in facet.vertex_indices]
+        on = [v for v in P.vertices if dot(facet.outward_normal, v) == facet.offset]
         # Vertices exactly on a facet (slack 0) are inside.
         Q = convex_hull(on + [tuple(c / 2 for c in P._centroid)] + [
             tuple((a + b) / 2 for a, b in zip(P._centroid, v)) for v in on])

@@ -7,12 +7,7 @@ import random
 import pytest
 
 from godbersen_kit import polytopes, rs_bodies
-from godbersen_kit.errors import (
-    DegenerateInput,
-    EmptySection,
-    OriginNotContained,
-    OriginNotInterior,
-)
+from godbersen_kit.errors import DegenerateInput, OriginNotContained, OriginNotInterior
 from godbersen_kit.harness import ExperimentConfig, run_trial
 from godbersen_kit.polytopes import (
     centroid,
@@ -42,6 +37,7 @@ from godbersen_kit.rs_bodies import (
 from godbersen_kit.scalars import rational as Q
 
 from oracles import (
+    EmptySection,
     homothety_support_identity,
     random_exact_points,
     section_projection_check,

@@ -1,7 +1,8 @@
 """Every top-level import in the package and its tests is used, every
 private top-level name in the package is read somewhere in the package,
-and every field of a package dataclass is read as an attribute somewhere
-in the package or its tests.
+every public UPPER_CASE constant of the package is read somewhere in the
+package, its tests or the benchmark, and every field of a package
+dataclass is read as an attribute somewhere in the package or its tests.
 
 No linter ships with the toolkit, so this AST scan is the check: a deletion
 that leaves an import or a private helper behind fails here.
@@ -15,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "godbersen_kit").glob("*.py"))
 MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,6 +33,21 @@ def unused_imports(source):
     return [name for name in bound if name not in used]
 
 
+def _assigned(node):
+    """Names bound by a top-level statement if it is an assignment."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _reads(tree):
+    """Names a module reads, as a name or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
 def unused_private_names(sources):
     """Top-level ``_name``s (a def, a class or an assignment target, dunders
     aside) defined in any of the sources that none of them reads, as a
@@ -42,17 +59,19 @@ def unused_private_names(sources):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [n.id for t in targets for n in ast.walk(t)
-                            if isinstance(n, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+            defined += _assigned(node)
+        read |= _reads(tree)
     return [name for name in defined
             if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def unread_public_constants(sources, readers):
+    """Top-level UPPER_CASE assignment targets in ``sources`` that no module
+    in ``readers`` reads, as a name or as an attribute."""
+    defined = [name for source in sources for node in ast.parse(source).body
+               for name in _assigned(node) if name.isupper() and not name.startswith("_")]
+    read = set().union(*(_reads(ast.parse(source)) for source in readers))
+    return [name for name in defined if name not in read]
 
 
 def _is_dataclass(decorator):
@@ -92,6 +111,13 @@ def test_scan_finds_an_unused_private_name():
     ]) == ["_B", "_C", "_Unused"]
 
 
+def test_scan_finds_an_unread_public_constant():
+    source = ("OPTIMAL = 'optimal'\nINFEASIBLE = 'infeasible'\nLIMIT: int = 3\n"
+              "A, B = 1, 2\n_PRIVATE = 4\nlower = 5\n")
+    reader = "import lp\nstatus = lp.OPTIMAL\nprint(B)\n"
+    assert unread_public_constants([source], [source, reader]) == ["INFEASIBLE", "LIMIT", "A"]
+
+
 def test_scan_finds_an_unread_dataclass_field():
     source = ("import dataclasses\nfrom dataclasses import dataclass\n"
               "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
@@ -108,6 +134,11 @@ def test_no_unused_top_level_imports(path):
 
 def test_no_unused_private_names_in_the_package():
     assert unused_private_names([path.read_text() for path in SRC]) == []
+
+
+def test_no_unread_public_constants_in_the_package():
+    readers = [path.read_text() for path in MODULES + BENCH]
+    assert unread_public_constants([path.read_text() for path in SRC], readers) == []
 
 
 def test_no_unread_dataclass_fields_in_the_package():
