@@ -123,7 +123,7 @@ def build_parser():
 
     p = sub.add_parser("reduce-planar",
                        help="trace the planar vertex-removal reduction")
-    p.add_argument("--input", required=True, help="polygon JSON file (exact mode)")
+    p.add_argument("--input", required=True, help="polygon JSON file")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="lambda in [0,1], e.g. 1/3 or 0.25")
     p.add_argument("--trace", required=True, help="output JSON file for the steps")

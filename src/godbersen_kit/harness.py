@@ -23,9 +23,12 @@ Design rules the whole module obeys:
   record's non-null j/lambda/theta, then the trial's exact input vertices
   (the density parameters for ``functional``, the config for
   ``trial-error``).
-* **No false alarms.**  When a soft or hard check fails in float mode it is
-  re-run in exact arithmetic on the exact source body before being
-  reported; only an exact failure survives into the record.
+* **Exact bodies.**  Every trial draws exact bodies and every polytope
+  check is exact, with zero tolerance, so a failing record is a true
+  failure on the recorded vertices.  A sweep's ``mode`` only sets how
+  lambda is read: ``float`` is accepted by the kinds that compute in
+  floats either way (``gfr``, ``godbersen-via-gfr`` and ``functional``)
+  and rejected by the others.
 
 The translation search (:func:`minimize_over_translation`) is Kelley's
 cutting-plane method on a convex objective, run in float arithmetic.  Its
@@ -36,8 +39,8 @@ bound L brackets the minimum but certifies nothing.  Records built from
 the search are therefore always soft.
 """
 
+import contextlib
 import dataclasses
-import functools
 import json
 import math
 import random
@@ -49,11 +52,10 @@ from .mixed import difference_body_check, godbersen_ratio, mixed_volumes
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import (
     MAX_DIM,
-    as_float_body,
     boundary_fan,
     centroid,
     convex_hull,
-    fan_volume,
+    fan_total,
     negate,
     scale_polytope,
     scaled_reflected_join,
@@ -87,9 +89,10 @@ CSV_COLUMNS = ("kind", "n", "j", "lambda", "theta", "seed", "trial",
 _KINDS_WITH_J = ("godbersen", "godbersen-via-gfr")
 _KINDS_WITH_LAMBDA = ("godbersen-via-gfr", "gfr", "functional", "planar")
 _KINDS_WITH_THETA = ("kl", "strange", "ckl")
+_KINDS_WITH_FLOAT = ("godbersen-via-gfr", "gfr", "functional")
 _DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-# exact n=4 polar bodies outgrow the record format, float n=5 takes minutes
-_STRANGE_MAX_DIM = {EXACT: 3, FLOAT: 4}
+# n=5 polar bodies take minutes per trial
+_STRANGE_MAX_DIM = 4
 
 
 def thread_cap():
@@ -161,13 +164,12 @@ class ExperimentConfig:
             raise ValueError("seed must be an integer")
         if self.mode not in (EXACT, FLOAT):
             raise ValueError("mode must be %r or %r" % (EXACT, FLOAT))
-        if self.kind == "planar" and self.mode != EXACT:
-            raise ValueError("kind 'planar' verifies exact invariants; use mode='exact'")
+        if self.mode == FLOAT and self.kind not in _KINDS_WITH_FLOAT:
+            raise ValueError("kind %r checks exact bodies; use mode='exact'" % self.kind)
         if self.kind == "ckl" and self.n > MAX_BASE_DIM:
             raise ValueError("kind 'ckl' supports n <= %d" % MAX_BASE_DIM)
-        if self.kind == "strange" and self.n > _STRANGE_MAX_DIM[self.mode]:
-            raise ValueError("kind 'strange' supports n <= %d in %s mode"
-                             % (_STRANGE_MAX_DIM[self.mode], self.mode))
+        if self.kind == "strange" and self.n > _STRANGE_MAX_DIM:
+            raise ValueError("kind 'strange' supports n <= %d" % _STRANGE_MAX_DIM)
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ValueError("output_path must be a nonempty string")
 
@@ -273,8 +275,7 @@ def _raw_points(rng, n, m, flavor, perturbation):
     return pts
 
 
-def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
-                    perturbation=None):
+def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, perturbation=None):
     """Deterministic seeded random body: centered, volume ~= 1.
 
     Coordinates are rationalized before the hull is taken, so the body is
@@ -299,14 +300,12 @@ def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
         raise ValueError("need m >= n+1 points, got m=%d" % m)
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r; expected one of %s" % (flavor, list(FLAVORS)))
-    if mode not in (EXACT, FLOAT):
-        raise ValueError("mode must be %r or %r" % (EXACT, FLOAT))
     rng = random.Random(seed)
     last = None
     for _ in range(10):
         pts = _raw_points(rng, n, m, flavor, perturbation)
         try:
-            body = convex_hull(pts, EXACT)
+            body = convex_hull(pts)
         except DegenerateInput as exc:
             last = exc
             continue
@@ -314,7 +313,7 @@ def random_polytope(n, m, seed, flavor="hull-of-gaussians", *, mode=EXACT,
         factor = rationalize(float(volume(body)) ** (-1.0 / n), COORDINATE_DENOMINATOR)
         if factor > 0:
             body = scale_polytope(body, factor)
-        return as_float_body(body) if mode == FLOAT else body
+        return body
     raise DegenerateInput(
         "no full-dimensional hull after 10 attempts (n=%d, m=%d, flavor=%s)"
         % (n, m, flavor)) from last
@@ -344,26 +343,40 @@ def join_volume_and_subgradient(a, b, x):
     """f(x) = Vol conv(A v (B + x)) and a subgradient of f at x.
 
     ``a`` and ``b`` are arrays of points.  The value is the exact fan volume
-    of the cloud's :func:`triangulate`, rounded once.  Fanned from the
-    cloud's mean c, f is the sum of |det(sigma - c)| / d! over the boundary
-    simplices sigma, and the derivative of a determinant in one of its
-    rows is that row's cofactor; c drops out, since the fan volume does not
-    depend on it.  The sum of the B points' cofactor rows over d! is the
-    gradient of f where the triangulation is stable and, f being convex,
-    a subgradient everywhere.
+    of the cloud's :func:`triangulate`, rounded once by one int/int
+    division.  Fanned from the cloud's mean c, f is the sum of
+    |det(sigma - c)| / d! over the boundary simplices sigma, and the
+    derivative of a determinant in one of its rows is that row's cofactor;
+    c drops out, since the fan volume does not depend on it.  The sum of
+    the B points' cofactor rows over d! is the gradient of f where the
+    triangulation is stable and, f being convex, a subgradient everywhere.
     """
     import numpy as np
 
     cloud = np.vstack([a, b + x])
     d = cloud.shape[1]
     hpts, basis, simplices = triangulate([tuple(p) for p in cloud.tolist()])
-    value = fan_volume(boundary_fan(hpts, basis[0], simplices), d, FLOAT)
+    scale, weights, cones = boundary_fan(hpts, basis[0], simplices)
+    value = fan_total(scale, weights, cones) / (math.factorial(d) * scale ** (d + 1))
     rows = np.array([verts for verts, _, _ in simplices])
     fan = cloud[rows] - cloud.mean(axis=0)
     # |det M| inv(M)^T = sign(det M) cof(M): cofactors oriented to a positive fan.
     cof = np.abs(np.linalg.det(fan))[:, None, None] * np.linalg.inv(fan).transpose(0, 2, 1)
     moving = (rows >= len(a))[..., None]
     return value, (cof * moving).sum(axis=(0, 1)) / math.factorial(d)
+
+
+def _unit_plane(facet):
+    """Float unit normal and offset of an exact facet.
+
+    Dividing by the largest component first keeps every quotient within
+    [-1, 1], each rounded once; the exact values may lie beyond the float
+    range.
+    """
+    top = max(abs(c) for c in facet.outward_normal)
+    unit = [float(c / top) for c in facet.outward_normal]
+    norm = math.hypot(*unit)
+    return tuple(c / norm for c in unit), float(facet.offset / top) / norm
 
 
 def minimize_over_translation(K, lam):
@@ -376,8 +389,8 @@ def minimize_over_translation(K, lam):
     the next probe and a lower bound L.  The search stops when the best
     value U satisfies U - L <= 1e-9 U, or after ``MAX_SEARCH_PROBES`` probes.
     A probe replaces the best point only when strictly lower, so on a flat
-    minimum the centroid is kept.  The search runs in float arithmetic
-    regardless of the body's mode.
+    minimum the centroid is kept.  The search runs in float arithmetic: the
+    exact body's vertices, centroid and facets are rounded once on entry.
     """
     import numpy as np
 
@@ -386,13 +399,12 @@ def minimize_over_translation(K, lam):
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    body = as_float_body(K)
-    start = np.array([float(c) for c in centroid(body)])
+    start = np.array([float(c) for c in centroid(K)])
     if lam in (0.0, 1.0):
-        vol = float(volume(body))
+        vol = float(volume(K))
         return TranslationSolution(tuple(start.tolist()), vol, vol, 0)
-    n = body.dim
-    verts = np.array(body.vertices, dtype=float)
+    n = K.dim
+    verts = np.array(K.vertices, dtype=float)
     # Scaling by 2^-e is exact and brings the largest coordinate into
     # [1/2, 1), the range the LP's absolute eps is meant for.
     e = math.frexp(float(np.abs(verts).max()))[1]
@@ -403,10 +415,9 @@ def minimize_over_translation(K, lam):
     # >= 0, with t0 the cuts' largest value at c: each cut reads
     # g.u + v <= t0 - (its value at c), so every right-hand side is >= 0,
     # as ``simplex_max`` requires.  It maximizes v.
-    facets = [list(f.outward_normal) + [-x for x in f.outward_normal] + [0.0]
-              for f in body.facets]
-    slacks = [math.ldexp(float(f.offset), -e) - float(np.dot(f.outward_normal, c))
-              for f in body.facets]
+    planes = sorted(_unit_plane(f) for f in K.facets)
+    facets = [list(normal) + [-x for x in normal] + [0.0] for normal, _ in planes]
+    slacks = [math.ldexp(offset, -e) - float(np.dot(normal, c)) for normal, offset in planes]
     cuts, heights = [], []
     upper, lower, probes = math.inf, 0.0, 0
     while probes < MAX_SEARCH_PROBES:
@@ -463,73 +474,48 @@ def _vertices(*bodies):
                          for body in bodies]}
 
 
-def _verified(config, check, working, exact, accept=None):
-    """``check(*working)``, confirmed in exact arithmetic in float mode.
-
-    A float report that fails, or that ``accept`` rejects, is replaced by
-    ``check(*exact)`` with ``arithmetic: exact`` and ``float_flagged`` in
-    its meta, so no float failure is reported unconfirmed.
-    """
-    rep = check(*working)
-    if config.mode == EXACT or (rep.passed and (accept is None or accept(rep))):
-        return rep
-    rep = check(*exact)
-    return dataclasses.replace(rep, meta=dict(rep.meta, arithmetic=EXACT, float_flagged=True))
-
-
 def _trial_seed(config, trial):
     return config.seed * SEED_STRIDE + trial
 
 
 def _trial_body(config, trial, *, offset=0):
-    """One exact body per (trial, offset) plus its working-mode version."""
+    """The exact body of one (trial, offset)."""
     flavor = FLAVORS[(trial + offset) % len(FLAVORS)]
     m = config.n + 3 + ((trial + offset) % 5)
     seed = _trial_seed(config, trial) + offset * PAIR_SEED_OFFSET
-    exact = random_polytope(config.n, m, seed, flavor, mode=EXACT)
-    return (as_float_body(exact) if config.mode == FLOAT else exact), exact
+    return random_polytope(config.n, m, seed, flavor)
 
 
 # ---------------------------------------------------------------------------
 # per-kind trial runners
 
 
-def _binomial_conjecture(rep):
-    """V(K[j], -K[n-j]) / Vol K of a ``godbersen_ratio`` report against C(n, j)."""
-    return comparison_report(rep.lhs, rep.meta["rhs_conjectured"], tol=rep.tol,
-                             meta={k: rep.meta[k] for k in ("n", "j", "method")})
-
-
 def _godbersen_trial(config, trial):
-    working, exact = _trial_body(config, trial)
-    # One Cayley fan per body serves every check below.
-    mixed = functools.cache(lambda K: mixed_volumes(K, negate(K)))
-    ratio = functools.cache(lambda K, j: godbersen_ratio(K, j, mixed(K)))
+    K = _trial_body(config, trial)
+    # One Cayley fan serves every check below.
+    mixed = mixed_volumes(K, negate(K))
     checks = []
     for j in config.j_list:
-        rep = _verified(config, lambda K: ratio(K, j), (working,), (exact,))
-        conj = _verified(config, lambda K: _binomial_conjecture(ratio(K, j)),
-                         (working,), (exact,))
+        rep = godbersen_ratio(K, j, mixed)
+        # The same ratio against the conjectured C(n, j).
+        conj = comparison_report(rep.lhs, rep.meta["rhs_conjectured"],
+                                 meta={k: rep.meta[k] for k in ("n", "j", "method")})
         checks += [("translation-bound", True, rep, {"j": j}),
                    ("binomial-conjecture", False, conj, {"j": j})]
-
-    diff = _verified(config, lambda K: difference_body_check(K, mixed(K)),
-                     (working,), (exact,), accept=lambda rep: rep.meta["expansion_identity"])
-    expansion = equality_report(
-        diff.meta["expansion_sum"], diff.meta["difference_volume"],
-        tol=0 if diff.meta.get("arithmetic") == EXACT or config.mode == EXACT
-        else 1e-9 * abs(float(diff.meta["difference_volume"])),
-        meta={"n": config.n})
+    diff = difference_body_check(K, mixed)
+    expansion = equality_report(diff.meta["expansion_sum"], diff.meta["difference_volume"],
+                                meta={"n": config.n})
     checks += [("difference-body-bound", True, diff, {}),
                ("difference-body-expansion", True, expansion, {})]
-    return _vertices(exact), checks
+    return _vertices(K), checks
 
 
-def _search_bound(config, working, lam):
+def _search_bound(config, K, lam):
     """Translation-search value against the simplex hull bound (a soft check)."""
-    sol = minimize_over_translation(working, float(lam))
+    sol = minimize_over_translation(K, float(lam))
     formula = simplex_hull_ratio(config.n, lam)
-    rhs = float(formula.ratio) * float(volume(working))
+    body_volume = float(volume(K))
+    rhs = float(formula.ratio) * body_volume
     return comparison_report(
         sol.value, rhs, tol=1e-6 * abs(rhs),
         meta={
@@ -540,28 +526,28 @@ def _search_bound(config, working, lam):
             "search": "kelley-cutting-plane",
             "certifies": "upper-bound-only",
             "lower_bound": sol.lower_bound,
-            "body_volume": float(volume(working)),
+            "body_volume": body_volume,
         })
 
 
 def _via_gfr_trial(config, trial):
-    working, exact = _trial_body(config, trial)
+    K = _trial_body(config, trial)
     checks = []
     for j in config.j_list:
         lam = rational(config.n + 1 - j, config.n + 1)
         axes = {"j": j, "lambda": lam}
         checks += [("hull-ratio-implies-binomial-bound", True,
                     gfr_implies_godbersen_bound(config.n, j), axes),
-                   ("translation-search-bound", False, _search_bound(config, working, lam), axes)]
-    return _vertices(exact), checks
+                   ("translation-search-bound", False, _search_bound(config, K, lam), axes)]
+    return _vertices(K), checks
 
 
 def _gfr_trial(config, trial):
-    working, exact = _trial_body(config, trial)
+    K = _trial_body(config, trial)
     checks = []
     half = rational(1, 2)
     for lam in config.lambda_grid:
-        checks.append(("translation-search-bound", False, _search_bound(config, working, lam),
+        checks.append(("translation-search-bound", False, _search_bound(config, K, lam),
                        {"lambda": lam}))
         if lam == half:
             formula = simplex_hull_ratio(config.n, lam)
@@ -573,7 +559,7 @@ def _gfr_trial(config, trial):
                 meta={"n": config.n,
                       "identity": "hull-ratio at 1/2 equals central binomial over 2^n"})
             checks.append(("halfway-binomial-cross-check", True, cross, {"lambda": lam}))
-    return _vertices(exact), checks
+    return _vertices(K), checks
 
 
 def _theta_trial(config, trial):
@@ -582,24 +568,19 @@ def _theta_trial(config, trial):
         verify, check = verify_KL_inequality, "join-intersection-product"
     else:
         verify, check = verify_ckl_bound, "layered-body-volume-bound"
-    (k, k_exact), (l, l_exact) = (_trial_body(config, trial, offset=i) for i in (0, 1))
-    checks = [(check, True, _verified(config, verify, (k, l, theta),
-                                      (k_exact, l_exact, _grid_value(theta, EXACT))),
-               {"theta": theta})
+    K, L = (_trial_body(config, trial, offset=i) for i in (0, 1))
+    checks = [(check, True, verify(K, L, theta), {"theta": theta})
               for theta in config.theta_grid]
-    return _vertices(k_exact, l_exact), checks
+    return _vertices(K, L), checks
 
 
 def _strange_trial(config, trial):
-    (k, k_exact), (l, l_exact) = (_trial_body(config, trial, offset=i) for i in (0, 1))
-    exact_grid = tuple(_grid_value(t, EXACT) for t in config.theta_grid)
-    rep = _verified(config, verify_strange, (k, l, config.theta_grid),
-                    (k_exact, l_exact, exact_grid),
-                    accept=lambda rep: rep.meta["inclusions_hold"])
+    K, L = (_trial_body(config, trial, offset=i) for i in (0, 1))
+    rep = verify_strange(K, L, config.theta_grid)
     inclusion = CheckReport(
         None, None, None, 0, bool(rep.meta["inclusions_hold"]),
         {"n": config.n, "inclusion_by_theta": rep.meta["inclusion_by_theta"]})
-    return _vertices(k_exact, l_exact), [
+    return _vertices(K, L), [
         ("join-polar-sum-product", True, rep, {}),
         ("scaled-intersection-inclusion", True, inclusion, {}),
     ]
@@ -659,7 +640,7 @@ def _functional_trial(config, trial):
 def _planar_trial(config, trial):
     m = 4 + (trial % 12)
     flavor = FLAVORS[trial % 2]
-    body = random_polytope(2, m, _trial_seed(config, trial), flavor, mode=EXACT)
+    body = random_polytope(2, m, _trial_seed(config, trial), flavor)
     area = volume(body)
     checks = []
     for lam in config.lambda_grid:
@@ -674,7 +655,7 @@ def _planar_trial(config, trial):
         # The centered input's join area; a triangle has no chain, but
         # random_polytope has centered the body already.
         start_obj = (steps[0].objective_before if steps
-                     else volume(scaled_reflected_join(body, _grid_value(lam, EXACT))))
+                     else volume(scaled_reflected_join(body, lam)))
         final_obj = steps[-1].objective_after if steps else start_obj
         bound = simplex_hull_ratio(2, lam).ratio * area
         base = comparison_report(final_obj, bound, tol=0, meta={
@@ -713,7 +694,9 @@ def run_trial(config, trial):
 
     The kind's runner returns the trial's reproduction payload and its
     checks, each a ``(name, hard, report, axes)`` tuple; every record is
-    built here from one check.
+    built here from one check.  Exact ``strange`` records at n=4 write
+    ints beyond the interpreter's int/str digit limit, which
+    :func:`run_experiment` lifts.
     """
     if not 0 <= trial < config.trials:
         raise ValueError("trial %d outside 0..%d" % (trial, config.trials - 1))
@@ -784,6 +767,18 @@ def _write_csv(fp, records):
             fp.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
+@contextlib.contextmanager
+def _long_ints():
+    """Lift the interpreter's int/str digit limit (4,300 digits by default)
+    for the enclosed code, and restore it after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _isolated_trial(config, trial):
     """The trial's records, or one failing hard ``trial-error`` record when
     the trial raised a package error; the rest of the sweep goes on."""
@@ -803,21 +798,23 @@ def run_experiment(config):
     in the output but do not fail the run); 2 — some hard (proved) check
     failed beyond tolerance, or a trial raised a package error and was
     recorded as a failing ``trial-error``; 3 — the output files could not
-    be written.
+    be written.  Exact rationals are written in full, however many digits
+    they have.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_json(config)
-    records = [rec for t in range(config.trials) for rec in _isolated_trial(config, t)]
     base = _output_base(config.output_path)
-    try:
-        with open(base + ".jsonl", "w") as fp:
-            for rec in records:
-                fp.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-                fp.write("\n")
-        with open(base + ".csv", "w") as fp:
-            _write_csv(fp, records)
-    except OSError as exc:
-        print("failed to write experiment output: %s" % exc, file=sys.stderr)
-        return 3
+    with _long_ints():
+        records = [rec for t in range(config.trials) for rec in _isolated_trial(config, t)]
+        try:
+            with open(base + ".jsonl", "w") as fp:
+                for rec in records:
+                    fp.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+                    fp.write("\n")
+            with open(base + ".csv", "w") as fp:
+                _write_csv(fp, records)
+        except OSError as exc:
+            print("failed to write experiment output: %s" % exc, file=sys.stderr)
+            return 3
     hard_failure = any(rec["hard"] and not rec["pass"] for rec in records)
     return 2 if hard_failure else 0

@@ -123,8 +123,7 @@ def hyperplane_through(points):
     Returns (normal, offset) with <p, normal> = offset for each input point.
     Raises DegenerateInput when the points do not span a hyperplane, and
     TypeError on a non-int coordinate.  The test is exact, with no
-    tolerance: the hull kernel passes int points in both modes, and a float
-    hull runs on its inputs' exact binary values over a common denominator.
+    tolerance: the hull kernel passes int points.
     """
     d = len(points[0])
     base = points[0]

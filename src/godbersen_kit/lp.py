@@ -1,10 +1,11 @@
-"""Dense one-phase simplex over exact rationals (float works too).
+"""Dense one-phase simplex.
 
-Problems here are tiny (tens of variables/constraints): interior-point
-search, the translation search's cutting planes.  Every caller states its
-LP with right-hand sides >= 0, so the slack basis is feasible and no
-phase 1 is needed.  Bland's rule keeps termination unconditional; with
-exact scalars there is no rounding left to worry about at all.
+Problems here are tiny (tens of variables/constraints): the exact
+interior-point search of the polytope layer, and the float translation
+search's cutting planes.  Every caller states its LP with right-hand sides
+>= 0, so the slack basis is feasible and no phase 1 is needed.  Bland's
+rule keeps termination unconditional; with exact scalars there is no
+rounding left to worry about at all.
 """
 
 from __future__ import annotations
@@ -84,19 +85,19 @@ def simplex_max(c, A, b, eps=0):
     return OPTIMAL, T[-1][-1], y
 
 
-def feasible_interior(normals, offsets, dim, *, eps=0):
+def feasible_interior(normals, offsets, dim):
     """Point maximizing the (L1-scaled) slack inside {x : <a_i,x> <= b_i}.
 
     Maximizes t subject to <a_i,x> + |a_i|_1 t <= b_i and t <= 1, the cap
     letting unbounded regions solve.  Returns (margin, x), margin the
     optimal t: margin > 0 means x is strictly interior, margin == 0 that
-    the system is feasible but flat; (None, None) means margin < 0
-    (below -eps in float), an infeasible system.
+    the system is feasible but flat; (None, None) means margin < 0, an
+    infeasible system.
 
     The point x = 0, t = t0 with t0 = min(0, min_i b_i / |a_i|_1) is
     feasible, so the LP runs in u = t - t0 >= 0 and x = xp - xm (xp,
     xm >= 0) with every right-hand side >= 0.  The t column's 1s are the
-    input's own, so exact inputs give an exact margin and x.
+    input's own, so rational inputs give a rational margin and x.
     """
     n_free = 2 * dim
     A, b, scales = [], [], []
@@ -113,11 +114,10 @@ def feasible_interior(normals, offsets, dim, *, eps=0):
         return 1, (0,) * dim
     one = scales[0] / scales[0]
     t0 = min([0] + [b_i / s for b_i, s in zip(b, scales)])
-    # In float, b_i - s t0 can round below 0 on the row that sets t0.
-    b = [max(b_i - s * t0, 0) for b_i, s in zip(b, scales)] + [one - t0]
+    b = [b_i - s * t0 for b_i, s in zip(b, scales)] + [one - t0]
     A.append([0] * n_free + [one])
-    _, u, y = simplex_max([0] * n_free + [one], A, b, eps=eps)
+    _, u, y = simplex_max([0] * n_free + [one], A, b)
     margin = t0 + u
-    if margin < -eps:
+    if margin < 0:
         return None, None
     return margin, tuple(y[i] - y[dim + i] for i in range(dim))

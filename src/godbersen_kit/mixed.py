@@ -6,12 +6,11 @@ they can cross-check each other: the Cayley trick, which reads every
 V(K[j], T[n-j]) off one triangulation of conv(K x {0} u T x {1}) and
 feeds the sweeps and :func:`mixed_volume_pair`; polynomial interpolation
 of s -> Vol(sK + T), the exact-only reference :func:`volume_polynomial`;
-and inclusion-exclusion over Minkowski sums (polarization).  Exact mode
-must make them agree to the digit.
+and inclusion-exclusion over Minkowski sums (polarization).  All three
+are exact and must agree to the digit.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .linalg import solve
@@ -25,7 +24,7 @@ from .polytopes import (
     volume,
 )
 from .reports import comparison_report
-from .scalars import EXACT, as_scalar, rational
+from .scalars import rational
 
 MAX_GENERAL_BODIES = 4
 
@@ -45,11 +44,10 @@ def mixed_volumes(K, T):
     of C, that triangulates C (:func:`~.polytopes.boundary_fan`, on each
     point's own denominator).  A simplex S with b of its n+2 vertices at
     height 1 slices to volumes proportional to (1-t)^(n+1-b) t^(b-1), so it
-    adds (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).  Float
-    values are the exact ones rounded once.
+    adds (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).
     """
-    if K.dim != T.dim or K.mode != T.mode:
-        raise ValueError("operands must share dimension and mode")
+    if K.dim != T.dim:
+        raise ValueError("operands must share dimension")
     n = K.dim
     lifted = [(*v, 0) for v in K.vertices] + [(*v, 1) for v in T.vertices]
     hpts, basis, simplices = triangulate(lifted)
@@ -58,8 +56,7 @@ def mixed_volumes(K, T):
     b = {verts: sum(hpts[v][0][n] != 0 for v in (apex, *verts)) for verts, _, _ in simplices}
     scale, weights, cones = boundary_fan(hpts, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
     # (n+1) t / ((n+1)! L^(n+2)) = t / (n! L^(n+2))
-    div = rational if K.mode == EXACT else operator.truediv
-    return [div(fan_total(scale, weights, [c for c in cones if b[c[0]] == n + 1 - j]),
+    return [rational(fan_total(scale, weights, [c for c in cones if b[c[0]] == n + 1 - j]),
                 math.factorial(n) * scale ** (n + 2)) for j in range(n + 1)]
 
 
@@ -68,13 +65,10 @@ def volume_polynomial(K, T):
 
     Fits Vol(sK + T) = sum_j C(n,j) s^j V(K[j],T[n-j]) through the nodes
     s = 0..n, one Minkowski-sum hull per nonzero node, by an exact
-    Vandermonde solve.  This is the exact reference for
-    :func:`mixed_volumes`; float bodies raise ValueError.
+    Vandermonde solve.  This is the reference for :func:`mixed_volumes`.
     """
-    if K.dim != T.dim or K.mode != T.mode:
-        raise ValueError("operands must share dimension and mode")
-    if K.mode != EXACT:
-        raise ValueError("volume_polynomial is exact-only; mixed_volumes takes float bodies")
+    if K.dim != T.dim:
+        raise ValueError("operands must share dimension")
     n = K.dim
     nodes = [rational(s) for s in range(n + 1)]
     volumes = [volume(T) if s == 0 else volume(minkowski_sum(scale_polytope(K, s), T))
@@ -98,10 +92,6 @@ def mixed_volume_general(bodies):
         raise ValueError("polarization route capped at %d bodies" % MAX_GENERAL_BODIES)
     if any(B.dim != n for B in bodies):
         raise ValueError("need n bodies of dimension n")
-    modes = {B.mode for B in bodies}
-    if len(modes) != 1:
-        raise ValueError("operands must share mode")
-    mode = modes.pop()
 
     sums = {}
     for mask in range(1, 1 << n):
@@ -113,7 +103,7 @@ def mixed_volume_general(bodies):
         else:
             sums[mask] = minkowski_sum(sums[rest], bodies[i])
 
-    total = as_scalar(0, mode)
+    total = rational(0)
     for mask in range(1, 1 << n):
         size = bin(mask).count("1")
         term = volume(sums[mask])
@@ -121,7 +111,7 @@ def mixed_volume_general(bodies):
             total = total - term
         else:
             total = total + term
-    value = total / as_scalar(math.factorial(n), mode)
+    value = total / math.factorial(n)
     return MixedVolumeResult(value, "polarization")
 
 
@@ -137,22 +127,17 @@ def godbersen_ratio(K, j, mixed=None):
     if mixed is None:
         mixed = mixed_volumes(K, negate(K))
     lhs = mixed[j] / volume(K)
-    conjectured = as_scalar(math.comb(n, j), K.mode)
-    if K.mode == EXACT:
-        proved = rational(n**n, j**j * (n - j) ** (n - j))
-        tol = 0
-    else:
-        proved = n**n / (j**j * (n - j) ** (n - j))
-        tol = 1e-9 * float(proved)
+    conjectured = rational(math.comb(n, j))
+    proved = rational(n**n, j**j * (n - j) ** (n - j))
     meta = {
         "n": n,
         "j": j,
         "rhs_conjectured": conjectured,
         "rhs_proved": proved,
         "method": "cayley",
-        "conjecture_pass": bool(lhs <= conjectured + tol),
+        "conjecture_pass": bool(lhs <= conjectured),
     }
-    return comparison_report(lhs, proved, tol=tol, meta=meta)
+    return comparison_report(lhs, proved, meta=meta)
 
 
 def difference_body_check(K, mixed=None):
@@ -169,15 +154,13 @@ def difference_body_check(K, mixed=None):
         mixed = mixed_volumes(K, minus_k)
     diff_volume = volume(minkowski_sum(K, minus_k))
     lhs = diff_volume / volume(K)
-    rhs = as_scalar(math.comb(2 * n, n), K.mode)
-    expansion = sum(as_scalar(math.comb(n, j), K.mode) * mixed[j] for j in range(n + 1))
-    tol = 0 if K.mode == EXACT else 1e-9 * float(rhs)
-    identity_tol = 0 if K.mode == EXACT else 1e-9 * float(diff_volume)
+    rhs = rational(math.comb(2 * n, n))
+    expansion = sum(math.comb(n, j) * mixed[j] for j in range(n + 1))
     meta = {
         "n": n,
         "expansion_sum": expansion,
         "difference_volume": diff_volume,
-        "expansion_identity": bool(abs(expansion - diff_volume) <= identity_tol),
-        "equality_attained": bool(abs(lhs - rhs) <= tol),
+        "expansion_identity": bool(expansion == diff_volume),
+        "equality_attained": bool(lhs == rhs),
     }
-    return comparison_report(lhs, rhs, tol=tol, meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)

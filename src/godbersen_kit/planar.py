@@ -11,8 +11,7 @@ range sits at an endpoint; stepping to that endpoint never decreases the
 join area.  Iterating reaches a triangle, which witnesses the planar bound
 checked by verify_planar_gfr.
 
-The argument is exact, and so is every function here: a polygon that is
-not in exact mode raises ValueError.
+The argument is exact, and so is every function here.
 """
 
 from dataclasses import dataclass
@@ -27,15 +26,13 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport
-from .scalars import EXACT, exact_scalar, scalar_to_json
+from .scalars import exact_scalar, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 
 def _require_polygon(P):
     if P.dim != 2:
         raise DegenerateInput("planar reduction needs a 2-dimensional polytope")
-    if P.mode != EXACT:
-        raise ValueError("planar reduction takes exact-mode polygons only")
 
 
 def _require_centered(P):
@@ -121,7 +118,7 @@ def _slid(cyc, i2, t, area):
     shift = (-theta * t * u[0], -theta * t * u[1])
     moved = [(v[0] + shift[0], v[1] + shift[1]) for v in cyc]
     moved[i2] = (x2[0] + t * u[0] + shift[0], x2[1] + t * u[1] + shift[1])
-    return convex_hull(moved, EXACT), shift
+    return convex_hull(moved), shift
 
 
 def slide_vertex(K, vertex_index, t):

@@ -1,21 +1,20 @@
 """Polytope kernel: hulls, volumes, Minkowski sums, intersections, polars.
 
-Bounded convex polytopes in dimension 1..6, in either arithmetic mode.
+Bounded convex polytopes in dimension 1..6, in exact rational arithmetic.
 The hull is an incremental beneath-beyond insertion; all downstream
 quantities (volume, centroid, facet structure) fall out of the same
-boundary triangulation.  One integer kernel serves both modes: a float
-is a dyadic rational, so a float hull is the exact hull of its inputs'
-binary values, with its scalars rounded once on the way out.  The kernel
-reads each point as ints over its own denominator (a per-point weight w,
-a power of two for a float), and the volume fan runs on the same (X, w)
-rows, so no common denominator is formed.  The volume is computed with
-the hull; the centroid only when it is read.
+boundary triangulation.  The integer kernel reads each point as ints over
+its own denominator (a per-point weight w), and the volume fan runs on the
+same (X, w) rows, so no common denominator is formed.  The volume is
+computed with the hull; the centroid only when it is read.
 :func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
-volumes and the translation search's probes alike.
+volumes and the translation search's float probes alike.
 
 Conventions:
 
-* a point is a tuple of scalars, all sharing one mode;
+* a point is a tuple of Fractions; a float coordinate given to
+  :func:`convex_hull` (or read from float polytope JSON) is read at its
+  exact binary value, a dyadic rational;
 * ``VPolytope.vertices`` is lexicographically sorted and contains extreme
   points only, so equality of polytopes is equality of representations;
 * facet half-spaces are ``<x, outward_normal> <= offset``.
@@ -26,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,16 +36,7 @@ from .errors import (
 )
 from .linalg import RankTracker, det, dot, hyperplane_through, vadd, vscale
 from .lp import feasible_interior
-from .scalars import (
-    EXACT,
-    FLOAT,
-    FLOAT_EPS,
-    as_scalar,
-    bit_size,
-    rational,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import EXACT, bit_size, rational, read_exact, scalar_to_json
 
 MAX_DIM = 6
 
@@ -55,16 +44,6 @@ MAX_DIM = 6
 def _check_dim(d):
     if not 1 <= d <= MAX_DIM:
         raise ValueError("dimension %d outside supported range 1..%d" % (d, MAX_DIM))
-
-
-def _coordinate_scale(points):
-    best = 1.0
-    for p in points:
-        for c in p:
-            a = abs(c)
-            if a > best:
-                best = float(a)
-    return best
 
 
 @dataclass(frozen=True)
@@ -83,11 +62,11 @@ class VPolytope:
     function of no arguments that computes it on first read.
     """
 
-    __slots__ = ("dim", "mode", "vertices", "facets", "_volume", "_cent")
+    __slots__ = ("dim", "vertices", "facets", "_volume", "_cent")
+    mode = EXACT  # every body is exact
 
-    def __init__(self, dim, mode, vertices, facets, volume, centroid):
+    def __init__(self, dim, vertices, facets, volume, centroid):
         self.dim = dim
-        self.mode = mode
         self.vertices = vertices
         self.facets = facets
         self._volume = volume
@@ -103,27 +82,18 @@ class VPolytope:
         return (
             isinstance(other, VPolytope)
             and self.dim == other.dim
-            and self.mode == other.mode
             and self.vertices == other.vertices
         )
 
     def __hash__(self):
-        return hash((self.dim, self.mode, self.vertices))
+        return hash((self.dim, self.vertices))
 
     def __repr__(self):
-        return "VPolytope(dim=%d, mode=%s, %d vertices, %d facets)" % (
+        return "VPolytope(dim=%d, %d vertices, %d facets)" % (
             self.dim,
-            self.mode,
             len(self.vertices),
             len(self.facets),
         )
-
-    @property
-    def eps(self):
-        """Predicate tolerance: zero in exact mode, scaled 1e-12 in float."""
-        if self.mode == EXACT:
-            return 0
-        return FLOAT_EPS * _coordinate_scale(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -136,18 +106,10 @@ class HPolytope:
     """
 
     dim: int
-    mode: str
     halfspaces: tuple
     interior_point: tuple = None
     empty: bool = False
     full_dim: bool = True
-
-    @property
-    def eps(self):
-        if self.mode == EXACT:
-            return 0
-        pts = [h[0] for h in self.halfspaces]
-        return FLOAT_EPS * _coordinate_scale(pts) if pts else FLOAT_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +246,8 @@ def _lex_sorted(indices, points, hpts):
 def triangulate(points):
     """The integer kernel's triangulation of the boundary of conv(points).
 
-    ``points`` are tuples of one mode's scalars, read at their exact values,
-    each as (X, w) over its own denominator (see :func:`_hull_core`); no
+    ``points`` are tuples of rationals or floats, read at their exact
+    values, each as (X, w) over its own denominator (see :func:`_hull_core`); no
     common scale is formed.  Returns (hpts, basis, simplices): hpts[i] is
     the (X, w) of points[i]; basis holds the indices of the first simplex,
     basis[0] the lexicographically smallest point, which is a vertex; each
@@ -346,21 +308,13 @@ def fan_total(scale, weights, cones):
     return scale * grouped(sorted(cones), 0) if cones else 0
 
 
-def fan_volume(fan, d, mode):
+def fan_volume(fan, d):
     """Volume of a d-dimensional :func:`boundary_fan`, its :func:`fan_total`
-    over d! L^(d+1), exact or rounded once.  Raises DegenerateInput when a
-    float volume rounds to 0 or beyond the float range."""
-    div = rational if mode == EXACT else operator.truediv
-    try:
-        vol = div(fan_total(*fan), math.factorial(d) * fan[0] ** (d + 1))
-    except OverflowError:  # a float quotient beyond the largest float
-        vol = math.inf
-    if vol == 0 or vol == math.inf:
-        raise DegenerateInput("hull volume is outside the float range")
-    return vol
+    over d! L^(d+1)."""
+    return rational(fan_total(*fan), math.factorial(d) * fan[0] ** (d + 1))
 
 
-def _fan_centroid(hpts, apex, fan, div):
+def _fan_centroid(hpts, apex, fan):
     """Volume centroid of a :func:`boundary_fan`: the t-weighted mean of the
     cones' vertex means, on the points scaled to the fan's L."""
     scale, weights, cones = fan
@@ -374,7 +328,8 @@ def _fan_centroid(hpts, apex, fan, div):
         total += t
         for c in range(d):
             weighted[c] += t * sum(ys[v][c] for v in verts)
-    return tuple(div(w + total * a, total * scale * (d + 1)) for w, a in zip(weighted, ys[apex]))
+    return tuple(rational(w + total * a, total * scale * (d + 1))
+                 for w, a in zip(weighted, ys[apex]))
 
 
 def _hull_finish(points, hpts, simplices):
@@ -414,29 +369,13 @@ def _hull_finish(points, hpts, simplices):
     return vertices, facets
 
 
-def _float_plane(normal, offset, g):
-    """Unit float plane of the primitive normal n and offset O / g.
-
-    Dividing by the largest component first keeps every quotient within
-    [-1, 1]; the integers themselves may lie beyond the float range.
-    """
-    top = max(abs(c) for c in normal)
-    unit = [c / top for c in normal]
-    norm = math.hypot(*unit)
-    return tuple(c / norm for c in unit), offset / (top * g) / norm
-
-
-def convex_hull(points, mode=None):
+def convex_hull(points):
     """Canonical hull of the given points (each a sequence of scalars).
 
-    Exact mode demands rational-like coordinates; float coordinates select
-    float mode.  Both modes run one integer kernel on the points' exact
-    values.  A float hull's vertices are input points, and its volume and
-    centroid are the exact values rounded once.  The centroid is computed
-    from the volume fan when it is first read.
+    Coordinates are read exactly, a float at its binary value.  The
+    centroid is computed from the volume fan when it is first read.
     Raises DegenerateInput when the points span less than the ambient
-    dimension, or when a float hull's volume rounds to 0 or beyond the
-    float range.
+    dimension.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -445,26 +384,16 @@ def convex_hull(points, mode=None):
     _check_dim(d)
     if any(len(p) != d for p in pts):
         raise ValueError("points of mixed dimension")
-    if mode is None:
-        mode = FLOAT if any(isinstance(c, float) for p in pts for c in p) else EXACT
-    pts = [tuple(as_scalar(c, mode) for c in p) for p in pts]
+    pts = [tuple(read_exact(c) for c in p) for p in pts]
     hpts, basis, simplices = triangulate(pts)
     vertices, facets = _hull_finish(pts, hpts, simplices)
     fan = boundary_fan(hpts, basis[0], simplices)
-    vol = fan_volume(fan, d, mode)
-    if mode == EXACT:
-        div = rational
-        facets = [(tuple(rational(c) for c in n), rational(o, g)) for n, o, g in facets]
-    else:
-        div = operator.truediv  # int / int rounds the exact quotient once
-        facets = sorted(_float_plane(n, o, g) for n, o, g in facets)
     return VPolytope(
         d,
-        mode,
         tuple(pts[v] for v in vertices),
-        tuple(Facet(normal, offset) for normal, offset in facets),
-        vol,
-        functools.partial(_fan_centroid, hpts, basis[0], fan, div),
+        tuple(Facet(tuple(rational(c) for c in n), rational(o, g)) for n, o, g in facets),
+        fan_volume(fan, d),
+        functools.partial(_fan_centroid, hpts, basis[0], fan),
     )
 
 
@@ -473,7 +402,7 @@ def convex_hull(points, mode=None):
 
 
 def volume(P):
-    """Lebesgue volume (exact in exact mode)."""
+    """Lebesgue volume, exact."""
     return P._volume
 
 
@@ -489,13 +418,9 @@ def support(P, u):
 
 
 def contains_point(P, x, *, strict=False):
-    eps = P.eps
     for f in P.facets:
         slack = f.offset - dot(f.outward_normal, x)
-        if strict:
-            if slack <= eps:
-                return False
-        elif slack < -eps * (1 + sum(abs(c) for c in f.outward_normal)):
+        if slack < 0 or strict and slack == 0:
             return False
     return True
 
@@ -503,11 +428,8 @@ def contains_point(P, x, *, strict=False):
 def contains_polytope(P, Q):
     """True iff every vertex of Q satisfies every facet half-space of P.
 
-    In exact mode each vertex is read once as (X, w) and each facet as an
-    integer normal n with offset a/b, so the test b (n.X) <= a w runs on
-    ints."""
-    if P.mode != EXACT:
-        return all(contains_point(P, v) for v in Q.vertices)
+    Each vertex is read once as (X, w) and each facet as an integer normal
+    n with offset a/b, so the test b (n.X) <= a w runs on ints."""
     planes = []
     for f in P.facets:
         normal, q = _homogeneous(f.outward_normal)
@@ -522,19 +444,15 @@ def gauge(P, u):
     Returns None for +infinity (u outside the recession cone of the
     vertex-at-origin case).
     """
-    eps = P.eps
-    if not contains_point(P, tuple(as_scalar(0, P.mode) for _ in range(P.dim))):
+    if not contains_point(P, (0,) * P.dim):
         raise OriginNotContained("gauge needs 0 inside the body")
-    best = as_scalar(0, P.mode)
+    best = rational(0)
     for f in P.facets:
         num = dot(f.outward_normal, u)
-        if f.offset > eps:
-            val = num / f.offset
-            if val > best:
-                best = val
-        else:  # 0 sits on this facet
-            if num > eps:
-                return None
+        if f.offset > 0:
+            best = max(best, num / f.offset)
+        elif num > 0:  # 0 sits on this facet
+            return None
     return best
 
 
@@ -549,21 +467,21 @@ def coordinate_bits(P):
 
 
 def translate(P, t):
-    t = tuple(as_scalar(c, P.mode) for c in t)
+    t = tuple(read_exact(c) for c in t)
     vertices = tuple(vadd(v, t) for v in P.vertices)
     facets = tuple(Facet(f.outward_normal, f.offset + dot(f.outward_normal, t)) for f in P.facets)
-    return VPolytope(P.dim, P.mode, vertices, facets, P._volume, lambda: vadd(P._centroid, t))
+    return VPolytope(P.dim, vertices, facets, P._volume, lambda: vadd(P._centroid, t))
 
 
 def scale_polytope(P, s):
     """sP: vertices and offsets scale by s, and s < 0 also flips the normals,
     so both lists are sorted again."""
-    s = as_scalar(s, P.mode)
+    s = read_exact(s)
     if s == 0:
         raise ValueError("scale factor must be nonzero; a point is not a polytope")
     planes = sorted((tuple(c if s > 0 else -c for c in f.outward_normal), f.offset * abs(s))
                     for f in P.facets)
-    return VPolytope(P.dim, P.mode, tuple(sorted(vscale(v, s) for v in P.vertices)),
+    return VPolytope(P.dim, tuple(sorted(vscale(v, s) for v in P.vertices)),
                      tuple(Facet(*plane) for plane in planes), P._volume * abs(s) ** P.dim,
                      lambda: vscale(P._centroid, s))
 
@@ -574,44 +492,35 @@ def negate(P):
 
 
 def affine_image(P, A, b=None):
-    """Image {Ax + b : x in P}: the hull of the mapped vertices in P's mode,
-    so a singular A raises DegenerateInput."""
-    mode = P.mode
-    A = [[as_scalar(c, mode) for c in row] for row in A]
-    b = (0,) * P.dim if b is None else tuple(as_scalar(c, mode) for c in b)
-    return convex_hull([vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices], mode)
+    """Image {Ax + b : x in P}: the hull of the mapped vertices, so a
+    singular A raises DegenerateInput."""
+    A = [[read_exact(c) for c in row] for row in A]
+    b = (0,) * P.dim if b is None else tuple(read_exact(c) for c in b)
+    return convex_hull([vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices])
 
 
 def minkowski_sum(P, Q):
     """Hull of all pairwise vertex sums."""
-    if P.dim != Q.dim or P.mode != Q.mode:
-        raise ValueError("operands must share dimension and mode")
-    sums = [vadd(v, w) for v in P.vertices for w in Q.vertices]
-    return convex_hull(sums, P.mode)
-
-
-def as_float_body(P):
-    """P itself in float mode, else the float hull of P's vertices."""
-    if P.mode == FLOAT:
-        return P
-    return convex_hull([tuple(float(c) for c in v) for v in P.vertices], FLOAT)
+    if P.dim != Q.dim:
+        raise ValueError("operands must share dimension")
+    return convex_hull([vadd(v, w) for v in P.vertices for w in Q.vertices])
 
 
 def convex_hull_union(P, Q):
     """Hull of the union (the join P v Q)."""
-    if P.dim != Q.dim or P.mode != Q.mode:
-        raise ValueError("operands must share dimension and mode")
-    return convex_hull(list(P.vertices) + list(Q.vertices), P.mode)
+    if P.dim != Q.dim:
+        raise ValueError("operands must share dimension")
+    return convex_hull(list(P.vertices) + list(Q.vertices))
 
 
 def scaled_reflected_join(K, lam):
     """Hull of (1-lam)K and -lam*K for lam in [0,1], endpoints included."""
-    lam = as_scalar(lam, K.mode)
+    lam = read_exact(lam)
     if lam == 0:
         return K
     if lam == 1:
         return negate(K)
-    return convex_hull([vscale(v, s) for s in (1 - lam, -lam) for v in K.vertices], K.mode)
+    return convex_hull([vscale(v, s) for s in (1 - lam, -lam) for v in K.vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +528,17 @@ def scaled_reflected_join(K, lam):
 
 
 def to_hrep(P):
-    return HPolytope(P.dim, P.mode, tuple((f.outward_normal, f.offset) for f in P.facets))
+    return HPolytope(P.dim, tuple((f.outward_normal, f.offset) for f in P.facets))
 
 
 def _interior_of(H):
     if H.interior_point is not None:
         return H.interior_point
-    eps = 1e-9 if H.mode == FLOAT else 0
-    normals = [h[0] for h in H.halfspaces]
-    offsets = [h[1] for h in H.halfspaces]
-    margin, x = feasible_interior(normals, offsets, H.dim, eps=eps)
+    margin, x = feasible_interior([h[0] for h in H.halfspaces],
+                                  [h[1] for h in H.halfspaces], H.dim)
     if margin is None:
         raise EmptyIntersection("no feasible point")
-    if not margin > eps:
+    if not margin > 0:
         raise DegenerateInput("feasible set is lower-dimensional")
     return x
 
@@ -641,22 +548,21 @@ def to_vrep(H):
     if H.empty:
         raise EmptyIntersection("H-polytope is flagged empty")
     z = _interior_of(H)
-    eps = H.eps
     polar_pts = []
     for normal, offset in H.halfspaces:
         r = offset - dot(normal, z)
-        if not r > eps:
+        if not r > 0:
             raise DegenerateInput("declared interior point is not strictly interior")
         polar_pts.append(tuple(c / r for c in normal))
     try:
-        Q = convex_hull(polar_pts, H.mode)
+        Q = convex_hull(polar_pts)
     except DegenerateInput:
         raise Unbounded("half-space normals do not span the space; recession cone nontrivial")
     for f in Q.facets:
-        if not f.offset > Q.eps:
+        if not f.offset > 0:
             raise Unbounded("recession cone nontrivial")
-    verts = [vadd(tuple(c / f.offset for c in f.outward_normal), z) for f in Q.facets]
-    return convex_hull(verts, H.mode)
+    return convex_hull([vadd(tuple(c / f.offset for c in f.outward_normal), z)
+                        for f in Q.facets])
 
 
 def intersect(*hpolys):
@@ -666,21 +572,16 @@ def intersect(*hpolys):
     HPolytope carry that information.
     """
     dims = {h.dim for h in hpolys}
-    modes = {h.mode for h in hpolys}
-    if len(dims) != 1 or len(modes) != 1:
-        raise ValueError("operands must share dimension and mode")
+    if len(dims) != 1:
+        raise ValueError("operands must share dimension")
     dim = dims.pop()
-    mode = modes.pop()
     halfspaces = tuple(hs for h in hpolys for hs in h.halfspaces)
-    eps = 1e-9 if mode == FLOAT else 0
-    normals = [h[0] for h in halfspaces]
-    offsets = [h[1] for h in halfspaces]
-    margin, x = feasible_interior(normals, offsets, dim, eps=eps)
+    margin, x = feasible_interior([h[0] for h in halfspaces], [h[1] for h in halfspaces], dim)
     if margin is None:
-        return HPolytope(dim, mode, halfspaces, None, empty=True, full_dim=False)
-    if not margin > eps:
-        return HPolytope(dim, mode, halfspaces, None, empty=False, full_dim=False)
-    return HPolytope(dim, mode, halfspaces, interior_point=x)
+        return HPolytope(dim, halfspaces, None, empty=True, full_dim=False)
+    if not margin > 0:
+        return HPolytope(dim, halfspaces, None, empty=False, full_dim=False)
+    return HPolytope(dim, halfspaces, interior_point=x)
 
 
 def polar(P):
@@ -690,21 +591,17 @@ def polar(P):
     VPolytope with vertices normal/offset.  Requires 0 strictly interior.
     """
     if isinstance(P, VPolytope):
-        if not contains_point(P, tuple(as_scalar(0, P.mode) for _ in range(P.dim)), strict=True):
+        origin = (rational(0),) * P.dim
+        if not contains_point(P, origin, strict=True):
             raise OriginNotInterior("polar needs 0 in the interior")
-        one = as_scalar(1, P.mode)
-        zero_int = tuple(as_scalar(0, P.mode) for _ in range(P.dim))
-        return HPolytope(
-            P.dim, P.mode, tuple((v, one) for v in P.vertices), interior_point=zero_int
-        )
-    H = P
-    eps = H.eps
+        return HPolytope(P.dim, tuple((v, rational(1)) for v in P.vertices),
+                         interior_point=origin)
     pts = []
-    for normal, offset in H.halfspaces:
-        if not offset > eps:
+    for normal, offset in P.halfspaces:
+        if not offset > 0:
             raise OriginNotInterior("polar needs 0 in the interior (an offset is <= 0)")
         pts.append(tuple(c / offset for c in normal))
-    return convex_hull(pts, H.mode)
+    return convex_hull(pts)
 
 
 def polar_body(P):
@@ -725,48 +622,38 @@ def polytope_to_json(P):
 
 
 def polytope_from_json(obj):
+    """The exact body of polytope JSON: fraction strings in ``"exact"``
+    mode, floats in ``"float"`` mode, each read at its exact value (see
+    :func:`convex_hull`)."""
     dim = int(obj["dim"])
     _check_dim(dim)
-    mode = obj["mode"]
-    if mode not in (EXACT, FLOAT):
-        raise ValueError("bad mode %r" % mode)
-    pts = [tuple(scalar_from_json(c, mode) for c in v) for v in obj["vertices"]]
-    if any(len(p) != dim for p in pts):
+    if obj["mode"] not in (EXACT, "float"):
+        raise ValueError("bad mode %r" % obj["mode"])
+    if any(len(v) != dim for v in obj["vertices"]):
         raise ValueError("vertex length disagrees with dim")
-    return convex_hull(pts, mode)
+    return convex_hull(obj["vertices"])
 
 
 # ---------------------------------------------------------------------------
 # stock bodies
 
 
-def standard_simplex(n, mode=EXACT):
+def standard_simplex(n):
     """conv{0, e_1, ..., e_n}."""
-    zero = [tuple(as_scalar(0, mode) for _ in range(n))]
-    eis = [
-        tuple(as_scalar(1 if i == j else 0, mode) for j in range(n)) for i in range(n)
-    ]
-    return convex_hull(zero + eis, mode)
+    return convex_hull([(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)])
 
 
-def centered_simplex(n, mode=EXACT):
+def centered_simplex(n):
     """standard_simplex translated so its centroid is the origin."""
-    S = standard_simplex(n, mode)
+    S = standard_simplex(n)
     return translate(S, tuple(-c for c in centroid(S)))
 
 
-def cube(n, mode=EXACT, *, low=0, high=1):
-    lo = as_scalar(low, mode)
-    hi = as_scalar(high, mode)
-    pts = []
-    for mask in range(1 << n):
-        pts.append(tuple(hi if mask >> i & 1 else lo for i in range(n)))
-    return convex_hull(pts, mode)
+def cube(n, *, low=0, high=1):
+    return convex_hull([tuple(high if mask >> i & 1 else low for i in range(n))
+                        for mask in range(1 << n)])
 
 
-def cross_polytope(n, mode=EXACT):
-    pts = []
-    for i in range(n):
-        for s in (1, -1):
-            pts.append(tuple(as_scalar(s if j == i else 0, mode) for j in range(n)))
-    return convex_hull(pts, mode)
+def cross_polytope(n):
+    return convex_hull([tuple(s if j == i else 0 for j in range(n))
+                        for i in range(n) for s in (1, -1)])

@@ -3,7 +3,7 @@ products, intersections, and polar sums together.
 
 The central object is C = conv(L at height 0, -K at height 1).  Its
 height-theta slice is (1-theta)L - theta*K, which feeds the
-product-volume inequalities.
+product-volume inequalities.  Every check is exact, with zero tolerance.
 """
 
 import math
@@ -25,45 +25,36 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport, comparison_report
-from .scalars import EXACT, as_scalar, rational
+from .scalars import exact_scalar, rational
 
 MAX_BASE_DIM = 4
 
 
-def _zero(n, mode):
-    return tuple(as_scalar(0, mode) for _ in range(n))
-
-
-def _tol_for(mode, *magnitudes):
-    if mode == EXACT:
-        return 0
-    scale = max([1.0] + [abs(float(m)) for m in magnitudes])
-    return 1e-9 * scale
+def _zero(n):
+    return (rational(0),) * n
 
 
 def build_C(K, L):
     """conv(L x {0}, -K x {1}) in dimension n+1."""
-    if K.dim != L.dim or K.mode != L.mode:
-        raise ValueError("operands must share dimension and mode")
+    if K.dim != L.dim:
+        raise ValueError("operands must share dimension")
     n = K.dim
     if n > MAX_BASE_DIM:
         raise ValueError("base dimension capped at %d" % MAX_BASE_DIM)
-    zero = as_scalar(0, K.mode)
-    one = as_scalar(1, K.mode)
-    pts = [v + (zero,) for v in L.vertices]
-    pts += [tuple(-c for c in w) + (one,) for w in K.vertices]
-    return convex_hull(pts, K.mode)
+    pts = [v + (0,) for v in L.vertices]
+    pts += [tuple(-c for c in w) + (1,) for w in K.vertices]
+    return convex_hull(pts)
 
 
 def g_volume_closed_form(K, L):
     """Product-body volume in dimension 2n+1: Vol(K) Vol(L) n!n!/(2n+1)!."""
-    if K.dim != L.dim or K.mode != L.mode:
-        raise ValueError("operands must share dimension and mode")
+    if K.dim != L.dim:
+        raise ValueError("operands must share dimension")
     n = K.dim
     factor = rational(
         math.factorial(n) * math.factorial(n), math.factorial(2 * n + 1)
     )
-    return volume(K) * volume(L) * as_scalar(factor, K.mode)
+    return volume(K) * volume(L) * factor
 
 
 def _scaled_intersection(K, L, theta):
@@ -73,11 +64,11 @@ def _scaled_intersection(K, L, theta):
     flat.  When every offset is positive the origin is strictly interior
     and no LP is needed to find an interior point."""
     if theta == 0 or theta == 1:
-        return HPolytope(K.dim, K.mode, (), empty=False, full_dim=False)
+        return HPolytope(K.dim, (), empty=False, full_dim=False)
     halfspaces = tuple((f.outward_normal, f.offset * s)
                        for P, s in ((K, theta), (L, 1 - theta)) for f in P.facets)
-    cut = HPolytope(K.dim, K.mode, halfspaces, interior_point=_zero(K.dim, K.mode))
-    if all(offset > cut.eps for _, offset in halfspaces):
+    cut = HPolytope(K.dim, halfspaces, interior_point=_zero(K.dim))
+    if all(offset > 0 for _, offset in halfspaces):
         return cut
     return intersect(cut)
 
@@ -89,7 +80,7 @@ def verify_ckl_bound(K, L, theta):
     not raised.
     """
     n = K.dim
-    theta = as_scalar(theta, K.mode)
+    theta = exact_scalar(theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     lhs = volume(build_C(K, L))
@@ -104,57 +95,54 @@ def verify_ckl_bound(K, L, theta):
             {"n": n, "theta": theta, "vacuous": True, "reason": "intersection has zero volume"},
         )
     vol_i = volume(to_vrep(I))
-    rhs = volume(K) * volume(L) / (as_scalar(n + 1, K.mode) * vol_i)
+    rhs = volume(K) * volume(L) / ((n + 1) * vol_i)
     meta = {"n": n, "theta": theta, "vacuous": False, "intersection_volume": vol_i}
-    return comparison_report(lhs, rhs, tol=_tol_for(K.mode, rhs), meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)
 
 
 def verify_KL_inequality(K, L, theta):
     """Vol(L v -K) * Vol(theta K cap (1-theta) L) <= Vol(K) Vol(L),
     for bodies with 0 in both."""
     n = K.dim
-    mode = K.mode
-    theta = as_scalar(theta, mode)
+    theta = exact_scalar(theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
-    origin = _zero(n, mode)
+    origin = _zero(n)
     if not (contains_point(K, origin) and contains_point(L, origin)):
         raise OriginNotContained("both bodies must contain the origin")
     join = convex_hull_union(L, negate(K))
     rhs = volume(K) * volume(L)
     if theta == 0 or theta == 1:
         return CheckReport(
-            as_scalar(0, mode),
+            rational(0),
             rhs,
-            as_scalar(0, mode) / rhs,
+            rational(0),
             0,
             True,
             {"n": n, "theta": theta, "vacuous": True, "join_volume": volume(join)},
         )
     I = _scaled_intersection(K, L, theta)
     if I.empty or not I.full_dim:
-        vol_i = as_scalar(0, mode)
+        vol_i = rational(0)
     else:
         vol_i = volume(to_vrep(I))
     lhs = volume(join) * vol_i
-    tol = _tol_for(mode, rhs)
     meta = {
         "n": n,
         "theta": theta,
         "vacuous": False,
         "join_volume": volume(join),
         "intersection_volume": vol_i,
-        "equality_attained": bool(abs(lhs - rhs) <= tol),
+        "equality_attained": bool(lhs == rhs),
     }
-    return comparison_report(lhs, rhs, tol=tol, meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)
 
 
 def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3, 4))):
     """Vol(K v -L) * Vol((K°+L°)°) <= Vol(K) Vol(L) for 0 interior to both,
     plus the inclusion theta K cap (1-theta) L inside (K°+L°)°."""
     n = K.dim
-    mode = K.mode
-    origin = _zero(n, mode)
+    origin = _zero(n)
     if not (contains_point(K, origin, strict=True) and contains_point(L, origin, strict=True)):
         raise OriginNotInterior("both bodies need 0 in the interior")
     polar_sum = minkowski_sum(polar_body(K), polar_body(L))
@@ -164,7 +152,7 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
     rhs = volume(K) * volume(L)
     inclusions = []
     for theta in theta_grid:
-        theta = as_scalar(theta, mode)
+        theta = exact_scalar(theta)
         I = _scaled_intersection(K, L, theta)
         if I.empty:
             inclusions.append((theta, True))
@@ -174,7 +162,6 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
             continue
         V = to_vrep(I)
         inclusions.append((theta, contains_polytope(M, V)))
-    tol = _tol_for(mode, rhs)
     meta = {
         "n": n,
         "join_volume": volume(join),
@@ -182,48 +169,43 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
         "inclusion_by_theta": [[t, flag] for t, flag in inclusions],
         "inclusions_hold": all(flag is not False for _, flag in inclusions),
     }
-    return comparison_report(lhs, rhs, tol=tol, meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)
 
 
 def verify_join_volume_bound(K, lam):
     """Vol((1-lam)K v -lam K) <= Vol(K) for 0 in K, derived through the
     product inequality with the pair (lam*K, (1-lam)*K) at theta = 1-lam."""
-    mode = K.mode
-    lam = as_scalar(lam, mode)
+    lam = exact_scalar(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
-    if not contains_point(K, _zero(K.dim, mode)):
+    if not contains_point(K, _zero(K.dim)):
         raise OriginNotContained("the body must contain the origin")
     join = scaled_reflected_join(K, lam)
     lhs = volume(join)
     rhs = volume(K)
-    tol = _tol_for(mode, rhs)
     meta = {
         "n": K.dim,
         "lambda": lam,
-        "equality_attained": bool(abs(lhs - rhs) <= tol),
+        "equality_attained": bool(lhs == rhs),
     }
     if 0 < lam < 1:
         inner = verify_KL_inequality(scale_polytope(K, lam), scale_polytope(K, 1 - lam), 1 - lam)
         meta["product_inequality_pass"] = inner.passed
         meta["product_lhs"] = inner.lhs
         meta["product_rhs"] = inner.rhs
-    return comparison_report(lhs, rhs, tol=tol, meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)
 
 
 def verify_layered_lower_bound(K, L):
     """Vol_n(-K v L) / (n+1) <= Vol_{n+1}(C(K,L)) whenever 0 is in both."""
     n = K.dim
-    mode = K.mode
-    origin = _zero(n, mode)
+    origin = _zero(n)
     if not (contains_point(K, origin) and contains_point(L, origin)):
         raise OriginNotContained("both bodies must contain the origin")
     join = convex_hull_union(negate(K), L)
-    lhs = volume(join) / as_scalar(n + 1, mode)
+    lhs = volume(join) / (n + 1)
     rhs = volume(build_C(K, L))
-    return comparison_report(
-        lhs, rhs, tol=_tol_for(mode, rhs), meta={"n": n, "join_volume": volume(join)}
-    )
+    return comparison_report(lhs, rhs, meta={"n": n, "join_volume": volume(join)})
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +215,10 @@ def verify_layered_lower_bound(K, L):
 def corner_simplex_pair(lams):
     """K = conv{0, e_1..e_n} and L = conv{0, lam_i e_i}."""
     n = len(lams)
-    lams = [as_scalar(x, EXACT) for x in lams]
-    zero = tuple(rational(0) for _ in range(n))
-    K = convex_hull(
-        [zero] + [tuple(rational(1 if j == i else 0) for j in range(n)) for i in range(n)], EXACT
-    )
-    L = convex_hull(
-        [zero] + [tuple(lams[i] if j == i else rational(0) for j in range(n)) for i in range(n)],
-        EXACT,
-    )
+    lams = [exact_scalar(x) for x in lams]
+    K = convex_hull([_zero(n)] + [tuple(int(j == i) for j in range(n)) for i in range(n)])
+    L = convex_hull([_zero(n)] + [tuple(lams[i] if j == i else 0 for j in range(n))
+                                  for i in range(n)])
     return K, L
 
 
@@ -253,19 +230,19 @@ def corner_polar_sum_body(lams):
     c_i = 1 + 1/lam_i, so its polar is cut out by x >= 0 and <x, c> <= 1.
     """
     n = len(lams)
-    lams = [as_scalar(x, EXACT) for x in lams]
+    lams = [exact_scalar(x) for x in lams]
     c = tuple(1 + 1 / x for x in lams)
     halfspaces = [
         (tuple(rational(-1 if j == i else 0) for j in range(n)), rational(0)) for i in range(n)
     ]
     halfspaces.append((c, rational(1)))
-    return to_vrep(HPolytope(n, EXACT, tuple(halfspaces)))
+    return to_vrep(HPolytope(n, tuple(halfspaces)))
 
 
 def corner_closed_forms(lams):
     """The three closed forms for the corner pair."""
     n = len(lams)
-    lams = [as_scalar(x, EXACT) for x in lams]
+    lams = [exact_scalar(x) for x in lams]
     nfact = rational(math.factorial(n))
     vol_join = rational(1)
     vol_polar_sum = rational(1)

@@ -1,17 +1,16 @@
-"""Arithmetic modes and scalar coercion.
+"""Scalar coercion and the two sweep modes.
 
-Two modes exist everywhere in the package:
+Polytopes are exact everywhere: arbitrary-precision rationals,
+``fractions.Fraction``, kept reduced with positive denominator, so
+canonical form is free.  A sweep's ``mode`` (``"exact"`` or ``"float"``)
+only says how the translation search, the ``functional`` layer and the
+closed-form simplex ratio read lambda: as a rational or as an IEEE
+float64.  The search and ``functional`` compute in floats either way.
 
-* ``"exact"``  -- arbitrary-precision rationals, ``fractions.Fraction``,
-  kept reduced with positive denominator, so canonical form is free.
-* ``"float"``  -- IEEE float64 with tolerance-based predicates.
-
-The hull kernel serves both: it reads each point's exact value (a float
-is a dyadic rational) as Python ints over the point's own denominator,
-and converts only the values it returns.
-
-Floats never silently enter exact arithmetic: :func:`exact_scalar` rejects
-them, and deliberate conversion goes through :func:`rationalize`.
+Floats never silently enter exact arithmetic: :func:`exact_scalar`
+rejects them.  A float coordinate is read at its exact binary value by
+:func:`read_exact`, and deliberate rounding to a rational goes through
+:func:`rationalize`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 EXACT = "exact"
 FLOAT = "float"
 
-#: Relative epsilon for float-mode sign predicates.
+#: Pivot epsilon of the float translation search's LP.
 FLOAT_EPS = 1e-12
 
 
@@ -45,6 +44,16 @@ def exact_scalar(x):
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (x,)) from None
+
+
+def read_exact(x):
+    """``x`` as an exact rational; a finite float is read at its exact
+    binary value, anything else as by :func:`exact_scalar`."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("non-finite coordinate %r" % x)
+        return Fraction(x)
+    return exact_scalar(x)
 
 
 def float_scalar(x):
@@ -78,17 +87,7 @@ def scalar_to_json(x):
     return str(Fraction(x))
 
 
-def scalar_from_json(v, mode):
-    if mode == FLOAT:
-        return float_scalar(v)
-    if isinstance(v, float):
-        raise TypeError("exact-mode JSON must use fraction strings, got float %r" % v)
-    return exact_scalar(v)
-
-
 def bit_size(x) -> int:
     """Bits in the numerator/denominator; coordinate-growth metric for tests."""
-    if isinstance(x, float):
-        return 53
     q = Fraction(x)
     return max(q.numerator.bit_length(), q.denominator.bit_length())

@@ -29,8 +29,8 @@ from godbersen_kit.polytopes import (
     volume,
 )
 from godbersen_kit.reports import comparison_report
-from godbersen_kit.rs_bodies import _tol_for, _zero
-from godbersen_kit.scalars import EXACT, as_scalar, exact_scalar, rational
+from godbersen_kit.rs_bodies import _zero
+from godbersen_kit.scalars import exact_scalar, rational
 from godbersen_kit.simplexes import _admissible_k
 
 
@@ -152,8 +152,8 @@ def _fraction_plane(points):
 def reference_convex_hull(points):
     """Exact hull by beneath-beyond insertion with every quantity a Fraction.
 
-    The same algorithm and conventions as ``polytopes.convex_hull`` in exact
-    mode: lexicographically sorted distinct points, the first affinely
+    The same algorithm and conventions as ``polytopes.convex_hull``:
+    lexicographically sorted distinct points, the first affinely
     independent d+1 of them as the starting simplex, its vertex centroid as
     the interior reference point, coplanar simplices grouped by their
     primitive integer plane, and volume and centroid fanned from the
@@ -216,7 +216,7 @@ def reference_convex_hull(points):
             weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts)) / (d + 1)
     if total == 0:
         raise DegenerateInput("zero-volume hull")
-    return VPolytope(d, EXACT, tuple(vertices), hull_facets, total,
+    return VPolytope(d, tuple(vertices), hull_facets, total,
                      tuple(w / total for w in weighted))
 
 
@@ -282,16 +282,16 @@ def common_scale_triangulate(points):
                                    for verts, normal, offset in facets]
 
 
-def monte_carlo_volume(P_float, n_samples=1_000_000, seed=0):
+def monte_carlo_volume(P, n_samples=1_000_000, seed=0):
     """Rejection sampling in the bounding box; returns (estimate, stderr)."""
     rng = np.random.default_rng(seed)
-    verts = np.array(P_float.vertices, dtype=float)
+    verts = np.array(P.vertices, dtype=float)
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     box_vol = float(np.prod(hi - lo))
     samples = rng.uniform(lo, hi, size=(n_samples, len(lo)))
-    normals = np.array([f.outward_normal for f in P_float.facets], dtype=float)
-    offsets = np.array([f.offset for f in P_float.facets], dtype=float)
+    normals = np.array([f.outward_normal for f in P.facets], dtype=float)
+    offsets = np.array([f.offset for f in P.facets], dtype=float)
     inside = np.all(samples @ normals.T <= offsets + 1e-12, axis=1)
     p = inside.mean()
     est = p * box_vol
@@ -393,24 +393,23 @@ def _section(P, axes, fixed, message):
     """P cut by the coordinates ``fixed`` ((index, value) pairs), as an
     HPolytope in the chart of ``axes``.  A facet parallel to the cut either
     contains it, and is dropped, or excludes it: EmptySection(message)."""
-    eps = P.eps
     halfspaces = []
     for f in P.facets:
         normal = tuple(f.outward_normal[i] for i in axes)
         offset = f.offset - sum(f.outward_normal[i] * value for i, value in fixed)
-        if all(abs(c) <= eps for c in normal):
-            if offset < -eps:
+        if not any(normal):
+            if offset < 0:
                 raise EmptySection(message)
             continue
         halfspaces.append((normal, offset))
-    return HPolytope(len(axes), P.mode, tuple(halfspaces))
+    return HPolytope(len(axes), tuple(halfspaces))
 
 
 def slice_of_C(C, theta):
     """The height-theta slice of the joined body, as an n-dim polytope in
     the chart that drops the height coordinate."""
     n = C.dim - 1
-    theta = as_scalar(theta, C.mode)
+    theta = exact_scalar(theta)
     H = _section(C, range(n), ((n, theta),), "slice height outside the body")
     try:
         return to_vrep(H)
@@ -431,7 +430,7 @@ def section_projection_check(P, axes, point=None):
     if not 1 <= j <= n - 1:
         raise ValueError("need a proper nontrivial coordinate subspace")
     if point is None:
-        point = _zero(n, P.mode)
+        point = _zero(n)
     other = tuple(i for i in range(n) if i not in axes)
 
     H = _section(P, axes, tuple((i, point[i]) for i in other), "subspace misses the polytope")
@@ -443,13 +442,11 @@ def section_projection_check(P, axes, point=None):
         raise EmptySection("subspace misses the polytope")
     except DegenerateInput:
         flat_section = True
-        vol_section = as_scalar(0, P.mode)
+        vol_section = rational(0)
 
     proj_pts = [tuple(v[i] for i in other) for v in P.vertices]
-    projection = convex_hull(proj_pts, P.mode)
-    factor = as_scalar(
-        rational(math.factorial(j) * math.factorial(n - j), math.factorial(n)), P.mode
-    )
+    projection = convex_hull(proj_pts)
+    factor = rational(math.factorial(j) * math.factorial(n - j), math.factorial(n))
     lhs = factor * vol_section * volume(projection)
     rhs = volume(P)
     meta = {
@@ -458,9 +455,9 @@ def section_projection_check(P, axes, point=None):
         "section_volume": vol_section,
         "projection_volume": volume(projection),
         "flat_section": flat_section,
-        "equality_attained": bool(lhs == rhs) if P.mode == EXACT else None,
+        "equality_attained": bool(lhs == rhs),
     }
-    return comparison_report(lhs, rhs, tol=_tol_for(P.mode, rhs), meta=meta)
+    return comparison_report(lhs, rhs, meta=meta)
 
 
 def homothety_support_identity(K, L, theta, directions):
@@ -469,18 +466,17 @@ def homothety_support_identity(K, L, theta, directions):
     in every direction u (both None, +infinity, when u leaves both
     recession cones).  Returns (all_hold, samples), a sample being
     (u, gauge_K(u), gauge_L(u))."""
-    theta = as_scalar(theta, K.mode)
+    theta = exact_scalar(theta)
     factor = (1 - theta) / theta
     samples = []
     ok = True
-    tol = 0 if K.mode == EXACT else 1e-9
     for u in directions:
         hk = gauge(K, u)
         hl = gauge(L, u)
         if hk is None or hl is None:
             match = hk is None and hl is None
         else:
-            match = abs(hl - factor * hk) <= tol * max(1, abs(hl))
+            match = hl == factor * hk
         samples.append((tuple(u), hk, hl))
         ok = ok and match
     return ok, samples
@@ -524,14 +520,14 @@ def build_Kt(n, t):
         raise ValueError("t must lie in [1/n, 1]")
     es, vs = kt_ambient_vertices(n, t)
     chart_points = [p[:n] for p in es] + [v[:n] for v in vs]
-    return convex_hull(chart_points, EXACT)
+    return convex_hull(chart_points)
 
 
 def chart_simplex(n):
     """Image of the ambient simplex under the same chart: conv{0, e_1..e_n}."""
     pts = [tuple(rational(1 if i == j else 0) for j in range(n)) for i in range(n)]
     pts.append(tuple(rational(0) for _ in range(n)))
-    return convex_hull(pts, EXACT)
+    return convex_hull(pts)
 
 
 def kt_volume_ratio_formula(n, t):

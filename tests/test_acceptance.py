@@ -104,7 +104,7 @@ def test_03_random_bodies_satisfy_translation_bound():
     """On 50 random centered polytopes per dimension in {2,3,4} and every
     j, the normalized mixed volume V(K[j],-K[n-j])/Vol(K) stays within the
     proved bound n^n/(j^j (n-j)^(n-j)) with zero violations, all in exact
-    arithmetic (so no float flag can survive), in under 10 minutes."""
+    arithmetic, in under 10 minutes."""
     start = time.monotonic()
     violations = 0
     checked = 0
@@ -286,7 +286,7 @@ def test_10_experiment_reports_byte_identical(tmp_path, monkeypatch):
     changes nothing."""
     configs = [
         dict(kind="kl", n=2, trials=3, seed=14, output_path=str(tmp_path / "a")),
-        dict(kind="godbersen", n=2, trials=3, seed=14, mode="float",
+        dict(kind="gfr", n=2, trials=3, seed=14, mode="float",
              output_path=str(tmp_path / "b")),
     ]
     for cfg in configs:

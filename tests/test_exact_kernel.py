@@ -38,9 +38,9 @@ def _assert_matches_reference(points):
         expected = reference_convex_hull(points)
     except DegenerateInput:
         with pytest.raises(DegenerateInput):
-            convex_hull(points, "exact")
+            convex_hull(points)
         return
-    got = convex_hull(points, "exact")
+    got = convex_hull(points)
     assert _fields(got) == _fields(expected)
     # Every scalar is a rational of the backend's type: no float, no bare int.
     assert all(type(x) is RATIONAL for x in _scalars(got))

@@ -34,7 +34,6 @@ from godbersen_kit.functional import (
 from godbersen_kit import functional
 from godbersen_kit.harness import ExperimentConfig, _functional_pair
 from godbersen_kit.polytopes import centroid, convex_hull, cube, translate
-from godbersen_kit.scalars import EXACT, FLOAT
 
 from oracles import (
     brute_force_lambda_difference,
@@ -326,8 +325,7 @@ def _centered_gauge_pair():
     rng = random.Random(99)
     bodies = []
     for _ in range(2):
-        P = convex_hull([tuple(float(c) for c in p)
-                         for p in random_exact_points(rng, 7, 2, denom=8)], FLOAT)
+        P = convex_hull(random_exact_points(rng, 7, 2, denom=8))
         bodies.append(translate(P, tuple(-c for c in centroid(P))))
     # at resolution 16 the unmerged reference outgrows the cap of 1025
     return tuple(_gauge_density(P, 12) for P in bodies)
@@ -451,7 +449,7 @@ def test_inequality_random_log_concave_pairs():
 
 
 def test_support_identity_segment():
-    seg = convex_hull([(-1,), (1,)], EXACT)
+    seg = convex_hull([(-1,), (1,)])
     rep = delta_support_identity_check(seg, seg, 0.5)
     assert rep.passed
     m = rep.meta
@@ -464,7 +462,7 @@ def test_support_identity_segment():
 
 @pytest.mark.parametrize("lam", [0.25, 0.5])
 def test_support_identity_square(lam):
-    sq = cube(2, FLOAT, low=-1, high=1)
+    sq = cube(2, low=-1, high=1)
     rep = delta_support_identity_check(sq, sq, lam)
     assert rep.passed
     assert len(rep.meta["samples"]) == 16
@@ -476,8 +474,8 @@ def test_support_identity_random_centered_polygons():
     rng = random.Random(99)
     pts1 = random_exact_points(rng, 7, 2, denom=8)
     pts2 = random_exact_points(rng, 7, 2, denom=8)
-    K = convex_hull([tuple(float(c) + 0.0 for c in p) for p in pts1], FLOAT)
-    L = convex_hull([tuple(float(c) for c in p) for p in pts2], FLOAT)
+    K = convex_hull(pts1)
+    L = convex_hull(pts2)
     # recenter so the origin is interior
     K = translate(K, tuple(-c for c in centroid(K)))
     L = translate(L, tuple(-c for c in centroid(L)))
@@ -487,7 +485,7 @@ def test_support_identity_random_centered_polygons():
 
 
 def test_support_identity_rejects_origin_on_boundary():
-    sq = cube(2, FLOAT, low=0, high=1)  # origin is a vertex
+    sq = cube(2)  # origin is a vertex
     with pytest.raises(OriginNotInterior):
         delta_support_identity_check(sq, sq, 0.5)
 

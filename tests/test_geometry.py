@@ -44,7 +44,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT, FLOAT, rational as Q
+from godbersen_kit.scalars import rational as Q
 
 from oracles import (
     brute_force_extreme_points,
@@ -53,7 +53,6 @@ from oracles import (
     monte_carlo_volume,
     random_exact_points,
 )
-from test_translation_reuse import _near_coplanar, _tiny_facet
 
 
 def random_centered_polytope(rng, n, m, denom=32):
@@ -133,8 +132,7 @@ def test_monte_carlo_volume_random_3d():
     rng = random.Random(5)
     pts = random_exact_points(rng, 30, 3)
     P = convex_hull(pts)
-    Pf = convex_hull([tuple(float(c) for c in p) for p in pts])
-    est, stderr = monte_carlo_volume(Pf, n_samples=1_000_000, seed=11)
+    est, stderr = monte_carlo_volume(P, n_samples=1_000_000, seed=11)
     assert abs(float(volume(P)) - est) <= 3 * stderr
 
 
@@ -205,19 +203,20 @@ def test_affine_facets_consistent():
 
 
 def test_float_affine_image_is_the_hull_of_mapped_vertices():
-    # The image is rounded once: it equals the float hull of the mapped
-    # vertices in every field, not P's stored fields transformed.
+    # Float entries of A and b are read at their exact binary values: the
+    # image equals the exact hull of the mapped vertices in every field,
+    # not P's stored fields transformed.
     rng = random.Random(13)
     for n in (2, 3, 4):
         for seed in range(5):
-            P = random_polytope(n, n + 4, seed, mode=FLOAT)
+            P = random_polytope(n, n + 4, seed)
             A = [[rng.choice((-1, 1)) * (3 * n) if i == j else rng.randint(-2, 2)
                   for j in range(n)] for i in range(n)]
             b = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
             Af = [[float(c) for c in row] for row in A]
-            H = convex_hull([vadd(tuple(dot(row, v) for row in Af), b) for v in P.vertices],
-                            FLOAT)
-            Pi = affine_image(P, A, b)
+            H = convex_hull([vadd(tuple(dot(row, v) for row in A), tuple(map(Fraction, b)))
+                             for v in P.vertices])
+            Pi = affine_image(P, Af, b)
             assert Pi.vertices == H.vertices
             assert Pi.facets == H.facets
             assert volume(Pi) == volume(H)
@@ -292,7 +291,7 @@ def test_intersect_flat_flag():
 def test_intersect_vertices_drop_redundant_halfspaces():
     S = cube(2)
     H = to_hrep(S)
-    loose = HPolytope(2, EXACT, H.halfspaces + (((Q(1), Q(0)), Q(50)),))
+    loose = HPolytope(2, H.halfspaces + (((Q(1), Q(0)), Q(50)),))
     assert to_vrep(intersect(loose, H)) == S
 
 
@@ -330,21 +329,30 @@ def test_random_4polytope_round_trip():
         assert sorted(back.vertices) == sorted(P.vertices)
 
 
-def test_to_vrep_without_interior_hint():
+def test_to_vrep_with_a_given_off_origin_interior_point():
+    # The polar trick runs around the given point, not the origin and not
+    # a point the LP finds: a near-corner point of the body and the
+    # vertex mean both give the body back, and a boundary point is refused.
     P = convex_hull(random_exact_points(random.Random(3), 10, 3))
     H = to_hrep(P)
-    bare = HPolytope(H.dim, H.mode, H.halfspaces)
-    assert to_vrep(bare) == P
+    mean = tuple(sum(c) / len(P.vertices) for c in zip(*P.vertices))
+    corner = tuple(Q(9, 10) * v + Q(1, 10) * m for v, m in zip(P.vertices[0], mean))
+    for z in (mean, corner):
+        assert any(z)
+        assert contains_point(P, z, strict=True)
+        assert to_vrep(HPolytope(H.dim, H.halfspaces, interior_point=z)) == P
+    with pytest.raises(DegenerateInput, match="not strictly interior"):
+        to_vrep(HPolytope(H.dim, H.halfspaces, interior_point=P.vertices[0]))
 
 
 def test_to_vrep_unbounded():
-    H = HPolytope(2, EXACT, (((Q(1), Q(0)), Q(1)), ((Q(0), Q(1)), Q(1)), ((Q(-1), Q(0)), Q(1))))
+    H = HPolytope(2, (((Q(1), Q(0)), Q(1)), ((Q(0), Q(1)), Q(1)), ((Q(-1), Q(0)), Q(1))))
     with pytest.raises(Unbounded):
         to_vrep(H)
 
 
 def test_to_vrep_empty():
-    H = HPolytope(1, EXACT, (((Q(1),), Q(0)), ((Q(-1),), Q(-1))))
+    H = HPolytope(1, (((Q(1),), Q(0)), ((Q(-1),), Q(-1))))
     with pytest.raises(EmptyIntersection):
         to_vrep(H)
 
@@ -478,59 +486,16 @@ ROUNDOFF_FLAT = [(a, b, 1 - a - b) for a, b in ((0.1, 0.2), (0.7, 0.1), (0.3, 0.
                                                (0.55, 0.35), (0.05, 0.9))]
 
 
-def _float_clouds():
-    """Float clouds: small fixtures, random clouds at d = 1..6 and four
-    coordinate scales, the near-degenerate bodies of the translation
-    tests with their reflected joins, near-duplicate points, and a plane
-    that is flat only up to round-off."""
-    rng = random.Random(61)
-    clouds = [
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    ]
-    for _ in range(4):
-        d = rng.choice((2, 3))
-        clouds.append(
-            [tuple(Q(rng.randint(-2048, 2048), 1024) for _ in range(d)) for _ in range(12)]
-        )
-    for d in range(1, 7):
-        cloud = [tuple(rng.uniform(-1, 1) for _ in range(d)) for _ in range(d + 5)]
-        for factor in (1.0, 1e6, 1e-6, 1e40, 1e-40):
-            clouds.append([tuple(factor * c for c in p) for p in cloud])
-    for make in (_near_coplanar, _tiny_facet):
-        for n in (2, 3, 4):
-            body = [tuple(float(c) for c in v) for v in make(n).vertices]
-            clouds.append(body)
-            clouds.append([tuple(0.75 * c for c in v) for v in body]
-                          + [tuple(-0.25 * c for c in v) for v in body])
-    clouds += [NEAR_DUPLICATES, ROUNDOFF_FLAT]
-    return [[tuple(float(c) for c in p) for p in cloud] for cloud in clouds]
-
-
-def test_float_matches_exact_on_fixtures():
-    """A float hull is the exact hull of its inputs' binary values, with
-    every scalar rounded once."""
-    for pts in _float_clouds():
-        E = convex_hull([tuple(Fraction(c) for c in p) for p in pts])
-        F = convex_hull(pts)
-        assert all(v in pts for v in F.vertices)
-        assert [tuple(Fraction(c) for c in v) for v in F.vertices] == list(E.vertices)
-        assert volume(F) == float(volume(E))
-        assert centroid(F) == tuple(float(c) for c in centroid(E))
-        u = tuple(range(1, E.dim + 1))
-        assert support(F, u) == pytest.approx(float(support(E, u)), rel=1e-9, abs=1e-9)
-
-
 def test_float_hull_keeps_near_duplicates_and_thin_clouds():
+    # Float coordinates are read at their exact binary values.
     assert len(convex_hull(NEAR_DUPLICATES).vertices) == 5
     assert 0 < volume(convex_hull(ROUNDOFF_FLAT)) < 1e-15
 
 
-def test_float_hull_volume_outside_float_range_raises():
+def test_float_coordinates_beyond_the_float_volume_range_give_exact_volumes():
     for size in (1e300, 1e-300):
         square = [(0.0, 0.0), (size, 0.0), (0.0, size), (size, size)]
-        with pytest.raises(DegenerateInput, match="outside the float range"):
-            convex_hull(square)
+        assert volume(convex_hull(square)) == Fraction(size) ** 2
 
 
 def test_float_hull_of_22_points_in_dimension_6_is_fast():
@@ -539,7 +504,8 @@ def test_float_hull_of_22_points_in_dimension_6_is_fast():
     start = time.perf_counter()
     F = convex_hull(pts)
     assert time.perf_counter() - start < 2.0
-    assert volume(F) == float(volume(convex_hull([tuple(Fraction(c) for c in p) for p in pts])))
+    assert F == convex_hull([tuple(Fraction(c) for c in p) for p in pts])
+    assert volume(F) == volume(convex_hull([tuple(Fraction(c) for c in p) for p in pts]))
 
 
 def test_exact_bit_size_reported():
@@ -560,11 +526,15 @@ def test_json_round_trip_exact():
 
 
 def test_json_round_trip_float():
-    P = convex_hull([(0.0, 0.0), (1.0, 0.25), (0.5, 1.0)])
-    obj = polytope_to_json(P)
-    assert obj["mode"] == "float"
-    assert all(isinstance(c, float) for v in obj["vertices"] for c in v)
-    assert polytope_from_json(obj) == P
+    # Float polytope JSON is read at its exact binary values and written
+    # back exact.
+    obj = {"dim": 2, "mode": "float", "vertices": [[0.0, 0.0], [1.0, 0.1], [0.5, 1.0]]}
+    P = polytope_from_json(obj)
+    assert P == convex_hull([(Q(0), Q(0)), (Q(1), Fraction(0.1)), (Q(1, 2), Q(1))])
+    back = polytope_to_json(P)
+    assert back["mode"] == "exact"
+    assert all(isinstance(c, str) for v in back["vertices"] for c in v)
+    assert polytope_from_json(back) == P
 
 
 def test_json_rejects_bad_mode():

@@ -33,6 +33,7 @@ from godbersen_kit.polytopes import (
     centered_simplex,
     centroid,
     contains_point,
+    convex_hull,
     cube,
     polytope_from_json,
     polytope_to_json,
@@ -70,14 +71,6 @@ def test_random_polytope_centered_and_normalized():
         assert abs(float(volume(P)) - 1.0) < 1e-3
 
 
-def test_random_polytope_float_mode():
-    P = random_polytope(2, 8, 5, mode=FLOAT)
-    assert P.mode == FLOAT
-    assert all(isinstance(c, float) for v in P.vertices for c in v)
-    assert abs(volume(P) - 1.0) < 1e-3
-    assert max(abs(c) for c in centroid(P)) < 1e-9
-
-
 def test_perturbed_simplex_zero_perturbation_is_simplex():
     for n in (1, 2, 3):
         P = random_polytope(n, n + 1, 9, "perturbed-simplex", perturbation=0)
@@ -99,8 +92,6 @@ def test_random_polytope_rejects_bad_arguments():
         random_polytope(0, 5, 0)
     with pytest.raises(ValueError):
         random_polytope(2, 5, 0, "no-such-flavor")
-    with pytest.raises(ValueError):
-        random_polytope(2, 5, 0, mode="quad")
 
 
 def test_random_polytope_surfaces_degenerate_after_retries(monkeypatch):
@@ -178,7 +169,7 @@ def test_translation_search_lower_bound_is_below_a_near_minimizer():
 
 
 def test_translation_search_lambda_zero_is_volume():
-    K = random_polytope(2, 9, 11, mode=FLOAT)
+    K = random_polytope(2, 9, 11)
     sol = minimize_over_translation(K, 0.0)
     assert abs(sol.value - volume(K)) <= 1e-12
     sol1 = minimize_over_translation(K, 1.0)
@@ -188,8 +179,7 @@ def test_translation_search_lambda_zero_is_volume():
 def test_translation_search_improves_on_centroid_and_stays_inside():
     rng = random.Random(7)
     for _ in range(4):
-        K = random_polytope(2, 5 + rng.randrange(6), rng.randrange(10**6),
-                            mode=FLOAT)
+        K = random_polytope(2, 5 + rng.randrange(6), rng.randrange(10**6))
         lam = rng.choice([0.3, 0.5, 0.7])
         sol = minimize_over_translation(K, lam)
         at_centroid = volume(scaled_reflected_join(K, lam))
@@ -252,12 +242,18 @@ def test_config_rejects_invalid_fields():
         dict(kind="godbersen", n=2, mode="quad"),
         dict(kind="godbersen", n=2, output_path=""),
         dict(kind="ckl", n=5),
-        dict(kind="strange", n=4),
+        dict(kind="strange", n=5),
         dict(kind="strange", n=5, mode=FLOAT),
     ]
+    # The polytope kinds check exact bodies only.
+    bad_configs += [dict(kind=kind, n=2, mode=FLOAT)
+                    for kind in ("godbersen", "kl", "strange", "ckl")]
     for kwargs in bad_configs:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+    for kind in ("godbersen-via-gfr", "gfr", "functional"):
+        assert ExperimentConfig(kind=kind, n=2, mode=FLOAT).mode == FLOAT
+    assert ExperimentConfig(kind="strange", n=4).n == 4
 
 
 def test_config_from_json_round_trip():
@@ -492,7 +488,7 @@ def test_failing_search_records_are_soft_candidates(tmp_path, monkeypatch, kind,
     assert run_experiment(config) == 0
     records = _read_records(base)
     search = [rec for rec in records if rec["check"] == "translation-search-bound"]
-    exact = harness._trial_body(config, 0)[1]
+    exact = harness._trial_body(config, 0)
     assert search and all(rec["pass"] for rec in records if rec["hard"])
     for rec in search:
         assert rec["pass"] is False and rec["hard"] is False
@@ -628,6 +624,12 @@ def test_cli_config_errors_exit_3(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"kind": "kl", "n": 99}))
     assert main(["kl", "--config", str(invalid)]) == 3
+    # A polytope kind checks exact bodies only.
+    float_kl = tmp_path / "float-kl.json"
+    float_kl.write_text(json.dumps({"kind": "kl", "n": 2, "mode": "float",
+                                    "output_path": str(tmp_path / "float-kl")}))
+    assert main(["kl", "--config", str(float_kl)]) == 3
+    assert not (tmp_path / "float-kl.jsonl").exists()
 
 
 def test_cli_zero_denominators_exit_3(tmp_path):
@@ -665,10 +667,15 @@ def test_cli_reduce_planar_trace(tmp_path):
     assert trace["hull-area-bound"]["pass"] is True
     for step in trace["steps"]:
         assert {"before", "after", "chosen_t", "endpoint"} <= set(step)
+    # Float polygon JSON is read at its exact binary values.
+    floats = [[float(c) for c in v] for v in P.vertices]
     float_path = tmp_path / "float.json"
-    float_path.write_text(json.dumps(polytope_to_json(random_polytope(2, 10, 123, mode=FLOAT))))
+    float_path.write_text(json.dumps({"dim": 2, "mode": "float", "vertices": floats}))
+    float_trace = tmp_path / "float-trace.json"
     assert main(["reduce-planar", "--input", str(float_path), "--lambda", "1/3",
-                 "--trace", str(tmp_path / "float-trace.json")]) == 3
+                 "--trace", str(float_trace)]) == 0
+    read = polytope_from_json(json.loads(float_trace.read_text())["input"])
+    assert read == convex_hull([[Fraction(c) for c in v] for v in floats])
 
 
 def test_cli_reduce_planar_centers_a_triangle(tmp_path):
@@ -777,56 +784,62 @@ def test_strange_sweep_takes_theta_endpoints(tmp_path):
         assert flags[0] is None and flags[2] is None and flags[1] is not None
 
 
-def test_float_failures_are_rechecked_in_exact_arithmetic(monkeypatch):
-    fail_exact = [False]
+def test_exact_failures_carry_the_reproduction_payload(monkeypatch):
     ratio, ckl = harness.godbersen_ratio, harness.verify_ckl_bound
-
-    def failing(rep, body):
-        return not rep.passed or body.mode == FLOAT or fail_exact[0]
 
     def fake_ratio(K, j, mixed=None):
         rep = ratio(K, j, mixed)
-        if not failing(rep, K):
-            return rep
         # Above both the proved and the conjectured bound.
         lhs = 2 * (rep.rhs + rep.meta["rhs_conjectured"])
         return dataclasses.replace(rep, lhs=lhs, ratio=lhs / rep.rhs, passed=False)
 
     def fake_ckl(K, L, theta):
-        rep = ckl(K, L, theta)
-        return dataclasses.replace(rep, passed=not failing(rep, K))
+        return dataclasses.replace(ckl(K, L, theta), passed=False)
 
     monkeypatch.setattr(harness, "godbersen_ratio", fake_ratio)
     monkeypatch.setattr(harness, "verify_ckl_bound", fake_ckl)
     configs = [
-        ExperimentConfig(kind="godbersen", n=2, trials=1, seed=6, mode=FLOAT),
-        ExperimentConfig(kind="ckl", n=2, trials=1, seed=6, mode=FLOAT,
-                         theta_grid=("1/3", "1/2")),
+        ExperimentConfig(kind="godbersen", n=2, trials=1, seed=6),
+        ExperimentConfig(kind="ckl", n=2, trials=1, seed=6, theta_grid=("1/3", "1/2")),
     ]
-    rechecked = ("translation-bound", "layered-body-volume-bound")
-
-    def records():
-        return [rec for config in configs for rec in run_trial(config, 0)]
-
-    flagged = [rec for rec in records() if rec["check"] in rechecked]
-    assert len(flagged) == 3
-    for rec in flagged:
-        assert rec["pass"] is True
-        assert rec["meta"]["arithmetic"] == "exact" and rec["meta"]["float_flagged"] is True
-        assert "reproduction" not in rec
-    conjecture = [rec for rec in records() if rec["check"] == "binomial-conjecture"]
-    assert conjecture and all(rec["pass"] and "reproduction" not in rec for rec in conjecture)
-
-    fail_exact[0] = True
-    failed = records()
-    for rec in failed:
-        if rec["check"] in rechecked:
-            assert rec["pass"] is False and rec["meta"]["arithmetic"] == "exact"
-            axis = "j" if rec["kind"] == "godbersen" else "theta"
-            assert set(rec["reproduction"]) == {
-                "kind", "n", "seed", "trial", "mode", axis, "vertices"}
+    failed = [rec for config in configs for rec in run_trial(config, 0)]
+    hard = [rec for rec in failed
+            if rec["check"] in ("translation-bound", "layered-body-volume-bound")]
+    assert len(hard) == 3
+    for rec in hard:
+        assert rec["pass"] is False and "violation_candidate" not in rec
+        axis = "j" if rec["kind"] == "godbersen" else "theta"
+        assert set(rec["reproduction"]) == {
+            "kind", "n", "seed", "trial", "mode", axis, "vertices"}
+        assert rec["reproduction"]["mode"] == EXACT
     conjecture = [rec for rec in failed if rec["check"] == "binomial-conjecture"]
     assert conjecture and all(rec["violation_candidate"] is True for rec in conjecture)
+
+
+def test_exact_strange_at_n4_writes_its_exact_ratio(tmp_path):
+    # Vol (K°+L°)° has a denominator of tens of thousands of digits, past
+    # the interpreter's int/str digit limit: run_experiment lifts the
+    # limit while it builds and writes the records, and restores it.
+    base = str(tmp_path / "strange4")
+    limit = sys.get_int_max_str_digits()
+    config = ExperimentConfig(kind="strange", n=4, trials=1, seed=11, theta_grid=("1/2",),
+                              output_path=base)
+    assert run_experiment(config) == 0
+    assert sys.get_int_max_str_digits() == limit
+    rec = _read_records(base)[0]
+    assert rec["check"] == "join-polar-sum-product" and rec["pass"] is True
+    K, L = (harness._trial_body(config, 0, offset=i) for i in (0, 1))
+    sys.set_int_max_str_digits(0)
+    try:
+        lhs = Fraction(rec["lhs"])
+        assert lhs == harness.verify_strange(K, L, ()).lhs
+        assert len(str(lhs.denominator)) > limit
+        with open(base + ".csv") as fp:
+            rows = [row.split(",") for row in fp.read().splitlines()]
+        ratio = CSV_COLUMNS.index("ratio")
+        assert float(rows[-1][ratio]) == float(Fraction(rows[1][ratio]))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_readme_config_examples_parse():
@@ -839,4 +852,4 @@ def test_readme_config_examples_parse():
     modes = re.findall(r'`"(\w+)"`', mode_row)
     assert modes
     for mode in modes:
-        ExperimentConfig.from_json({"kind": "godbersen", "n": 2, "mode": mode})
+        ExperimentConfig.from_json({"kind": "gfr", "n": 2, "mode": mode})

@@ -14,11 +14,10 @@ import pytest
 from godbersen_kit.errors import Unbounded
 from godbersen_kit.lp import OPTIMAL, feasible_interior, simplex_max
 from godbersen_kit.polytopes import HPolytope, intersect, to_vrep
-from godbersen_kit.scalars import EXACT
 
 
 def _system(normals, offsets):
-    return HPolytope(len(normals[0]), EXACT, tuple(
+    return HPolytope(len(normals[0]), tuple(
         (tuple(Fraction(c) for c in n), Fraction(o)) for n, o in zip(normals, offsets)))
 
 

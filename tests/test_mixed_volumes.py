@@ -3,7 +3,6 @@ classical inequalities they feed."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from godbersen_kit.mixed import (
     volume_polynomial,
 )
 from godbersen_kit.polytopes import (
-    as_float_body,
     centered_simplex,
     centroid,
     contains_polytope,
@@ -86,22 +84,6 @@ def test_pair_nonnegative():
             assert mixed_volume_pair(K, T, j).value >= 0
 
 
-def test_float_pair_is_the_exact_pair_rounded_once():
-    K = cube(2, mode="float")
-    T = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    for j in range(3):
-        pair = mixed_volume_pair(K, T, j)
-        assert pair.method == "cayley"
-        assert pair.value == float(mixed_volume_pair(cube(2), standard_simplex(2), j).value)
-
-
-def test_volume_polynomial_refuses_float_bodies():
-    K = cube(2, mode="float")
-    T = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    with pytest.raises(ValueError):
-        volume_polynomial(K, T)
-
-
 # ---------------------------------------------------------------------------
 # mixed_volumes (Cayley route)
 
@@ -151,21 +133,9 @@ def test_cayley_expansion_is_minkowski_sum_volume():
             assert expansion == volume(minkowski_sum(K, T))
 
 
-def test_cayley_float_values_round_the_exact_ones():
-    for n in (2, 3, 4):
-        K = as_float_body(harness_polytope(n, n + 4, 80_000 + n, FLAVORS[n % 3]))
-        T = as_float_body(harness_polytope(n, n + 3, 81_000 + n, FLAVORS[(n + 1) % 3]))
-        for A, B in ((K, negate(K)), (K, T)):
-            A_exact, B_exact = (convex_hull([[Fraction(c) for c in v] for v in P.vertices])
-                                for P in (A, B))
-            assert mixed_volumes(A, B) == [float(v) for v in mixed_volumes(A_exact, B_exact)]
-
-
 def test_cayley_rejects_mixed_operands():
     with pytest.raises(ValueError):
         mixed_volumes(cube(2), cube(3))
-    with pytest.raises(ValueError):
-        mixed_volumes(cube(2), cube(2, mode="float"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ area/centroid preservation, objective monotonicity, reduction chains, and
 the planar bound check."""
 
 import json
-import math
 import random
 
 import pytest
@@ -25,7 +24,7 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT, FLOAT, rational
+from godbersen_kit.scalars import rational
 from godbersen_kit.simplexes import simplex_hull_ratio
 
 from oracles import random_exact_points
@@ -33,13 +32,13 @@ from oracles import random_exact_points
 
 def centered_square(side=rational(1)):
     h = side / 2
-    return convex_hull([(-h, -h), (h, -h), (h, h), (-h, h)], EXACT)
+    return convex_hull([(-h, -h), (h, -h), (h, h), (-h, h)])
 
 
 def random_centered_polygon(rng, m, denom=16):
     while True:
         try:
-            P = convex_hull(random_exact_points(rng, m, 2, denom=denom), EXACT)
+            P = convex_hull(random_exact_points(rng, m, 2, denom=denom))
         except DegenerateInput:
             continue
         if len(P.vertices) >= 4:
@@ -116,7 +115,7 @@ def _absorbed_hull(P, i, t, drop):
     u = (x3[0] - x1[0], x3[1] - x1[1])
     slid = list(cyc)
     slid[i] = (x2[0] + t * u[0], x2[1] + t * u[1])
-    Q = convex_hull([v for j, v in enumerate(slid) if j != drop % n], EXACT)
+    Q = convex_hull([v for j, v in enumerate(slid) if j != drop % n])
     return translate(Q, tuple(-c for c in centroid(Q)))
 
 
@@ -135,20 +134,6 @@ def test_endpoint_deletion_matches_hull_oracle():
         step = remove_vertex_step(P, rational(2, 5), i)
         drop = i - 1 if step.endpoint == "alpha" else i + 1
         assert step.after.vertices == _absorbed_hull(P, i, step.chosen_t, drop).vertices
-
-
-def test_float_polygons_are_refused():
-    pts = [(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5))
-           for k in range(5)]
-    P = convex_hull(pts, FLOAT)
-    P = translate(P, tuple(-c for c in centroid(P)))
-    for call in (lambda: ccw_vertices(P),
-                 lambda: slide_interval(P, 0),
-                 lambda: remove_vertex_step(P, 0.5, 0),
-                 lambda: reduce_to_triangle(P, 0.5),
-                 lambda: verify_planar_gfr(P, 0.5)):
-        with pytest.raises(ValueError, match="exact"):
-            call()
 
 
 def test_objective_is_convex_in_slide_parameter():
@@ -175,11 +160,11 @@ def test_step_errors():
     shifted = translate(sq, (rational(1, 3), 0))
     with pytest.raises(NotCentered):
         remove_vertex_step(shifted, rational(1, 2), 0)
-    tri = convex_hull([(-1, -1), (2, -1), (-1, 2)], EXACT)
+    tri = convex_hull([(-1, -1), (2, -1), (-1, 2)])
     tri = translate(tri, tuple(-c for c in centroid(tri)))
     with pytest.raises(TooFewVertices):
         remove_vertex_step(tri, rational(1, 2), 0)
-    seg = convex_hull([(-1,), (1,)], EXACT)
+    seg = convex_hull([(-1,), (1,)])
     with pytest.raises(DegenerateInput):
         remove_vertex_step(seg, rational(1, 2), 0)
 
@@ -195,7 +180,7 @@ def test_reduce_square_single_step():
 
 
 def test_reduce_triangle_is_empty():
-    tri = convex_hull([(-1, -1), (2, -1), (-1, 2)], EXACT)
+    tri = convex_hull([(-1, -1), (2, -1), (-1, 2)])
     tri = translate(tri, tuple(-c for c in centroid(tri)))
     assert reduce_to_triangle(tri, rational(1, 2)) == []
 
@@ -309,7 +294,7 @@ def test_step_trace_is_json_serializable():
 
 
 def test_gfr_triangle_equality():
-    tri = convex_hull([(0, 0), (1, 0), (0, 1)], EXACT)
+    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
     tri = translate(tri, tuple(-c for c in centroid(tri)))
     for lam in (rational(1, 4), rational(1, 2), rational(7, 10)):
         rep = verify_planar_gfr(tri, lam)

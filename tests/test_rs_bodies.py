@@ -79,7 +79,7 @@ def test_build_c_segment():
     assert_layered(seg, seg, C)
     assert volume(C) == 2
     # direct 2-d hull oracle
-    direct = convex_hull([(-1, 0), (1, 0), (-1, 1), (1, 1)], "exact")
+    direct = convex_hull([(-1, 0), (1, 0), (-1, 1), (1, 1)])
     assert C == direct
     for theta in (Q(0), Q(1, 3), Q(1)):
         s = slice_of_C(C, theta)

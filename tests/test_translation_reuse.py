@@ -31,7 +31,6 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.scalars import EXACT, FLOAT
 
 
 def _exact_value(K, lam, x):
@@ -75,7 +74,7 @@ def _assert_value_and_subgradient(K, lam, probes):
 def test_random_probes_match_exact_hulls(n):
     rng = random.Random(100 + n)
     for trial in range(2):
-        K = random_polytope(n, n + 4, 1000 * n + trial, mode=EXACT)
+        K = random_polytope(n, n + 4, 1000 * n + trial)
         verts = np.array([[float(c) for c in v] for v in K.vertices])
         for lam in (0.25, 0.5, 2 / 3):
             jumps = [_interior_probe(K, rng) for _ in range(4)]
@@ -92,7 +91,7 @@ def test_random_probes_match_exact_hulls(n):
 
 
 def test_search_probes_build_no_full_hull(monkeypatch):
-    K = random_polytope(3, 7, 5, mode=FLOAT)
+    K = random_polytope(3, 7, 5)
 
     def refuse(*args):
         raise AssertionError("a search probe finished a hull")
@@ -105,7 +104,7 @@ def test_search_probes_build_no_full_hull(monkeypatch):
 
 
 def test_endpoint_lambdas_are_the_body_volume():
-    K = random_polytope(3, 7, 3, mode=EXACT)
+    K = random_polytope(3, 7, 3)
     for lam in (0.0, 1.0):
         sol = minimize_over_translation(K, lam)
         assert sol.value == sol.lower_bound == float(volume(K))
@@ -114,29 +113,29 @@ def test_endpoint_lambdas_are_the_body_volume():
 
 def _near_coplanar(n):
     """A cube with every facet center pushed out by 1e-9."""
-    C = cube(n, EXACT, low=-1, high=1)
+    C = cube(n, low=-1, high=1)
     bump = Fraction(1, 10**9)
     pts = list(C.vertices)
     for k in range(n):
         for s in (-1, 1):
             pts.append(tuple(s * (1 + bump) if c == k else Fraction(0) for c in range(n)))
-    return convex_hull(pts, EXACT)
+    return convex_hull(pts)
 
 
 def _tiny_facet(n):
     """A simplex whose corner at e_1 is cut off 1e-6 from the vertex."""
-    S = standard_simplex(n, EXACT)
+    S = standard_simplex(n)
     cut = Fraction(1, 10**6)
     corner = tuple(Fraction(int(c == 0)) for c in range(n))
     pts = [v for v in S.vertices if v != corner]
     for v in S.vertices:
         if v != corner:
             pts.append(tuple(a + cut * (b - a) for a, b in zip(corner, v)))
-    return convex_hull(pts, EXACT)
+    return convex_hull(pts)
 
 
 def _scaled(n, factor):
-    return scale_polytope(random_polytope(n, n + 4, 77 + n, mode=EXACT), factor)
+    return scale_polytope(random_polytope(n, n + 4, 77 + n), factor)
 
 
 FAMILIES = {

@@ -1,8 +1,9 @@
 """Every top-level import in the package and its tests is used, every
 private top-level name in the package is read somewhere in the package,
 every public UPPER_CASE constant of the package is read somewhere in the
-package, its tests or the benchmark, and every field of a package
-dataclass is read as an attribute somewhere in the package or its tests.
+package, its tests or the benchmark, every field of a package dataclass
+is read as an attribute somewhere in the package or its tests, and the
+exact polytope layers read no float-mode name.
 
 No linter ships with the toolkit, so this AST scan is the check: a deletion
 that leaves an import or a private helper behind fails here.
@@ -17,6 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "godbersen_kit").glob("*.py"))
 MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+# Modules that compute on exact bodies only, and the float-mode names they
+# must not read.
+EXACT_LAYERS = ("polytopes", "mixed", "rs_bodies", "planar", "linalg")
+FLOAT_MODE_NAMES = ("FLOAT", "FLOAT_EPS")
 
 
 def unused_imports(source):
@@ -95,6 +100,20 @@ def unread_dataclass_fields(sources, readers):
     return [field for field in fields if field.split(".")[1] not in read]
 
 
+def float_mode_reads(source):
+    """Sorted reads of ``FLOAT`` or ``FLOAT_EPS`` (imported, as a name or as
+    an attribute) and of any ``.eps`` attribute; attributes are dotted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in FLOAT_MODE_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name in FLOAT_MODE_NAMES:
+            found.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MODE_NAMES + ("eps",):
+            found.append("." + node.attr)
+    return sorted(found)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys as system\nfrom a.b import c, d as e\n"
                           "from __future__ import annotations\nsystem.exit(c)\n") == [
@@ -127,6 +146,14 @@ def test_scan_finds_an_unread_dataclass_field():
     assert unread_dataclass_fields([source], [source, reader]) == ["A.x", "A.y"]
 
 
+def test_scan_finds_float_mode_reads():
+    source = ("from .scalars import EXACT, FLOAT\nimport scalars\nFLOATING = 1\n"
+              "def f(P, x, eps=0):\n"
+              "    if x == FLOAT or P.epsilon:\n        return P.eps\n"
+              "    return scalars.FLOAT_EPS + eps + FLOATING\n")
+    assert float_mode_reads(source) == [".FLOAT_EPS", ".eps", "FLOAT", "FLOAT"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -144,3 +171,9 @@ def test_no_unread_public_constants_in_the_package():
 def test_no_unread_dataclass_fields_in_the_package():
     readers = [path.read_text() for path in MODULES]
     assert unread_dataclass_fields([path.read_text() for path in SRC], readers) == []
+
+
+def test_exact_layers_read_no_float_mode():
+    reads = {name: float_mode_reads((ROOT / "src" / "godbersen_kit" / (name + ".py")).read_text())
+             for name in EXACT_LAYERS}
+    assert reads == {name: [] for name in EXACT_LAYERS}
