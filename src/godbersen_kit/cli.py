@@ -8,6 +8,8 @@
 * ``simplex-ratio`` — print the closed-form simplex hull ratio;
 * ``mixed-volume`` — mixed volume of bodies given as polytope JSON files.
 
+``--lambda`` is read exactly: "1/3" as a third, "0.25" as a quarter.
+
 Exit codes: 0 — success; 2 — a proved inequality failed beyond tolerance;
 3 — configuration or I/O error.
 """
@@ -21,18 +23,10 @@ from .harness import ExperimentConfig, _output_base, run_experiment
 from .mixed import mixed_volume_general, mixed_volume_pair
 from .planar import reduce_to_triangle, verify_planar_gfr
 from .polytopes import centroid, polytope_from_json, polytope_to_json, translate
-from .scalars import exact_scalar, scalar_to_json
+from .scalars import read_exact, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 EXPERIMENT_COMMANDS = ("godbersen", "gfr", "kl", "strange", "ckl", "functional")
-
-
-def _parse_lambda(text, *, exact=False):
-    """Parse "P/Q" or a decimal literal; exact=True always yields a rational."""
-    frac = exact_scalar(text)
-    if not exact and "/" not in text and any(c in text for c in ".eE"):
-        return float(text)
-    return frac
 
 
 def _load_json(path):
@@ -67,7 +61,7 @@ def _experiment_command(args):
 
 def _reduce_planar_command(args):
     body = polytope_from_json(_load_json(args.input))
-    lam = _parse_lambda(args.lam, exact=True)
+    lam = read_exact(args.lam)
     steps = reduce_to_triangle(body, lam)
     report = verify_planar_gfr(body, lam, steps[0].objective_before if steps else None)
     # A triangle takes no step: it ends as the centered input, whose join
@@ -90,7 +84,7 @@ def _reduce_planar_command(args):
 
 
 def _simplex_ratio_command(args):
-    formula = simplex_hull_ratio(args.n, _parse_lambda(args.lam))
+    formula = simplex_hull_ratio(args.n, args.lam)
     print(json.dumps(formula.to_json_dict(), sort_keys=True))
     return 0
 

@@ -23,12 +23,14 @@ Design rules the whole module obeys:
   record's non-null j/lambda/theta, then the trial's exact input vertices
   (the density parameters for ``functional``, the config for
   ``trial-error``).
-* **Exact bodies.**  Every trial draws exact bodies and every polytope
-  check is exact, with zero tolerance, so a failing record is a true
-  failure on the recorded vertices.  A sweep's ``mode`` only sets how
-  lambda is read: ``float`` is accepted by the kinds that compute in
-  floats either way (``gfr``, ``godbersen-via-gfr`` and ``functional``)
-  and rejected by the others.
+* **Exact bodies and scalars.**  Every trial draws exact bodies, every
+  polytope check is exact, with zero tolerance, so a failing record is a
+  true failure on the recorded vertices, and every lambda and theta is an
+  exact rational (a float grid entry at its binary value).  A sweep's
+  ``mode`` changes no value: ``float`` is accepted by the kinds that
+  compute in floats either way (``gfr``, ``godbersen-via-gfr`` and
+  ``functional``), rejected by the others, and written into
+  reproductions.
 
 The translation search (:func:`minimize_over_translation`) is Kelley's
 cutting-plane method on a convex objective, run in float arithmetic.  Its
@@ -65,7 +67,7 @@ from .polytopes import (
 )
 from .reports import CheckReport, comparison_report, equality_report
 from .rs_bodies import MAX_BASE_DIM, verify_KL_inequality, verify_ckl_bound, verify_strange
-from .scalars import EXACT, FLOAT, FLOAT_EPS, as_scalar, rational, rationalize, scalar_to_json
+from .scalars import EXACT, FLOAT, FLOAT_EPS, rational, rationalize, read_exact, scalar_to_json
 from .simplexes import gfr_implies_godbersen_bound, simplex_hull_ratio
 
 KINDS = (
@@ -104,16 +106,11 @@ def thread_cap():
 # configuration
 
 
-def _grid_value(value, mode):
-    """Normalize one grid entry to an exact rational (or a float in float
-    mode) and require it to lie in [0, 1]."""
+def _grid_value(value):
+    """One grid entry as an exact rational, required to lie in [0, 1]."""
     if isinstance(value, bool):
         raise ValueError("grid entries must be numbers, got %r" % value)
-    # In exact mode a float is an exact dyadic rational; keep it exact.
-    if isinstance(value, float):
-        out = value if mode == FLOAT else Fraction(value)
-    else:
-        out = as_scalar(value, EXACT)
+    out = read_exact(value)
     if not 0 <= out <= 1:
         raise ValueError("grid entry %s outside [0, 1]" % value)
     return out
@@ -128,8 +125,8 @@ class ExperimentConfig:
     """Validated description of one experiment sweep.
 
     ``lambda_grid``/``theta_grid`` entries may be given as fraction strings
-    ("1/4"), integers, floats, or Fractions; they are normalized to exact
-    rationals (floats stay floats in float mode) and must lie in [0, 1].
+    ("1/4"), integers, floats, or Fractions; they are read as exact
+    rationals, a float at its binary value, and must lie in [0, 1].
     For kind ``godbersen-via-gfr`` the lambda grid is always the derived
     set {(n+1-j)/(n+1) : j in j_list}; a user-supplied grid is rejected so
     that the run provably exercises exactly that set.
@@ -194,7 +191,7 @@ class ExperimentConfig:
             object.__setattr__(self, "lambda_grid", derived)
         elif self.kind in _KINDS_WITH_LAMBDA:
             raw = self.lambda_grid if self.lambda_grid is not None else _DEFAULT_GRID
-            grid = tuple(_grid_value(v, self.mode) for v in raw)
+            grid = tuple(_grid_value(v) for v in raw)
             if not grid:
                 raise ValueError("lambda_grid must be nonempty")
             if self.kind == "functional":
@@ -207,7 +204,7 @@ class ExperimentConfig:
 
         if self.kind in _KINDS_WITH_THETA:
             raw = self.theta_grid if self.theta_grid is not None else _DEFAULT_GRID
-            grid = tuple(_grid_value(v, self.mode) for v in raw)
+            grid = tuple(_grid_value(v) for v in raw)
             if not grid:
                 raise ValueError("theta_grid must be nonempty")
             object.__setattr__(self, "theta_grid", grid)
@@ -254,7 +251,7 @@ class ExperimentConfig:
 
 def _raw_points(rng, n, m, flavor, perturbation):
     if flavor == "perturbed-simplex":
-        eps = rational(1, 8) if perturbation is None else as_scalar(perturbation, EXACT)
+        eps = rational(1, 8) if perturbation is None else read_exact(perturbation)
         pts = []
         for i in range(n + 1):
             base = tuple(rational(1 if j == i - 1 else 0) for j in range(n))
@@ -550,12 +547,9 @@ def _gfr_trial(config, trial):
         checks.append(("translation-search-bound", False, _search_bound(config, K, lam),
                        {"lambda": lam}))
         if lam == half:
-            formula = simplex_hull_ratio(config.n, lam)
-            lhs = formula.ratio * (2 ** config.n)
-            rhs = as_scalar(math.comb(config.n, config.n // 2),
-                            FLOAT if isinstance(lam, float) else EXACT)
             cross = equality_report(
-                lhs, rhs, tol=0 if not isinstance(lam, float) else 1e-12 * float(rhs),
+                simplex_hull_ratio(config.n, lam).ratio * 2 ** config.n,
+                rational(math.comb(config.n, config.n // 2)),
                 meta={"n": config.n,
                       "identity": "hull-ratio at 1/2 equals central binomial over 2^n"})
             checks.append(("halfway-binomial-cross-check", True, cross, {"lambda": lam}))

@@ -26,7 +26,7 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport
-from .scalars import exact_scalar, scalar_to_json
+from .scalars import read_exact, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 
@@ -239,7 +239,7 @@ def verify_planar_gfr(K, lam, join_area=None):
     ``objective_before``) passes it as ``join_area``."""
     _require_polygon(K)
     P = _centered(K)
-    lam = exact_scalar(lam)
+    lam = read_exact(lam)
     formula = simplex_hull_ratio(2, lam)
     area = volume(P)
     lhs = _objective(P, lam) if join_area is None else join_area

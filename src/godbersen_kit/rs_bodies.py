@@ -25,7 +25,7 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport, comparison_report
-from .scalars import exact_scalar, rational
+from .scalars import rational, read_exact
 
 MAX_BASE_DIM = 4
 
@@ -80,7 +80,7 @@ def verify_ckl_bound(K, L, theta):
     not raised.
     """
     n = K.dim
-    theta = exact_scalar(theta)
+    theta = read_exact(theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     lhs = volume(build_C(K, L))
@@ -104,7 +104,7 @@ def verify_KL_inequality(K, L, theta):
     """Vol(L v -K) * Vol(theta K cap (1-theta) L) <= Vol(K) Vol(L),
     for bodies with 0 in both."""
     n = K.dim
-    theta = exact_scalar(theta)
+    theta = read_exact(theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     origin = _zero(n)
@@ -152,7 +152,7 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
     rhs = volume(K) * volume(L)
     inclusions = []
     for theta in theta_grid:
-        theta = exact_scalar(theta)
+        theta = read_exact(theta)
         I = _scaled_intersection(K, L, theta)
         if I.empty:
             inclusions.append((theta, True))
@@ -175,7 +175,7 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
 def verify_join_volume_bound(K, lam):
     """Vol((1-lam)K v -lam K) <= Vol(K) for 0 in K, derived through the
     product inequality with the pair (lam*K, (1-lam)*K) at theta = 1-lam."""
-    lam = exact_scalar(lam)
+    lam = read_exact(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     if not contains_point(K, _zero(K.dim)):
@@ -215,7 +215,7 @@ def verify_layered_lower_bound(K, L):
 def corner_simplex_pair(lams):
     """K = conv{0, e_1..e_n} and L = conv{0, lam_i e_i}."""
     n = len(lams)
-    lams = [exact_scalar(x) for x in lams]
+    lams = [read_exact(x) for x in lams]
     K = convex_hull([_zero(n)] + [tuple(int(j == i) for j in range(n)) for i in range(n)])
     L = convex_hull([_zero(n)] + [tuple(lams[i] if j == i else 0 for j in range(n))
                                   for i in range(n)])
@@ -230,7 +230,7 @@ def corner_polar_sum_body(lams):
     c_i = 1 + 1/lam_i, so its polar is cut out by x >= 0 and <x, c> <= 1.
     """
     n = len(lams)
-    lams = [exact_scalar(x) for x in lams]
+    lams = [read_exact(x) for x in lams]
     c = tuple(1 + 1 / x for x in lams)
     halfspaces = [
         (tuple(rational(-1 if j == i else 0) for j in range(n)), rational(0)) for i in range(n)
@@ -242,7 +242,7 @@ def corner_polar_sum_body(lams):
 def corner_closed_forms(lams):
     """The three closed forms for the corner pair."""
     n = len(lams)
-    lams = [exact_scalar(x) for x in lams]
+    lams = [read_exact(x) for x in lams]
     nfact = rational(math.factorial(n))
     vol_join = rational(1)
     vol_polar_sum = rational(1)

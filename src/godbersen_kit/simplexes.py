@@ -2,14 +2,15 @@
 
 The centered-simplex hull ratio lives here, together with the algebraic
 identity that turns the simplex ratio into the binomial bound on
-mixed-volume ratios.
+mixed-volume ratios.  Both are exact: lambda is read by
+:func:`~godbersen_kit.scalars.read_exact`, a float at its binary value.
 """
 
 import math
 from dataclasses import dataclass
 
 from .reports import equality_report
-from .scalars import EXACT, FLOAT, as_scalar, rational
+from .scalars import rational, read_exact
 
 
 @dataclass(frozen=True)
@@ -46,20 +47,13 @@ def _admissible_k(n, w):
 
 def simplex_hull_ratio(n, lam):
     """Closed-form volume ratio of the hull of (1-lam)S and -lam*S, S centered."""
-    mode = FLOAT if isinstance(lam, float) else EXACT
-    lam = as_scalar(lam, mode)
+    lam = read_exact(lam)
     if not (0 <= lam <= 1):
         raise ValueError("lambda must lie in [0, 1]")
     ks = _admissible_k(n, (n + 1) * (1 - lam))
-    ratios = [
-        as_scalar(math.comb(n, k), mode) * (1 - lam) ** k * lam ** (n - k) for k in ks
-    ]
+    ratios = [math.comb(n, k) * (1 - lam) ** k * lam ** (n - k) for k in ks]
     first = ratios[0]
-    for r in ratios[1:]:
-        if mode == EXACT:
-            assert r == first, "tie expressions must coincide"
-        else:
-            assert abs(r - first) <= 1e-12 * max(1.0, abs(first))
+    assert all(r == first for r in ratios), "tie expressions must coincide"
     return SimplexHullFormula(n, lam, tuple(ks), first)
 
 

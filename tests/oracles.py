@@ -30,7 +30,7 @@ from godbersen_kit.polytopes import (
 )
 from godbersen_kit.reports import comparison_report
 from godbersen_kit.rs_bodies import _zero
-from godbersen_kit.scalars import exact_scalar, rational
+from godbersen_kit.scalars import rational, read_exact
 from godbersen_kit.simplexes import _admissible_k
 
 
@@ -68,24 +68,31 @@ def brute_force_extreme_points(points):
 def brute_force_facet_planes_3d(points):
     """All supporting planes through point triples, canonicalized.
 
-    A triple's plane supports the hull when every point sits on the <= side.
-    Returns a sorted set of (normal, offset) with primitive integer normals.
+    The points are scaled to integers on one common denominator D, so each
+    triple's normal is an integer cross product.  A triple's plane supports
+    the hull when every point sits on one side of it.  Returns a sorted set
+    of (normal, offset) with primitive integer normals, in the points' own
+    coordinates.
     """
+    D = math.lcm(*(rational(c).denominator for p in points for c in p))
+    ints = [tuple(int(c * D) for c in p) for p in points]
     planes = set()
-    for a, b, c in itertools.combinations(points, 3):
-        try:
-            normal, offset = _fraction_plane([a, b, c])
-        except DegenerateInput:
+    for a, b, c in itertools.combinations(ints, 3):
+        u = [x - y for x, y in zip(b, a)]
+        v = [x - y for x, y in zip(c, a)]
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+        if not any(normal):
             continue
-        sides = [dot(normal, p) - offset for p in points]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        else:
-            continue
-        planes.add(_primitive_plane(normal, offset))
+        n0, n1, n2 = normal
+        offset = n0 * a[0] + n1 * a[1] + n2 * a[2]
+        sides = [n0 * x + n1 * y + n2 * z - offset for x, y, z in ints]
+        if any(s > 0 for s in sides):
+            if any(s < 0 for s in sides):
+                continue
+            normal, offset = tuple(-x for x in normal), -offset
+        g = math.gcd(*normal)
+        planes.add((tuple(rational(x // g) for x in normal), rational(offset, g * D)))
     return sorted(planes)
 
 
@@ -159,7 +166,7 @@ def reference_convex_hull(points):
     primitive integer plane, and volume and centroid fanned from the
     interior point.  Raises DegenerateInput for a flat point set.
     """
-    pts = sorted({tuple(exact_scalar(c) for c in p) for p in points})
+    pts = sorted({tuple(read_exact(c) for c in p) for p in points})
     d = len(pts[0])
     if len(pts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
@@ -409,7 +416,7 @@ def slice_of_C(C, theta):
     """The height-theta slice of the joined body, as an n-dim polytope in
     the chart that drops the height coordinate."""
     n = C.dim - 1
-    theta = exact_scalar(theta)
+    theta = read_exact(theta)
     H = _section(C, range(n), ((n, theta),), "slice height outside the body")
     try:
         return to_vrep(H)
@@ -466,7 +473,7 @@ def homothety_support_identity(K, L, theta, directions):
     in every direction u (both None, +infinity, when u leaves both
     recession cones).  Returns (all_hold, samples), a sample being
     (u, gauge_K(u), gauge_L(u))."""
-    theta = exact_scalar(theta)
+    theta = read_exact(theta)
     factor = (1 - theta) / theta
     samples = []
     ok = True
@@ -488,7 +495,7 @@ def kt_ambient_vertices(n, t):
     Returns (simplex_vertices, reflected_vertices): e_1..e_{n+1} and
     v_j = (1+t)a - t e_j, all on the hyperplane of coordinate sum 1.
     """
-    t = exact_scalar(t)
+    t = read_exact(t)
     es = [
         tuple(rational(1 if i == j else 0) for j in range(n + 1)) for i in range(n + 1)
     ]
@@ -502,7 +509,7 @@ def kt_ambient_vertices(n, t):
 def kt_facet_direction(n, k, t):
     """The direction certifying the generic facet with k simplex vertices:
     k entries of -t, then n-k ones, then (1+t)k - n."""
-    t = exact_scalar(t)
+    t = read_exact(t)
     return tuple(
         [-t] * k + [rational(1)] * (n - k) + [(1 + t) * k - n]
     )
@@ -515,7 +522,7 @@ def build_Kt(n, t):
     The chart sends e_j -> e_j (j <= n) and e_{n+1} -> 0; volume ratios
     against the chart simplex are chart-invariant.
     """
-    t = exact_scalar(t)
+    t = read_exact(t)
     if not (rational(1, n) <= t <= 1):
         raise ValueError("t must lie in [1/n, 1]")
     es, vs = kt_ambient_vertices(n, t)
@@ -532,7 +539,7 @@ def chart_simplex(n):
 
 def kt_volume_ratio_formula(n, t):
     """C(n,k) t^(n-k) with k admissible for t: (n+1)/(1+t) - 1 <= k <= (n+1)/(1+t)."""
-    t = exact_scalar(t)
+    t = read_exact(t)
     ks = _admissible_k(n, rational(n + 1) / (1 + t))
     ratios = [rational(math.comb(n, k)) * t ** (n - k) for k in ks]
     for r in ratios[1:]:

@@ -10,15 +10,17 @@ are pinned within a tolerance instead: every record's ``pass`` and every
 non-float field must match, and floats must agree within 1e-9 relative
 (coordinates of ``x_star`` within 1e-9 absolute, the bodies having unit
 volume).  Where the minimum over translations is attained on a whole set,
-which happens at lambda = 1/2, the search may end at another point of that
-set; ``x_star`` is then accepted when the exact objective has the pinned
-value at both points and at their midpoint.
+which happens at lambda = 1/4 <= 1/(n+1) and can at lambda = 1/2, the search
+may end at another point of that set; ``x_star`` is then accepted when
+the exact objective has the pinned value at both points and at their
+midpoint.
 
 After an intended change of output format, rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -104,11 +106,30 @@ def _assert_same_minimizer(config, got, want, where):
     x, y = got["meta"].pop("x_star"), want["meta"].pop("x_star")
     if all(abs(a - b) <= REL_TOL for a, b in zip(x, y)):
         return
-    _, body = harness._trial_body(config, want["trial"])
+    body = harness._trial_body(config, want["trial"])
     mid = [(a + b) / 2 for a, b in zip(x, y)]
     for point in (x, y, mid):
         value = float(_exact_objective(body, want["lambda"], point))
         assert math.isclose(value, want["lhs"], rel_tol=REL_TOL), (where, point)
+
+
+def test_same_minimizer_accepts_a_flat_minimum_only(tmp_path):
+    # At lambda = 1/4 < 1/(n+1) the objective is flat on a neighbourhood
+    # of the centroid, where the search stops: a point 0.01 away is
+    # another minimizer, a point 0.5 away is not.
+    config = _config("gfr-n2", tmp_path)
+    want = json.loads((GOLDEN_DIR / "gfr-n2.jsonl").read_text().splitlines()[0])
+    assert (want["check"], want["lambda"], config.n) == ("translation-search-bound", "1/4", 2)
+    x, y = want["meta"]["x_star"]
+
+    def moved(dx):
+        got = copy.deepcopy(want)
+        got["meta"]["x_star"] = [x + dx, y]
+        return got
+
+    _assert_same_minimizer(config, moved(0.01), copy.deepcopy(want), "near")
+    with pytest.raises(AssertionError):
+        _assert_same_minimizer(config, moved(0.5), copy.deepcopy(want), "far")
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_GOLDEN_CONFIGS))

@@ -335,6 +335,20 @@ def test_functional_sweep_byte_identical_reruns(tmp_path):
     assert (open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()) == first
 
 
+@pytest.mark.parametrize("kind, n", [("gfr", 2), ("functional", 1)])
+def test_float_mode_writes_the_exact_mode_bytes(tmp_path, kind, n):
+    # JSON numbers in the grid are read exactly in either mode.
+    outputs = []
+    for mode in (EXACT, FLOAT):
+        base = str(tmp_path / mode)
+        config = ExperimentConfig.from_json({
+            "kind": kind, "n": n, "trials": 2, "seed": 3, "lambda_grid": [0.25, 0.5],
+            "mode": mode, "output_path": base})
+        assert run_experiment(config) == 0
+        outputs.append((open(base + ".jsonl", "rb").read(), open(base + ".csv", "rb").read()))
+    assert outputs[0] == outputs[1]
+
+
 def test_run_experiment_hard_failure_exits_2(tmp_path, monkeypatch):
     base = str(tmp_path / "fail")
 
@@ -624,6 +638,10 @@ def test_cli_config_errors_exit_3(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"kind": "kl", "n": 99}))
     assert main(["kl", "--config", str(invalid)]) == 3
+    # A non-finite grid entry is a config error, not a crash.
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"kind": "gfr", "n": 2, "lambda_grid": [Infinity]}')
+    assert main(["gfr", "--config", str(infinite)]) == 3
     # A polytope kind checks exact bodies only.
     float_kl = tmp_path / "float-kl.json"
     float_kl.write_text(json.dumps({"kind": "kl", "n": 2, "mode": "float",
@@ -697,6 +715,10 @@ def test_cli_simplex_ratio_output(capsys):
     assert main(["simplex-ratio", "--n", "3", "--lambda", "1/2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"k": [1, 2], "lambda": "1/2", "n": 3, "ratio": "3/8"}
+    # A decimal lambda is read exactly.
+    assert main(["simplex-ratio", "--n", "2", "--lambda", "0.25"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"k": [2], "lambda": "1/4", "n": 2, "ratio": "9/16"}
 
 
 def test_cli_mixed_volume(tmp_path, capsys):

@@ -251,7 +251,10 @@ def test_kl_inequality_random():
         K = random_centered(rng, 2, 8)
         L = random_centered(rng, 2, 8)
         for theta in (Q(1, 4), Q(1, 2), Q(3, 4)):
-            assert verify_KL_inequality(K, L, theta).passed
+            rep = verify_KL_inequality(K, L, theta)
+            assert rep.passed
+            # A float theta is read at its exact value.
+            assert verify_KL_inequality(K, L, float(theta)).to_json_dict() == rep.to_json_dict()
 
 
 def test_kl_intersection_costs_two_hulls(monkeypatch):

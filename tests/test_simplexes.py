@@ -96,9 +96,10 @@ def test_vertex_at_origin_identity():
             assert volume(scaled_reflected_join(S, lam)) == volume(S)
 
 
-def test_ratio_float_mode():
-    f = simplex_hull_ratio(2, 0.5)
-    assert abs(f.ratio - 0.5) <= 1e-12
+def test_ratio_reads_a_float_lambda_exactly():
+    for n in range(1, 7):
+        got = simplex_hull_ratio(n, 0.25)
+        assert got.to_json_dict() == simplex_hull_ratio(n, Q(1, 4)).to_json_dict()
 
 
 def test_ratio_rejects_out_of_range():

@@ -20,7 +20,7 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # Modules that compute on exact bodies only, and the float-mode names they
 # must not read.
-EXACT_LAYERS = ("polytopes", "mixed", "rs_bodies", "planar", "linalg")
+EXACT_LAYERS = ("polytopes", "mixed", "rs_bodies", "planar", "linalg", "simplexes")
 FLOAT_MODE_NAMES = ("FLOAT", "FLOAT_EPS")
 
 
