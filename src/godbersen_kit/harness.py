@@ -57,6 +57,7 @@ from .polytopes import (
     boundary_fan,
     centroid,
     convex_hull,
+    convex_hull_union,
     fan_total,
     negate,
     scale_polytope,
@@ -66,7 +67,7 @@ from .polytopes import (
     volume,
 )
 from .reports import CheckReport, comparison_report, equality_report
-from .rs_bodies import MAX_BASE_DIM, verify_KL_inequality, verify_ckl_bound, verify_strange
+from .rs_bodies import MAX_BASE_DIM, build_C, verify_KL_inequality, verify_ckl_bound, verify_strange
 from .scalars import EXACT, FLOAT, FLOAT_EPS, rational, rationalize, read_exact, scalar_to_json
 from .simplexes import gfr_implies_godbersen_bound, simplex_hull_ratio
 
@@ -557,13 +558,15 @@ def _gfr_trial(config, trial):
 
 
 def _theta_trial(config, trial):
-    """kl and ckl: one hard check of the trial's two bodies per theta."""
+    """kl and ckl: one hard check per theta, on the join or layered body built once."""
+    K, L = (_trial_body(config, trial, offset=i) for i in (0, 1))
     if config.kind == "kl":
         verify, check = verify_KL_inequality, "join-intersection-product"
+        body = {"join": convex_hull_union(L, negate(K))}
     else:
         verify, check = verify_ckl_bound, "layered-body-volume-bound"
-    K, L = (_trial_body(config, trial, offset=i) for i in (0, 1))
-    checks = [(check, True, verify(K, L, theta), {"theta": theta})
+        body = {"C": build_C(K, L)}
+    checks = [(check, True, verify(K, L, theta, **body), {"theta": theta})
               for theta in config.theta_grid]
     return _vertices(K, L), checks
 

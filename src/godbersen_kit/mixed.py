@@ -13,9 +13,10 @@ are exact and must agree to the digit.
 import math
 from dataclasses import dataclass
 
-from .linalg import solve
+from .linalg import solve, vsub
 from .polytopes import (
     boundary_fan,
+    convex_hull,
     fan_total,
     minkowski_sum,
     negate,
@@ -145,14 +146,13 @@ def difference_body_check(K, mixed=None):
     of Vol(K - K) into mixed volumes.
 
     ``mixed`` is ``mixed_volumes(K, negate(K))`` when the caller already
-    has it.  Vol(K - K) comes from its own Minkowski-sum hull, so the
-    expansion cross-checks the Cayley route.
+    has it.  Vol(K - K) comes from its own hull of the vertex differences,
+    so the expansion cross-checks the Cayley route.
     """
     n = K.dim
-    minus_k = negate(K)
     if mixed is None:
-        mixed = mixed_volumes(K, minus_k)
-    diff_volume = volume(minkowski_sum(K, minus_k))
+        mixed = mixed_volumes(K, negate(K))
+    diff_volume = volume(convex_hull([vsub(v, w) for v in K.vertices for w in K.vertices]))
     lhs = diff_volume / volume(K)
     rhs = rational(math.comb(2 * n, n))
     expansion = sum(math.comb(n, j) * mixed[j] for j in range(n + 1))

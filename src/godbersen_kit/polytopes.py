@@ -261,6 +261,11 @@ def triangulate(points):
     for i, hp in enumerate(hpts):
         first.setdefault(hp, i)
     rows = _lex_sorted(first.values(), points, hpts)
+    # The smallest point first, the rest far first (fewer transient facets): by decreasing
+    # squared distance from their mean on the ints (X << 32) // w, ties lexicographic.
+    fixed = {i: [(x << 32) // hpts[i][1] for x in hpts[i][0]] for i in rows[1:]}
+    mean = [sum(col) // len(fixed) for col in zip(*fixed.values())]
+    rows[1:] = sorted(rows[1:], key=lambda i: -sum((a - b) ** 2 for a, b in zip(fixed[i], mean)))
     basis, simplices = _hull_core([hpts[i] for i in rows])
     return hpts, [rows[i] for i in basis], [
         (tuple(rows[i] for i in verts), normal, offset) for verts, normal, offset in simplices]
@@ -425,17 +430,22 @@ def contains_point(P, x, *, strict=False):
     return True
 
 
-def contains_polytope(P, Q):
-    """True iff every vertex of Q satisfies every facet half-space of P.
+def contains_points(P, points):
+    """True iff every one of ``points`` satisfies every facet half-space of P.
 
-    Each vertex is read once as (X, w) and each facet as an integer normal
+    Each point is read once as (X, w) and each facet as an integer normal
     n with offset a/b, so the test b (n.X) <= a w runs on ints."""
     planes = []
     for f in P.facets:
         normal, q = _homogeneous(f.outward_normal)
         planes.append((normal, *(f.offset * q).as_integer_ratio()))
     return all(b * dot(normal, X) <= a * w
-               for X, w in map(_homogeneous, Q.vertices) for normal, a, b in planes)
+               for X, w in map(_homogeneous, points) for normal, a, b in planes)
+
+
+def contains_polytope(P, Q):
+    """True iff every vertex of Q lies in P."""
+    return contains_points(P, Q.vertices)
 
 
 def gauge(P, u):
@@ -544,6 +554,11 @@ def _interior_of(H):
 
 
 def to_vrep(H):
+    """The canonical hull of the vertices :func:`vertex_points` enumerates."""
+    return convex_hull(vertex_points(H))
+
+
+def vertex_points(H):
     """Vertex enumeration via the polar trick around an interior point."""
     if H.empty:
         raise EmptyIntersection("H-polytope is flagged empty")
@@ -561,8 +576,7 @@ def to_vrep(H):
     for f in Q.facets:
         if not f.offset > 0:
             raise Unbounded("recession cone nontrivial")
-    return convex_hull([vadd(tuple(c / f.offset for c in f.outward_normal), z)
-                        for f in Q.facets])
+    return [vadd(tuple(c / f.offset for c in f.outward_normal), z) for f in Q.facets]
 
 
 def intersect(*hpolys):

@@ -9,19 +9,20 @@ product-volume inequalities.  Every check is exact, with zero tolerance.
 import math
 
 from .errors import OriginNotContained, OriginNotInterior
+from .linalg import vadd
 from .polytopes import (
     HPolytope,
     contains_point,
-    contains_polytope,
+    contains_points,
     convex_hull,
     convex_hull_union,
     intersect,
-    minkowski_sum,
     negate,
     polar_body,
     scale_polytope,
     scaled_reflected_join,
     to_vrep,
+    vertex_points,
     volume,
 )
 from .reports import CheckReport, comparison_report
@@ -73,17 +74,17 @@ def _scaled_intersection(K, L, theta):
     return intersect(cut)
 
 
-def verify_ckl_bound(K, L, theta):
+def verify_ckl_bound(K, L, theta, C=None):
     """Vol_{n+1}(C) <= Vol(K) Vol(L) / ((n+1) Vol(theta K cap (1-theta) L)).
 
     A zero-volume intersection makes the bound vacuous; that is reported,
-    not raised.
+    not raised.  ``C`` is ``build_C(K, L)`` when the caller already has it.
     """
     n = K.dim
     theta = read_exact(theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
-    lhs = volume(build_C(K, L))
+    lhs = volume(build_C(K, L) if C is None else C)
     I = _scaled_intersection(K, L, theta)
     if I.empty or not I.full_dim:
         return CheckReport(
@@ -100,9 +101,9 @@ def verify_ckl_bound(K, L, theta):
     return comparison_report(lhs, rhs, meta=meta)
 
 
-def verify_KL_inequality(K, L, theta):
+def verify_KL_inequality(K, L, theta, join=None):
     """Vol(L v -K) * Vol(theta K cap (1-theta) L) <= Vol(K) Vol(L),
-    for bodies with 0 in both."""
+    for bodies with 0 in both; ``join`` is L v -K when the caller has it."""
     n = K.dim
     theta = read_exact(theta)
     if not 0 <= theta <= 1:
@@ -110,7 +111,7 @@ def verify_KL_inequality(K, L, theta):
     origin = _zero(n)
     if not (contains_point(K, origin) and contains_point(L, origin)):
         raise OriginNotContained("both bodies must contain the origin")
-    join = convex_hull_union(L, negate(K))
+    join = convex_hull_union(L, negate(K)) if join is None else join
     rhs = volume(K) * volume(L)
     if theta == 0 or theta == 1:
         return CheckReport(
@@ -140,13 +141,14 @@ def verify_KL_inequality(K, L, theta):
 
 def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3, 4))):
     """Vol(K v -L) * Vol((K°+L°)°) <= Vol(K) Vol(L) for 0 interior to both,
-    plus the inclusion theta K cap (1-theta) L inside (K°+L°)°."""
+    plus the inclusion of each cut theta K cap (1-theta) L's vertices in
+    (K°+L°)°; K°+L° is the hull of the sums of K's and L's facet vectors n/o."""
     n = K.dim
     origin = _zero(n)
     if not (contains_point(K, origin, strict=True) and contains_point(L, origin, strict=True)):
         raise OriginNotInterior("both bodies need 0 in the interior")
-    polar_sum = minkowski_sum(polar_body(K), polar_body(L))
-    M = polar_body(polar_sum)
+    polars = [[tuple(c / f.offset for c in f.outward_normal) for f in P.facets] for P in (K, L)]
+    M = polar_body(convex_hull([vadd(u, v) for u in polars[0] for v in polars[1]]))
     join = convex_hull_union(K, negate(L))
     lhs = volume(join) * volume(M)
     rhs = volume(K) * volume(L)
@@ -160,8 +162,7 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
         if not I.full_dim:
             inclusions.append((theta, None))
             continue
-        V = to_vrep(I)
-        inclusions.append((theta, contains_polytope(M, V)))
+        inclusions.append((theta, contains_points(M, vertex_points(I))))
     meta = {
         "n": n,
         "join_volume": volume(join),

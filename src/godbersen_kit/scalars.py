@@ -31,7 +31,9 @@ def rational(numerator, denominator=1):
 def read_exact(x):
     """``x`` as an exact rational: a finite float at its exact binary value,
     a "p/q" or decimal string exactly.  Bools, non-finite floats and zero
-    denominators ("1/0") are refused."""
+    denominators ("1/0") are refused.  A Fraction is returned itself."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, float) and not math.isfinite(x):

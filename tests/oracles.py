@@ -237,7 +237,11 @@ def common_scale_triangulate(points):
     Every point is scaled by S = (d+1) * lcm(all denominators), and every
     facet plane, not only the first simplex's, comes from the cofactors of
     ``hyperplane_through``, made primitive and oriented by the interior
-    point.  Returns the same (ints, scale, interior, simplices).
+    point.  Points are inserted in the kernel's order: the lexicographically
+    smallest first, then the others by decreasing squared distance from
+    their own mean, on the fixed-point ints (y << 32) // S, which are the
+    kernel's (X << 32) // w; ties stay in lexicographic order.  Returns the
+    same (ints, scale, interior, simplices).
     """
     d = len(points[0])
     ratios = [[c.as_integer_ratio() for c in p] for p in points]
@@ -247,6 +251,9 @@ def common_scale_triangulate(points):
     for i, y in enumerate(ints):
         first.setdefault(y, i)
     pts = sorted(first)
+    fixed = {y: [(c << 32) // scale for c in y] for y in pts[1:]}
+    mean = [sum(col) // len(fixed) for col in zip(*fixed.values())]
+    pts[1:] = sorted(pts[1:], key=lambda y: -sum((a - b) ** 2 for a, b in zip(fixed[y], mean)))
     if len(pts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
     tracker = RankTracker()

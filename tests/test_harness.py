@@ -42,7 +42,7 @@ from godbersen_kit.polytopes import (
     volume,
 )
 from godbersen_kit.reports import CheckReport
-from godbersen_kit.scalars import EXACT, FLOAT, rational
+from godbersen_kit.scalars import EXACT, FLOAT, rational, read_exact
 from godbersen_kit.simplexes import simplex_hull_ratio
 
 
@@ -217,6 +217,12 @@ def test_config_defaults_and_derived_grids():
 
     cfg = ExperimentConfig(kind="gfr", n=2, lambda_grid=(0.5, "1/4"))
     assert [str(l) for l in cfg.lambda_grid] == ["1/2", "1/4"]
+
+
+def test_read_exact_returns_a_fraction_itself():
+    q = Fraction(-7, 12)
+    assert read_exact(q) is q
+    assert read_exact(0.25) == Fraction(1, 4) and read_exact("1/3") == Fraction(1, 3)
 
 
 def test_config_rejects_invalid_fields():
@@ -745,20 +751,23 @@ def test_cli_mixed_volume(tmp_path, capsys):
 
 def test_exact_godbersen_trial_builds_one_minkowski_hull(monkeypatch):
     calls = []
-    original = mixed.minkowski_sum
+    original = mixed.convex_hull
 
-    def counting(P, Q):
-        calls.append(P.dim)
-        return original(P, Q)
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
 
-    def interpolating(K, T):
+    def interpolating(*bodies):
         raise AssertionError("godbersen trials read mixed volumes off the Cayley fan")
 
-    monkeypatch.setattr(mixed, "minkowski_sum", counting)
+    monkeypatch.setattr(mixed, "convex_hull", counting)
+    monkeypatch.setattr(mixed, "minkowski_sum", interpolating)
     monkeypatch.setattr(mixed, "volume_polynomial", interpolating)
     records = run_trial(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
-    # The one K - K hull that the expansion identity checks the Cayley route against.
-    assert len(calls) == 1
+    # The one K - K hull, of the vertex differences, that the expansion
+    # identity checks the Cayley route against.
+    K = harness._trial_body(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
+    assert calls == [len(K.vertices) ** 2]
     assert all(rec["pass"] for rec in records if rec["hard"])
 
 
@@ -815,8 +824,8 @@ def test_exact_failures_carry_the_reproduction_payload(monkeypatch):
         lhs = 2 * (rep.rhs + rep.meta["rhs_conjectured"])
         return dataclasses.replace(rep, lhs=lhs, ratio=lhs / rep.rhs, passed=False)
 
-    def fake_ckl(K, L, theta):
-        return dataclasses.replace(ckl(K, L, theta), passed=False)
+    def fake_ckl(K, L, theta, C=None):
+        return dataclasses.replace(ckl(K, L, theta, C=C), passed=False)
 
     monkeypatch.setattr(harness, "godbersen_ratio", fake_ratio)
     monkeypatch.setattr(harness, "verify_ckl_bound", fake_ckl)

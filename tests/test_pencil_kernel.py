@@ -7,8 +7,8 @@ The two must agree as rationals on the points, the interior point (the
 mean of the first simplex) and each simplex's vertices and facet plane,
 simplex order included, on random and non-simplicial clouds, on the hull
 clouds of the exact sweeps (polar chains whose denominators do not nest),
-and on the float clouds of the translation search.  The pencil kernel's
-first simplex starts at the lexicographically smallest point.
+and on the float clouds of the translation search.  Both kernels insert
+the lexicographically smallest point first and the others far first.
 """
 
 import itertools
@@ -20,7 +20,7 @@ import pytest
 
 from godbersen_kit import harness, mixed, polytopes
 from godbersen_kit.errors import DegenerateInput
-from godbersen_kit.linalg import dot
+from godbersen_kit.linalg import dot, vadd
 from godbersen_kit.polytopes import (
     _homogeneous,
     contains_point,
@@ -129,6 +129,31 @@ def test_polar_chain_clouds_match_common_scale_kernel(monkeypatch, kind):
     assert any(not _nests(c) for c in clouds)
     for cloud in clouds:
         _assert_same(cloud)
+
+
+def test_far_first_order_is_not_lexicographic_on_a_polar_sum_cloud(monkeypatch):
+    config = harness.ExperimentConfig.from_json({"kind": "strange", "n": 3, "trials": 1,
+                                                 "seed": 8200})
+    K, L = (harness._trial_body(config, 0, offset=i) for i in (0, 1))
+    K_star, L_star = ([tuple(c / f.offset for c in f.outward_normal) for f in P.facets]
+                      for P in (K, L))
+    cloud = [vadd(u, v) for u in K_star for v in L_star]
+    inserted = []
+    core = polytopes._hull_core
+    monkeypatch.setattr(polytopes, "_hull_core", lambda hpts: inserted.extend(hpts) or core(hpts))
+    triangulate(cloud)
+    order = [tuple(Fraction(c, w) for c in X) for X, w in inserted]
+    assert sorted(order) == sorted(set(cloud))
+    assert order[0] == min(order) and order != sorted(order)
+    _assert_same(cloud)
+
+
+@pytest.mark.parametrize("kind, hulls", [("kl", 9), ("ckl", 9), ("strange", 8)])
+def test_theta_sweeps_build_each_body_once(monkeypatch, kind, hulls):
+    # The two random bodies; once per trial the join (kl), the layered body
+    # (ckl) or the K°+L° hull, (K°+L°)° and the join (strange); then per
+    # theta the cut's polar hull and, for kl and ckl, its canonical hull.
+    assert len(_sweep_clouds(monkeypatch, kind, 3, "exact")) == hulls
 
 
 def test_cayley_and_search_clouds_match_common_scale_kernel(monkeypatch):
