@@ -60,6 +60,7 @@ from .polytopes import (
     convex_hull_union,
     fan_total,
     negate,
+    point_row,
     scale_polytope,
     scaled_reflected_join,
     translate,
@@ -341,8 +342,8 @@ def join_volume_and_subgradient(a, b, x):
     """f(x) = Vol conv(A v (B + x)) and a subgradient of f at x.
 
     ``a`` and ``b`` are arrays of points.  The value is the exact fan volume
-    of the cloud's :func:`triangulate`, rounded once by one int/int
-    division.  Fanned from the cloud's mean c, f is the sum of
+    of the :func:`triangulate` of the cloud's rows, rounded once by one
+    int/int division.  Fanned from the cloud's mean c, f is the sum of
     |det(sigma - c)| / d! over the boundary simplices sigma, and the
     derivative of a determinant in one of its rows is that row's cofactor;
     c drops out, since the fan volume does not depend on it.  The sum of
@@ -353,8 +354,9 @@ def join_volume_and_subgradient(a, b, x):
 
     cloud = np.vstack([a, b + x])
     d = cloud.shape[1]
-    hpts, basis, simplices = triangulate([tuple(p) for p in cloud.tolist()])
-    scale, weights, cones = boundary_fan(hpts, basis[0], simplices)
+    exact_rows = [point_row(p) for p in cloud.tolist()]
+    basis, simplices = triangulate(exact_rows)
+    scale, weights, cones = boundary_fan(exact_rows, basis[0], simplices)
     value = fan_total(scale, weights, cones) / (math.factorial(d) * scale ** (d + 1))
     rows = np.array([verts for verts, _, _ in simplices])
     fan = cloud[rows] - cloud.mean(axis=0)

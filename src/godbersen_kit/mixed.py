@@ -13,14 +13,16 @@ are exact and must agree to the digit.
 import math
 from dataclasses import dataclass
 
-from .linalg import solve, vsub
+from .linalg import solve
 from .polytopes import (
     boundary_fan,
-    convex_hull,
     fan_total,
+    fan_volume,
     minkowski_sum,
     negate,
+    point_row,
     scale_polytope,
+    sum_rows,
     triangulate,
     volume,
 )
@@ -50,12 +52,13 @@ def mixed_volumes(K, T):
     if K.dim != T.dim:
         raise ValueError("operands must share dimension")
     n = K.dim
-    lifted = [(*v, 0) for v in K.vertices] + [(*v, 1) for v in T.vertices]
-    hpts, basis, simplices = triangulate(lifted)
+    rows = [(X + (0,), w) for X, w in map(point_row, K.vertices)]
+    rows += [(X + (w,), w) for X, w in map(point_row, T.vertices)]
+    basis, simplices = triangulate(rows)
     apex = basis[0]
     # b of each cone's n+2 points at height 1; cones at one height are flat.
-    b = {verts: sum(hpts[v][0][n] != 0 for v in (apex, *verts)) for verts, _, _ in simplices}
-    scale, weights, cones = boundary_fan(hpts, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
+    b = {verts: sum(rows[v][0][n] != 0 for v in (apex, *verts)) for verts, _, _ in simplices}
+    scale, weights, cones = boundary_fan(rows, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
     # (n+1) t / ((n+1)! L^(n+2)) = t / (n! L^(n+2))
     return [rational(fan_total(scale, weights, [c for c in cones if b[c[0]] == n + 1 - j]),
                 math.factorial(n) * scale ** (n + 2)) for j in range(n + 1)]
@@ -146,13 +149,16 @@ def difference_body_check(K, mixed=None):
     of Vol(K - K) into mixed volumes.
 
     ``mixed`` is ``mixed_volumes(K, negate(K))`` when the caller already
-    has it.  Vol(K - K) comes from its own hull of the vertex differences,
-    so the expansion cross-checks the Cayley route.
+    has it.  Vol(K - K) comes from its own triangulation of the vertex
+    differences, on rows, so the expansion cross-checks the Cayley route.
     """
     n = K.dim
     if mixed is None:
         mixed = mixed_volumes(K, negate(K))
-    diff_volume = volume(convex_hull([vsub(v, w) for v in K.vertices for w in K.vertices]))
+    rows = [point_row(v) for v in K.vertices]
+    diffs = sum_rows(rows, [(tuple(-x for x in X), w) for X, w in rows])
+    basis, simplices = triangulate(diffs)
+    diff_volume = fan_volume(boundary_fan(diffs, basis[0], simplices), n)
     lhs = diff_volume / volume(K)
     rhs = rational(math.comb(2 * n, n))
     expansion = sum(math.comb(n, j) * mixed[j] for j in range(n + 1))

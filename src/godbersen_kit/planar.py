@@ -20,13 +20,14 @@ from .errors import DegenerateInput, NotCentered, TooFewVertices
 from .polytopes import (
     centroid,
     convex_hull,
+    point_row,
     polytope_to_json,
     scaled_reflected_join,
     translate,
     volume,
 )
 from .reports import CheckReport
-from .scalars import read_exact, scalar_to_json
+from .scalars import rational, read_exact, scalar_to_json
 from .simplexes import simplex_hull_ratio
 
 
@@ -72,7 +73,7 @@ def _line_parameter(p, u, q1, q2):
     denom = _cross(w, u)
     if denom == 0:
         return None
-    return -_cross(w, _sub(p, q1)) / denom
+    return rational(-_cross(w, _sub(p, q1)), denom)
 
 
 def _cycle(K):
@@ -84,10 +85,10 @@ def _cycle(K):
 
 
 def _interval(cyc, i2):
-    """slide_interval on a ccw cycle."""
+    """slide_interval on a ccw cycle, on ints over the points' common denominator."""
     n = len(cyc)
-    x1, x2, x3 = cyc[i2 - 1], cyc[i2], cyc[(i2 + 1) % n]
-    x4, xN = cyc[(i2 + 2) % n], cyc[i2 - 2]
+    X, _ = point_row([c for k in (-2, -1, 0, 1, 2) for c in cyc[(i2 + k) % n]])
+    xN, x1, x2, x3, x4 = (X[k:k + 2] for k in range(0, 10, 2))
     u = _sub(x3, x1)
     alpha = _line_parameter(x2, u, xN, x1)
     beta = _line_parameter(x2, u, x3, x4)

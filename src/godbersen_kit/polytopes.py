@@ -3,10 +3,10 @@
 Bounded convex polytopes in dimension 1..6, in exact rational arithmetic.
 The hull is an incremental beneath-beyond insertion; all downstream
 quantities (volume, centroid, facet structure) fall out of the same
-boundary triangulation.  The integer kernel reads each point as ints over
-its own denominator (a per-point weight w), and the volume fan runs on the
-same (X, w) rows, so no common denominator is formed.  The volume is
-computed with the hull; the centroid only when it is read.
+boundary triangulation.  The integer kernel, its volume fan and the polar
+chains run on rows (X, w), ints over each point's own denominator (see
+:func:`point_row`), so no common denominator is formed.  The volume is
+computed with the hull; vertices, facets and centroid only when read.
 :func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
 volumes and the translation search's float probes alike.
 
@@ -58,25 +58,27 @@ class VPolytope:
     """Canonical vertex representation of a full-dimensional polytope.
 
     Construct through :func:`convex_hull` (or the serialization helpers);
-    the constructor trusts its arguments.  ``centroid`` is a point or a
-    function of no arguments that computes it on first read.
+    the constructor trusts its arguments.  ``reps`` = (vertices, facets)
+    and ``centroid`` are values or functions computing them on first read.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_volume", "_cent")
+    __slots__ = ("dim", "_reps", "_volume", "_cent")
     mode = EXACT  # every body is exact
 
-    def __init__(self, dim, vertices, facets, volume, centroid):
+    def __init__(self, dim, reps, volume, centroid):
         self.dim = dim
-        self.vertices = vertices
-        self.facets = facets
+        self._reps = reps
         self._volume = volume
         self._cent = centroid
 
-    @property
-    def _centroid(self):
-        if callable(self._cent):
-            self._cent = self._cent()
-        return self._cent
+    vertices = property(lambda self: self._read("_reps")[0])
+    facets = property(lambda self: self._read("_reps")[1])
+    _centroid = property(lambda self: self._read("_cent"))
+
+    def _read(self, slot):
+        if callable(getattr(self, slot)):
+            setattr(self, slot, getattr(self, slot)())
+        return getattr(self, slot)
 
     def __eq__(self, other):
         return (
@@ -116,13 +118,25 @@ class HPolytope:
 # hull construction
 
 
-def _homogeneous(p):
-    """The point p as (X, w): w is the lcm of its own coordinates'
-    denominators and X = p * w, as ints.  Every coordinate is read through
-    ``as_integer_ratio()``, so a float enters at its exact binary value."""
+def point_row(p):
+    """The point p as its kernel row (X, w): w is the lcm of its own
+    coordinates' denominators and X = p * w, as ints, so equal points have
+    equal rows.  Coordinates are read through ``as_integer_ratio()``, so a
+    float enters at its exact binary value."""
     ratios = [c.as_integer_ratio() for c in p]
     w = math.lcm(*(q for _, q in ratios))
     return tuple(n * (w // q) for n, q in ratios), w
+
+
+def _reduced(X, w):
+    g = math.gcd(*X, w)
+    return tuple(x // g for x in X), w // g
+
+
+def sum_rows(A, B):
+    """The rows of the pairwise sums of the points of two lists of rows."""
+    return [_reduced([x1 * w2 + x2 * w1 for x1, x2 in zip(X1, X2)], w1 * w2)
+            for X1, w1 in A for X2, w2 in B]
 
 
 def _affine_basis(hpts, d):
@@ -174,7 +188,7 @@ def _hull_core(hpts):
     hyperplane rotation of gift wrapping): it vanishes on the ridge and at
     p, and since h1(p) > 0 >= h2(p) it is negative inside.
     """
-    d = len(hpts[0][0])
+    d = len(hpts[0][0]) if hpts else 0
     if len(hpts) < d + 1:
         raise DegenerateInput("need at least d+1 distinct points")
     basis = _affine_basis(hpts, d)
@@ -236,39 +250,38 @@ def _hull_core(hpts):
     return basis, list(facets.values())
 
 
-def _lex_sorted(indices, points, hpts):
-    """``indices`` in the lexicographic order of their points.  The first
-    coordinate to 64 binary places, an int, decides most comparisons; only
-    ties in it compare the points themselves."""
-    return sorted(indices, key=lambda i: ((hpts[i][0][0] << 64) // hpts[i][1], points[i]))
+_row_key = functools.cmp_to_key(lambda a, b: next(
+    (x * b[1] - y * a[1] for x, y in zip(a[0], b[0]) if x * b[1] != y * a[1]), 0))
 
 
-def triangulate(points):
-    """The integer kernel's triangulation of the boundary of conv(points).
+def _lex_sorted(indices, rows):
+    """``indices`` in the lexicographic order of their rows' points.  The
+    first coordinate to 64 binary places, an int, decides most comparisons;
+    only ties in it compare the rows themselves, on cross products."""
+    return sorted(indices, key=lambda i: ((rows[i][0][0] << 64) // rows[i][1], _row_key(rows[i])))
 
-    ``points`` are tuples of rationals or floats, read at their exact
-    values, each as (X, w) over its own denominator (see :func:`_hull_core`); no
-    common scale is formed.  Returns (hpts, basis, simplices): hpts[i] is
-    the (X, w) of points[i]; basis holds the indices of the first simplex,
-    basis[0] the lexicographically smallest point, which is a vertex; each
-    simplex is (vertex indices into ``points``, N, O), the primitive
-    integer plane N.x = O of its facet with N facing out.  The first of
-    equal points stands for all of them.  Raises DegenerateInput when the
-    points span less than their dimension.
+
+def triangulate(rows):
+    """The integer kernel's triangulation of the boundary of the hull of
+    the points whose :func:`point_row` are ``rows`` (see :func:`_hull_core`).
+
+    Returns (basis, simplices): basis holds the indices of the first
+    simplex, basis[0] the lexicographically smallest point, which is a
+    vertex; each simplex is (vertex indices into ``rows``, N, O), the
+    primitive integer plane N.x = O of its facet with N facing out.  The
+    first of equal rows stands for all of them.  Raises DegenerateInput
+    when the points span less than their dimension.
     """
-    hpts = [_homogeneous(p) for p in points]
-    first = {}  # (X, w) -> index of its first input point
-    for i, hp in enumerate(hpts):
-        first.setdefault(hp, i)
-    rows = _lex_sorted(first.values(), points, hpts)
+    first = {row: i for i, row in reversed(list(enumerate(rows)))}  # row -> its first index
+    order = _lex_sorted(first.values(), rows)
     # The smallest point first, the rest far first (fewer transient facets): by decreasing
     # squared distance from their mean on the ints (X << 32) // w, ties lexicographic.
-    fixed = {i: [(x << 32) // hpts[i][1] for x in hpts[i][0]] for i in rows[1:]}
+    fixed = {i: [(x << 32) // rows[i][1] for x in rows[i][0]] for i in order[1:]}
     mean = [sum(col) // len(fixed) for col in zip(*fixed.values())]
-    rows[1:] = sorted(rows[1:], key=lambda i: -sum((a - b) ** 2 for a, b in zip(fixed[i], mean)))
-    basis, simplices = _hull_core([hpts[i] for i in rows])
-    return hpts, [rows[i] for i in basis], [
-        (tuple(rows[i] for i in verts), normal, offset) for verts, normal, offset in simplices]
+    order[1:] = sorted(order[1:], key=lambda i: -sum((a - b) ** 2 for a, b in zip(fixed[i], mean)))
+    basis, simplices = _hull_core([rows[i] for i in order])
+    return [order[i] for i in basis], [
+        (tuple(order[i] for i in verts), normal, offset) for verts, normal, offset in simplices]
 
 
 def boundary_fan(hpts, apex, simplices):
@@ -337,12 +350,9 @@ def _fan_centroid(hpts, apex, fan):
                  for w, a in zip(weighted, ys[apex]))
 
 
-def _hull_finish(points, hpts, simplices):
-    """Vertices and facets of the hull.
-
-    Returns (vertices, facets): the indices of the extreme points, sorted by
-    point; and one (primitive normal n, O, g) per facet, sorted, where
-    g = gcd(N), n = N / g and the facet is n.x <= O / g.
+def _hull_finish(rows, simplices):
+    """The hull's vertices, sorted rational points, and its facets, one
+    sorted Facet per plane n.x <= O / g, where g = gcd(N) and n = N / g.
 
     The kernel's primitive plane (N, O) is canonical per facet, so two
     simplices are coplanar exactly when their planes are equal; each plane
@@ -350,7 +360,7 @@ def _hull_finish(points, hpts, simplices):
     on its plane.  A point is therefore extreme when the normals of the
     facets whose simplices use it reach rank d.
     """
-    d = len(points[0])
+    d = len(rows[0][0])
     planes = {}
     for verts, normal, offset in simplices:
         planes.setdefault((normal, offset), set()).update(verts)
@@ -360,26 +370,32 @@ def _hull_finish(points, hpts, simplices):
             normals.setdefault(v, []).append(normal)
 
     vertices = []
-    for v in _lex_sorted(normals, points, hpts):
+    for v in _lex_sorted(normals, rows):
         tracker = RankTracker()
         for n in normals[v]:
             if tracker.add(n) and tracker.rank == d:
-                vertices.append(v)
+                vertices.append(tuple(rational(x, rows[v][1]) for x in rows[v][0]))
                 break
-    facets = []
-    for normal, offset in planes:
-        g = math.gcd(*normal)
-        facets.append((tuple(c // g for c in normal), offset, g))
-    facets.sort()
-    return vertices, facets
+    facets = sorted((tuple(c // g for c in normal), offset, g)
+                    for normal, offset in planes for g in [math.gcd(*normal)])
+    return tuple(vertices), tuple(
+        Facet(tuple(rational(c) for c in n), rational(o, g)) for n, o, g in facets)
+
+
+def _hull(rows):
+    """The canonical hull of the points of ``rows``."""
+    basis, simplices = triangulate(rows)
+    fan = boundary_fan(rows, basis[0], simplices)
+    d = len(rows[0][0])
+    return VPolytope(d, functools.partial(_hull_finish, rows, simplices), fan_volume(fan, d),
+                     functools.partial(_fan_centroid, rows, basis[0], fan))
 
 
 def convex_hull(points):
     """Canonical hull of the given points (each a sequence of scalars).
 
-    Coordinates are read exactly, a float at its binary value.  The
-    centroid is computed from the volume fan when it is first read.
-    Raises DegenerateInput when the points span less than the ambient
+    Coordinates are read exactly, a float at its binary value.  Raises
+    DegenerateInput when the points span less than the ambient
     dimension.
     """
     pts = [tuple(p) for p in points]
@@ -389,17 +405,7 @@ def convex_hull(points):
     _check_dim(d)
     if any(len(p) != d for p in pts):
         raise ValueError("points of mixed dimension")
-    pts = [tuple(read_exact(c) for c in p) for p in pts]
-    hpts, basis, simplices = triangulate(pts)
-    vertices, facets = _hull_finish(pts, hpts, simplices)
-    fan = boundary_fan(hpts, basis[0], simplices)
-    return VPolytope(
-        d,
-        tuple(pts[v] for v in vertices),
-        tuple(Facet(tuple(rational(c) for c in n), rational(o, g)) for n, o, g in facets),
-        fan_volume(fan, d),
-        functools.partial(_fan_centroid, hpts, basis[0], fan),
-    )
+    return _hull([point_row([read_exact(c) for c in p]) for p in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -430,22 +436,16 @@ def contains_point(P, x, *, strict=False):
     return True
 
 
-def contains_points(P, points):
-    """True iff every one of ``points`` satisfies every facet half-space of P.
-
-    Each point is read once as (X, w) and each facet as an integer normal
-    n with offset a/b, so the test b (n.X) <= a w runs on ints."""
+def contains_polytope(P, Q):
+    """True iff every vertex of Q, a VPolytope or an HPolytope, lies in P.
+    Each facet of P is read as an integer normal n with offset a/b, so the
+    test b (n.X) <= a w runs on the rows (X, w) of Q's vertices."""
     planes = []
     for f in P.facets:
-        normal, q = _homogeneous(f.outward_normal)
+        normal, q = point_row(f.outward_normal)
         planes.append((normal, *(f.offset * q).as_integer_ratio()))
-    return all(b * dot(normal, X) <= a * w
-               for X, w in map(_homogeneous, points) for normal, a, b in planes)
-
-
-def contains_polytope(P, Q):
-    """True iff every vertex of Q lies in P."""
-    return contains_points(P, Q.vertices)
+    rows = _vertex_rows(Q) if isinstance(Q, HPolytope) else map(point_row, Q.vertices)
+    return all(b * dot(normal, X) <= a * w for X, w in rows for normal, a, b in planes)
 
 
 def gauge(P, u):
@@ -480,7 +480,7 @@ def translate(P, t):
     t = tuple(read_exact(c) for c in t)
     vertices = tuple(vadd(v, t) for v in P.vertices)
     facets = tuple(Facet(f.outward_normal, f.offset + dot(f.outward_normal, t)) for f in P.facets)
-    return VPolytope(P.dim, vertices, facets, P._volume, lambda: vadd(P._centroid, t))
+    return VPolytope(P.dim, (vertices, facets), P._volume, lambda: vadd(P._centroid, t))
 
 
 def scale_polytope(P, s):
@@ -491,9 +491,9 @@ def scale_polytope(P, s):
         raise ValueError("scale factor must be nonzero; a point is not a polytope")
     planes = sorted((tuple(c if s > 0 else -c for c in f.outward_normal), f.offset * abs(s))
                     for f in P.facets)
-    return VPolytope(P.dim, tuple(sorted(vscale(v, s) for v in P.vertices)),
-                     tuple(Facet(*plane) for plane in planes), P._volume * abs(s) ** P.dim,
-                     lambda: vscale(P._centroid, s))
+    return VPolytope(P.dim, (tuple(sorted(vscale(v, s) for v in P.vertices)),
+                             tuple(Facet(*plane) for plane in planes)),
+                     P._volume * abs(s) ** P.dim, lambda: vscale(P._centroid, s))
 
 
 def negate(P):
@@ -513,7 +513,7 @@ def minkowski_sum(P, Q):
     """Hull of all pairwise vertex sums."""
     if P.dim != Q.dim:
         raise ValueError("operands must share dimension")
-    return convex_hull([vadd(v, w) for v in P.vertices for w in Q.vertices])
+    return _hull(sum_rows([point_row(v) for v in P.vertices], [point_row(w) for w in Q.vertices]))
 
 
 def convex_hull_union(P, Q):
@@ -555,28 +555,47 @@ def _interior_of(H):
 
 def to_vrep(H):
     """The canonical hull of the vertices :func:`vertex_points` enumerates."""
-    return convex_hull(vertex_points(H))
+    return _hull(_vertex_rows(H))
 
 
 def vertex_points(H):
     """Vertex enumeration via the polar trick around an interior point."""
+    return [tuple(rational(x, w) for x in X) for X, w in _vertex_rows(H)]
+
+
+def _polar_rows(halfspaces, z, error):
+    """Rows of the polar points a / (b - a.z) of the half-spaces a.x <= b
+    seen from z, or ``error`` unless z is strictly inside: with a = A/alpha,
+    b = p/q and z = Z/zeta, the row of A q zeta / (p alpha zeta - q A.Z)."""
+    (Z, zeta), rows = point_row(z), []
+    for normal, offset in halfspaces:
+        (A, alpha), (p, q) = point_row(normal), offset.as_integer_ratio()
+        w = p * alpha * zeta - q * dot(A, Z)
+        if not w > 0:
+            raise error
+        rows.append(_reduced([a * q * zeta for a in A], w))
+    return rows
+
+
+def _dual_rows(rows, z):
+    """Rows of the vertices dual to the facets of the hull of the polar
+    rows around z: a facet's primitive plane (N, O), O > 0, is the row of
+    the vertex N/O, shifted by z."""
+    try:
+        planes = dict.fromkeys((normal, offset) for _, normal, offset in triangulate(rows)[1])
+    except DegenerateInput:
+        raise Unbounded("half-space normals do not span the space; recession cone nontrivial")
+    if not all(offset > 0 for _, offset in planes):
+        raise Unbounded("recession cone nontrivial")
+    return sum_rows(planes, [point_row(z)]) if any(z) else list(planes)
+
+
+def _vertex_rows(H):
     if H.empty:
         raise EmptyIntersection("H-polytope is flagged empty")
     z = _interior_of(H)
-    polar_pts = []
-    for normal, offset in H.halfspaces:
-        r = offset - dot(normal, z)
-        if not r > 0:
-            raise DegenerateInput("declared interior point is not strictly interior")
-        polar_pts.append(tuple(c / r for c in normal))
-    try:
-        Q = convex_hull(polar_pts)
-    except DegenerateInput:
-        raise Unbounded("half-space normals do not span the space; recession cone nontrivial")
-    for f in Q.facets:
-        if not f.offset > 0:
-            raise Unbounded("recession cone nontrivial")
-    return [vadd(tuple(c / f.offset for c in f.outward_normal), z) for f in Q.facets]
+    error = DegenerateInput("declared interior point is not strictly interior")
+    return _dual_rows(_polar_rows(H.halfspaces, z, error), z)
 
 
 def intersect(*hpolys):
@@ -604,23 +623,28 @@ def polar(P):
     VPolytope -> HPolytope with half-spaces <x, v> <= 1; HPolytope ->
     VPolytope with vertices normal/offset.  Requires 0 strictly interior.
     """
+    origin = (rational(0),) * P.dim
     if isinstance(P, VPolytope):
-        origin = (rational(0),) * P.dim
         if not contains_point(P, origin, strict=True):
             raise OriginNotInterior("polar needs 0 in the interior")
         return HPolytope(P.dim, tuple((v, rational(1)) for v in P.vertices),
                          interior_point=origin)
-    pts = []
-    for normal, offset in P.halfspaces:
-        if not offset > 0:
-            raise OriginNotInterior("polar needs 0 in the interior (an offset is <= 0)")
-        pts.append(tuple(c / offset for c in normal))
-    return convex_hull(pts)
+    error = OriginNotInterior("polar needs 0 in the interior (an offset is <= 0)")
+    return _hull(_polar_rows(P.halfspaces, origin, error))
 
 
 def polar_body(P):
     """Polar of a VPolytope as a canonical VPolytope (facets -> vertices)."""
     return polar(to_hrep(P))
+
+
+def polar_sum_polar(K, L):
+    """(K° + L°)° for 0 interior to K and L: the vertices of K° and L° are
+    the rows of their facets' n/o, and the planes of the hull of their
+    pairwise sums give the vertices of the result."""
+    origin, error = (0,) * K.dim, OriginNotInterior("polar needs 0 in the interior")
+    polars = [_polar_rows(to_hrep(P).halfspaces, origin, error) for P in (K, L)]
+    return _hull(_dual_rows(sum_rows(*polars), origin))
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,18 @@ product-volume inequalities.  Every check is exact, with zero tolerance.
 import math
 
 from .errors import OriginNotContained, OriginNotInterior
-from .linalg import vadd
 from .polytopes import (
     HPolytope,
     contains_point,
-    contains_points,
+    contains_polytope,
     convex_hull,
     convex_hull_union,
     intersect,
     negate,
-    polar_body,
+    polar_sum_polar,
     scale_polytope,
     scaled_reflected_join,
     to_vrep,
-    vertex_points,
     volume,
 )
 from .reports import CheckReport, comparison_report
@@ -142,13 +140,12 @@ def verify_KL_inequality(K, L, theta, join=None):
 def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3, 4))):
     """Vol(K v -L) * Vol((K°+L°)°) <= Vol(K) Vol(L) for 0 interior to both,
     plus the inclusion of each cut theta K cap (1-theta) L's vertices in
-    (K°+L°)°; K°+L° is the hull of the sums of K's and L's facet vectors n/o."""
+    (K°+L°)°, tested vertex by vertex against its facets."""
     n = K.dim
     origin = _zero(n)
     if not (contains_point(K, origin, strict=True) and contains_point(L, origin, strict=True)):
         raise OriginNotInterior("both bodies need 0 in the interior")
-    polars = [[tuple(c / f.offset for c in f.outward_normal) for f in P.facets] for P in (K, L)]
-    M = polar_body(convex_hull([vadd(u, v) for u in polars[0] for v in polars[1]]))
+    M = polar_sum_polar(K, L)
     join = convex_hull_union(K, negate(L))
     lhs = volume(join) * volume(M)
     rhs = volume(K) * volume(L)
@@ -162,7 +159,7 @@ def verify_strange(K, L, theta_grid=(rational(1, 4), rational(1, 2), rational(3,
         if not I.full_dim:
             inclusions.append((theta, None))
             continue
-        inclusions.append((theta, contains_points(M, vertex_points(I))))
+        inclusions.append((theta, contains_polytope(M, I)))
     meta = {
         "n": n,
         "join_volume": volume(join),

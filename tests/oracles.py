@@ -1,6 +1,6 @@
 """Independent reference implementations used to cross-check the kernel.
 
-Everything here is deliberately naive: exhaustive scans and LPs instead of
+Everything here is deliberately naive: exhaustive scans and solves instead of
 incremental geometry, Monte-Carlo instead of triangulation.  Slow is fine;
 sharing code with the implementation under test is not.  The common-scale
 kernel is the reference for the package's kernel on per-point weights: the
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from godbersen_kit.linalg import RankTracker, dot, hyperplane_through, solve, vsub
-from godbersen_kit.lp import OPTIMAL, simplex_max
 from godbersen_kit.errors import DegenerateInput, EmptyIntersection, GodbersenKitError
 from godbersen_kit.polytopes import (
     Facet,
@@ -32,37 +31,6 @@ from godbersen_kit.reports import comparison_report
 from godbersen_kit.rs_bodies import _zero
 from godbersen_kit.scalars import rational, read_exact
 from godbersen_kit.simplexes import _admissible_k
-
-
-def is_convex_combination(p, others):
-    """Exact separation LP: maximize a.p - b subject to a.q <= b for every
-    q in ``others`` and -1 <= a_j <= 1.  p lies in the hull of ``others``
-    exactly when the optimum is 0; a separating (a, b) makes it positive.
-
-    a = ap - am and b = bp - bm are split into parts >= 0, so every
-    right-hand side is 0 or 1.
-    """
-    d = len(p)
-    one, zero = rational(1), rational(0)
-    rows = [list(q) + [-x for x in q] + [-one, one] for q in others]
-    rhs = [zero] * len(others)
-    for j in range(d):
-        unit = [one if i == j else zero for i in range(d)]
-        rows.append(unit + [-x for x in unit] + [zero, zero])
-        rows.append([-x for x in unit] + unit + [zero, zero])
-        rhs += [one, one]
-    status, value, _ = simplex_max(list(p) + [-x for x in p] + [-one, one], rows, rhs)
-    return status == OPTIMAL and value == 0
-
-
-def brute_force_extreme_points(points):
-    """Extreme points by testing each point against the hull of the rest."""
-    out = []
-    for i, p in enumerate(points):
-        others = points[:i] + points[i + 1 :]
-        if not is_convex_combination(p, others):
-            out.append(p)
-    return sorted(out)
 
 
 def brute_force_facet_planes_3d(points):
@@ -94,6 +62,15 @@ def brute_force_facet_planes_3d(points):
         g = math.gcd(*normal)
         planes.add((tuple(rational(x // g) for x in normal), rational(offset, g * D)))
     return sorted(planes)
+
+
+def brute_force_extreme_points(points):
+    """Extreme points of a full-dimensional set of distinct 3-d points: a
+    point is a vertex exactly when the normals of the supporting planes of
+    :func:`brute_force_facet_planes_3d` through it have rank 3.  Each plane
+    holds at least three points, so every facet of the hull is one of them."""
+    planes = brute_force_facet_planes_3d(points)
+    return sorted(p for p in points if _fraction_rank(n for n, o in planes if dot(n, p) == o) == 3)
 
 
 def _primitive_plane(normal, offset):
@@ -223,7 +200,7 @@ def reference_convex_hull(points):
             weighted[c] += vol * (interior[c] + sum(pts[v][c] for v in verts)) / (d + 1)
     if total == 0:
         raise DegenerateInput("zero-volume hull")
-    return VPolytope(d, tuple(vertices), hull_facets, total,
+    return VPolytope(d, (tuple(vertices), hull_facets), total,
                      tuple(w / total for w in weighted))
 
 

@@ -34,6 +34,7 @@ from godbersen_kit.polytopes import (
     negate,
     polar,
     polar_body,
+    polar_sum_polar,
     polytope_from_json,
     polytope_to_json,
     scale_polytope,
@@ -42,8 +43,10 @@ from godbersen_kit.polytopes import (
     to_hrep,
     to_vrep,
     translate,
+    vertex_points,
     volume,
 )
+from godbersen_kit.rs_bodies import _scaled_intersection
 from godbersen_kit.scalars import rational as Q
 
 from oracles import (
@@ -355,6 +358,98 @@ def test_to_vrep_empty():
     H = HPolytope(1, (((Q(1),), Q(0)), ((Q(-1),), Q(-1))))
     with pytest.raises(EmptyIntersection):
         to_vrep(H)
+
+
+# ---------------------------------------------------------------------------
+# vertex enumeration and polars on rows, against the subset-solve oracle
+
+
+def _random_hpolytope(rng, d):
+    """Random half-spaces with 0 strictly inside (some redundant), boxed in
+    by |x_i| <= 3 so that the body is bounded."""
+    halfspaces = [(tuple(Q(int(i == j) * s) for j in range(d)), Q(3))
+                  for i in range(d) for s in (1, -1)]
+    for _ in range(3 * d):
+        normal = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+        if any(normal):
+            halfspaces.append((normal, Q(rng.randint(1, 40), rng.randint(1, 12))))
+    rng.shuffle(halfspaces)
+    return HPolytope(d, tuple(halfspaces))
+
+
+def test_vertex_enumeration_matches_the_oracle_around_any_interior_point():
+    rng = random.Random(2901)
+    for d in (2, 3):
+        for _ in range(6):
+            H = _random_hpolytope(rng, d)
+            expected = lp_vertex_enumeration(H.halfspaces, d)
+            mean = tuple(sum(c) / len(expected) for c in zip(*expected))
+            corner = tuple(Q(99, 100) * v + Q(1, 100) * m for v, m in zip(expected[0], mean))
+            # The LP's point, the origin, and two off-origin points.
+            for z in (None, (Q(0),) * d, mean, corner):
+                Hz = HPolytope(d, H.halfspaces, interior_point=z)
+                assert sorted(vertex_points(Hz)) == expected
+                assert list(to_vrep(Hz).vertices) == expected
+
+
+def test_polars_match_the_oracle():
+    rng = random.Random(2902)
+    for d in (2, 3):
+        for _ in range(6):
+            H = _random_hpolytope(rng, d)
+            # H's polar is cut out by v.y <= 1 over H's vertices v, and
+            # the polar of a body by the same over its vertices.
+            dual = [(v, Q(1)) for v in lp_vertex_enumeration(H.halfspaces, d)]
+            assert list(polar(H).vertices) == lp_vertex_enumeration(dual, d)
+            P = random_centered_polytope(rng, d, 3 * d + 2)
+            dual = [(v, Q(1)) for v in P.vertices]
+            assert list(polar_body(P).vertices) == lp_vertex_enumeration(dual, d)
+
+
+def test_polar_sum_polar_matches_the_oracle():
+    rng = random.Random(2903)
+    for d, m in ((2, 8), (3, 4)):
+        K, L = (random_centered_polytope(rng, d, m) for _ in range(2))
+        # (K° + L°)° is cut out by (u + v).x <= 1 over the vertices u of K°
+        # and v of L°, which are the facet vectors n/o.
+        polars = [[tuple(c / f.offset for c in f.outward_normal) for f in P.facets] for P in (K, L)]
+        sums = [(vadd(u, v), Q(1)) for u in polars[0] for v in polars[1]]
+        assert list(polar_sum_polar(K, L).vertices) == lp_vertex_enumeration(sums, d)
+
+
+@pytest.mark.parametrize("K", [cross_polytope(3), cube(3, low=-1, high=1),
+                               random_centered_polytope(random.Random(2904), 3, 9)],
+                         ids=["cross", "cube", "random"])
+def test_non_simple_halfway_cut_is_the_half_body(K):
+    # At theta = 1/2 the cut theta K cap (1 - theta) K lists every facet of
+    # K/2 twice, so each vertex lies on at least 2d of its half-spaces.
+    cut = _scaled_intersection(K, K, Q(1, 2))
+    half = sorted(tuple(c / 2 for c in v) for v in K.vertices)
+    assert sorted(vertex_points(cut)) == half == lp_vertex_enumeration(cut.halfspaces, 3)
+    assert to_vrep(cut) == scale_polytope(K, Q(1, 2))
+    assert contains_polytope(scale_polytope(K, Q(1, 2)), cut)
+    assert not contains_polytope(scale_polytope(K, Q(1, 3)), cut)
+
+
+def test_vertex_enumeration_error_paths():
+    square = to_hrep(cube(2, low=-1, high=1)).halfspaces
+    slab = (((Q(1), Q(0)), Q(1)), ((Q(-1), Q(0)), Q(1)))
+    half_plane = (((Q(1), Q(0)), Q(1)), ((Q(0), Q(1)), Q(1)), ((Q(-1), Q(0)), Q(1)))
+    for enumerate_vertices in (vertex_points, to_vrep):
+        # Normals that do not span, and a polar hull with 0 on its boundary.
+        for halfspaces in (slab, half_plane):
+            with pytest.raises(Unbounded):
+                enumerate_vertices(HPolytope(2, halfspaces, interior_point=(Q(0), Q(0))))
+        with pytest.raises(DegenerateInput, match="not strictly interior"):
+            enumerate_vertices(HPolytope(2, square, interior_point=(Q(1), Q(0))))
+        with pytest.raises(EmptyIntersection):
+            enumerate_vertices(HPolytope(2, square, empty=True))
+        with pytest.raises(EmptyIntersection):
+            enumerate_vertices(HPolytope(1, (((Q(1),), Q(0)), ((Q(-1),), Q(-1)))))
+    with pytest.raises(OriginNotInterior):
+        polar(HPolytope(2, square[:-1] + ((square[-1][0], Q(0)),)))
+    with pytest.raises(OriginNotInterior):
+        polar_sum_polar(cube(2, low=-1, high=1), standard_simplex(2))
 
 
 # ---------------------------------------------------------------------------

@@ -751,23 +751,24 @@ def test_cli_mixed_volume(tmp_path, capsys):
 
 def test_exact_godbersen_trial_builds_one_minkowski_hull(monkeypatch):
     calls = []
-    original = mixed.convex_hull
+    original = mixed.triangulate
 
-    def counting(points):
-        calls.append(len(points))
-        return original(points)
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
 
     def interpolating(*bodies):
         raise AssertionError("godbersen trials read mixed volumes off the Cayley fan")
 
-    monkeypatch.setattr(mixed, "convex_hull", counting)
+    monkeypatch.setattr(mixed, "triangulate", counting)
     monkeypatch.setattr(mixed, "minkowski_sum", interpolating)
     monkeypatch.setattr(mixed, "volume_polynomial", interpolating)
     records = run_trial(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
-    # The one K - K hull, of the vertex differences, that the expansion
-    # identity checks the Cayley route against.
+    # The Cayley polytope of K and -K, then the one K - K hull, of the
+    # vertex differences, that the expansion identity checks the Cayley
+    # route against.
     K = harness._trial_body(ExperimentConfig(kind="godbersen", n=3, trials=1, seed=3), 0)
-    assert calls == [len(K.vertices) ** 2]
+    assert calls == [2 * len(K.vertices), len(K.vertices) ** 2]
     assert all(rec["pass"] for rec in records if rec["hard"])
 
 

@@ -22,12 +22,12 @@ from godbersen_kit import harness, mixed, polytopes
 from godbersen_kit.errors import DegenerateInput
 from godbersen_kit.linalg import dot, vadd
 from godbersen_kit.polytopes import (
-    _homogeneous,
     contains_point,
     contains_polytope,
     convex_hull,
     cross_polytope,
     cube,
+    point_row,
     triangulate,
     translate,
 )
@@ -36,11 +36,16 @@ from oracles import common_scale_triangulate
 TRIANGULATE = polytopes.triangulate
 
 
+def _points(rows):
+    return [tuple(Fraction(x, w) for x in X) for X, w in rows]
+
+
 def _pencil_form(points):
     """(points, interior, simplices) of ``triangulate`` as rationals, each
     simplex with its primitive normal n and offset o, n.x = o."""
-    hpts, basis, simplices = triangulate(points)
-    pts = [tuple(Fraction(c, w) for c in X) for X, w in hpts]
+    rows = [point_row(p) for p in points]
+    basis, simplices = triangulate(rows)
+    pts = _points(rows)
     assert pts[basis[0]] == min(pts)
     interior = tuple(sum(col) / len(basis) for col in zip(*(pts[i] for i in basis)))
     return pts, interior, [(verts, tuple(c // math.gcd(*N) for c in N), Fraction(O, math.gcd(*N)))
@@ -61,7 +66,7 @@ def _assert_same(points):
         expected = _common_scale_form(points)
     except DegenerateInput:
         with pytest.raises(DegenerateInput):
-            triangulate(points)
+            triangulate([point_row(p) for p in points])
         return
     assert _pencil_form(points) == expected
 
@@ -100,15 +105,16 @@ def test_flat_clouds_raise_in_both():
     _assert_same([(Fraction(1, 3), Fraction(0))] * 4)
 
 
-def _sweep_clouds(monkeypatch, kind, n, mode, **fields):
-    """Every point list that trial 0 of a sweep triangulates."""
+def _sweep_clouds(monkeypatch, kind, n, mode, modules=(polytopes, mixed, harness), **fields):
+    """Every row list that trial 0 of a sweep triangulates through
+    ``modules``."""
     clouds = []
 
-    def recording(points):
-        clouds.append(list(points))
-        return TRIANGULATE(points)
+    def recording(rows):
+        clouds.append(list(rows))
+        return TRIANGULATE(rows)
 
-    for module in (polytopes, mixed, harness):
+    for module in modules:
         monkeypatch.setattr(module, "triangulate", recording)
     config = harness.ExperimentConfig.from_json(
         dict({"kind": kind, "n": n, "trials": 1, "mode": mode, "seed": 8200}, **fields))
@@ -117,8 +123,8 @@ def _sweep_clouds(monkeypatch, kind, n, mode, **fields):
     return clouds
 
 
-def _nests(cloud):
-    weights = {_homogeneous(p)[1] for p in cloud}
+def _nests(rows):
+    weights = {w for _, w in rows}
     return math.lcm(*weights) == max(weights)
 
 
@@ -128,7 +134,17 @@ def test_polar_chain_clouds_match_common_scale_kernel(monkeypatch, kind):
     # The polar chains mix denominators that no one of them divides.
     assert any(not _nests(c) for c in clouds)
     for cloud in clouds:
-        _assert_same(cloud)
+        _assert_same(_points(cloud))
+
+
+@pytest.mark.parametrize("kind", ["kl", "ckl", "strange", "godbersen"])
+def test_exact_trials_hand_the_kernel_int_rows(monkeypatch, kind):
+    clouds = _sweep_clouds(monkeypatch, kind, 3, "exact")
+    assert clouds
+    for rows in clouds:
+        for X, w in rows:
+            assert type(w) is int and w > 0 and all(type(x) is int for x in X)
+            assert math.gcd(*X, w) == 1
 
 
 def test_far_first_order_is_not_lexicographic_on_a_polar_sum_cloud(monkeypatch):
@@ -141,8 +157,8 @@ def test_far_first_order_is_not_lexicographic_on_a_polar_sum_cloud(monkeypatch):
     inserted = []
     core = polytopes._hull_core
     monkeypatch.setattr(polytopes, "_hull_core", lambda hpts: inserted.extend(hpts) or core(hpts))
-    triangulate(cloud)
-    order = [tuple(Fraction(c, w) for c in X) for X, w in inserted]
+    triangulate([point_row(p) for p in cloud])
+    order = _points(inserted)
     assert sorted(order) == sorted(set(cloud))
     assert order[0] == min(order) and order != sorted(order)
     _assert_same(cloud)
@@ -158,10 +174,11 @@ def test_theta_sweeps_build_each_body_once(monkeypatch, kind, hulls):
 
 def test_cayley_and_search_clouds_match_common_scale_kernel(monkeypatch):
     clouds = _sweep_clouds(monkeypatch, "godbersen", 3, "exact")
-    searched = _sweep_clouds(monkeypatch, "gfr", 2, "float", lambda_grid=["1/2"])
-    assert sum(isinstance(c[0][0], float) for c in searched) >= 4
+    # The search's float probes, read at their binary values.
+    searched = _sweep_clouds(monkeypatch, "gfr", 2, "float", (harness,), lambda_grid=["1/2"])
+    assert len(searched) >= 4
     for cloud in clouds + searched:
-        _assert_same(cloud)
+        _assert_same(_points(cloud))
 
 
 def test_only_the_first_simplex_solves_for_its_planes(monkeypatch):

@@ -258,15 +258,15 @@ def test_kl_inequality_random():
 
 
 def test_kl_intersection_costs_two_hulls(monkeypatch):
-    # The cut's vertices are enumerated once: one hull of the polar points
-    # and one of the vertices they give.
+    # The cut's vertices are enumerated once: one triangulation of the
+    # polar rows and one of the vertex rows they give.
     hulls, inside = [], []
-    original_hull = polytopes.convex_hull
+    original_triangulate = polytopes.triangulate
 
-    def counting_hull(*args, **kwargs):
+    def counting_triangulate(rows):
         if inside:
-            hulls.append(len(args[0]))
-        return original_hull(*args, **kwargs)
+            hulls.append(len(rows))
+        return original_triangulate(rows)
 
     def cut_stage(fn):
         def wrapper(*args, **kwargs):
@@ -277,7 +277,7 @@ def test_kl_intersection_costs_two_hulls(monkeypatch):
                 inside.pop()
         return wrapper
 
-    monkeypatch.setattr(polytopes, "convex_hull", counting_hull)
+    monkeypatch.setattr(polytopes, "triangulate", counting_triangulate)
     monkeypatch.setattr(rs_bodies, "_scaled_intersection",
                         cut_stage(rs_bodies._scaled_intersection))
     monkeypatch.setattr(rs_bodies, "to_vrep", cut_stage(rs_bodies.to_vrep))
