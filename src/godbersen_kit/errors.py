@@ -39,7 +39,3 @@ class NotLogConcave(GodbersenKitError):
 
 class NotCentered(GodbersenKitError):
     """An operation requiring the centroid at the origin got an off-center body."""
-
-
-class TooFewVertices(GodbersenKitError):
-    """A polygon operation needs more vertices than the input has."""

@@ -31,15 +31,12 @@ R and 2R with error estimate |I_2R - I_R| / 3.  Inequality checks pass when
 lhs <= rhs + 3*(err_lhs + err_rhs).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompatibleGrids, NotLogConcave, OriginNotInterior
-from .polytopes import convex_hull_union, negate, scale_polytope, volume
+from .errors import IncompatibleGrids, NotLogConcave
 from .reports import CheckReport
 
 FUNCTIONAL_MAX_DIM = 3
@@ -51,10 +48,6 @@ DUAL_MERGE_RTOL = 1e-12
 
 def _dual_cap(dim):
     return 513 if dim >= 3 else 1025
-
-
-def _mesh(axes):
-    return np.meshgrid(*axes, indexing="ij")
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +141,6 @@ def sample_function(fn, lo, hi, resolution, *, log_concave=False):
     values = np.asarray(fn(_center_axes(lo, hi, resolution)), dtype=float)
     return GridFunction(lo, hi, resolution, values, log_concave=log_concave,
                         evaluator=fn)
-
-
-# ---------------------------------------------------------------------------
-# lambda-scaled absolute value
-
-
-def lambda_abs(a, lam):
-    """The weighted absolute value: a/(1-lam) for a >= 0, -a/lam for a < 0."""
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie strictly between 0 and 1")
-    a = float(a)
-    return a / (1.0 - lam) if a >= 0 else -a / lam
 
 
 # ---------------------------------------------------------------------------
@@ -540,191 +520,3 @@ def verify_functional_inequality(f, g, lam):
     }
     ratio = lhs / rhs if rhs else None
     return CheckReport(lhs, rhs, ratio, tol, passed, meta)
-
-
-# ---------------------------------------------------------------------------
-# support-function bridge
-
-
-def _require_interior_origin(P, name):
-    for facet in P.facets:
-        if not facet.offset > 0:
-            raise OriginNotInterior(f"origin is not interior to {name}")
-
-
-def _sample_directions(n):
-    """The at most 16 unit directions the support identity is sampled along."""
-    if n == 1:
-        return ((1.0,), (-1.0,))
-    if n == 2:
-        return tuple((math.cos(2.0 * math.pi * k / 16.0), math.sin(2.0 * math.pi * k / 16.0))
-                     for k in range(16))
-    dirs = []
-    for k in range(n):
-        e = [0.0] * n
-        e[k] = 1.0
-        dirs.append(tuple(e))
-        dirs.append(tuple(-x for x in e))
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        dirs.append(tuple(s / math.sqrt(n) for s in signs))
-    return tuple(dirs[:16])
-
-
-def _gauge(P, pts):
-    """Gauge max(0, max_i n_i.u / o_i) of an exact body with interior
-    origin at each row u of ``pts``, on float facet arrays."""
-    normals = np.array([f.outward_normal for f in P.facets], dtype=float)
-    offsets = np.array([f.offset for f in P.facets], dtype=float)
-    return np.maximum((pts @ normals.T / offsets).max(axis=1), 0.0)
-
-
-def _gauge_density(P, resolution):
-    """exp(-gauge) of a body with interior origin, sampled on a covering box."""
-    n = P.dim
-    rho = max(abs(float(c)) for v in P.vertices for c in v)
-    half = 14.0 * rho
-
-    def ev(axes, _P=P):
-        grids = _mesh(axes)
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return np.exp(-_gauge(_P, pts)).reshape(grids[0].shape)
-
-    res = min(resolution, 65) if n >= 3 else resolution
-    # even cell count puts the gauge's kink at the origin on a cell edge,
-    # keeping the midpoint rule second-order accurate
-    if res % 2:
-        res -= 1
-    return sample_function(ev, [-half] * n, [half] * n, [res] * n, log_concave=True)
-
-
-def delta_support_identity_check(K, L, lam, *, resolution=129):
-    """Bridge check between the functional and geometric layers.
-
-    K and L are exact bodies with the origin in their interiors.  For
-    f = exp(-gauge_K) and g = exp(-gauge_L), the exponent of their
-    weighted sup-convolution must equal the gauge of hull((1-lam)K, -lam L)
-    along sampled directions (within grid tolerance); additionally the
-    normalization Int exp(-gauge_K) = n! Vol(K) is verified by refined
-    quadrature to 1e-3 relative.
-    """
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie strictly between 0 and 1")
-    _require_interior_origin(K, "K")
-    _require_interior_origin(L, "L")
-    n = K.dim
-
-    f = _gauge_density(K, resolution)
-    g = _gauge_density(L, resolution)
-    diff = lambda_difference(f, g, lam)
-    # The join is exact, at lam's binary value.
-    join = convex_hull_union(scale_polytope(K, 1 - Fraction(lam)),
-                             negate(scale_polytope(L, Fraction(lam))))
-
-    r = 0.45 * min(min(diff.hi), min(-c for c in diff.lo))
-    directions = _sample_directions(n)
-    targets = _gauge(join, r * np.array(directions))
-    samples = []
-    max_rel = 0.0
-    for d, target in zip(directions, targets.tolist()):
-        z = tuple(r * c for c in d)
-        dens = float(np.asarray(
-            diff.evaluator([np.array([zc]) for zc in z])).ravel()[0])
-        dval = -math.log(max(dens, 1e-300))
-        rel = abs(dval - target) / max(abs(target), 1e-12)
-        samples.append({"direction": list(d), "exponent": dval, "gauge": target,
-                        "rel_dev": rel})
-        max_rel = max(max_rel, rel)
-
-    # grid tolerance: a couple of input cells of exponent slack, relative to
-    # the magnitude of the compared exponent at the evaluation radius
-    slope_scale = 0.0
-    for fn in (f, g):
-        with np.errstate(divide="ignore"):
-            expo = -np.log(np.maximum(fn.values, 1e-300))
-        for k in range(fn.dim):
-            s = _axis_slopes(expo, fn.axis_centers(k), k)
-            if s.size:
-                slope_scale = max(slope_scale, float(np.max(np.abs(s))))
-    h_max = max(max(f.widths), max(g.widths))
-    typical = min(s["gauge"] for s in samples)
-    grid_tol = max(0.05, 3.0 * slope_scale * h_max / max(typical, 1e-12))
-
-    q = quadrature(f)
-    target_norm = math.factorial(n) * float(volume(K))
-    norm_rel = abs(q.value - target_norm) / target_norm
-    norm_ok = norm_rel <= 1e-3 + 3.0 * q.error_estimate / target_norm
-
-    passed = (max_rel <= grid_tol) and norm_ok
-    meta = {
-        "lambda": lam,
-        "samples": samples,
-        "grid_tolerance": grid_tol,
-        "normalization_integral": q.value,
-        "normalization_target": target_norm,
-        "normalization_rel_dev": norm_rel,
-        "normalization_pass": norm_ok,
-        "evaluation_radius": r,
-    }
-    return CheckReport(max_rel, grid_tol, None, 0.0, passed, meta)
-
-
-# ---------------------------------------------------------------------------
-# stock densities
-
-
-def sharp_exponential(n, *, hi=20.0, resolution=129):
-    """exp(-sum x_i) restricted to [0, hi]^n."""
-
-    def ev(axes):
-        grids = _mesh(axes)
-        return np.exp(-sum(grids))
-
-    return sample_function(ev, [0.0] * n, [float(hi)] * n, [resolution] * n,
-                           log_concave=True)
-
-
-def sharp_pair(n, lam, resolution=129):
-    """Two truncations of exp(-sum x_i) on [0, R]^n tuned so the exponent kink
-    of their weighted sup-convolution falls exactly on an output cell edge at
-    the given resolution and at its doubling, keeping refined quadrature
-    clean.  Returns (f_role, g_role)."""
-    lam_frac = Fraction(lam).limit_denominator(10 ** 6)
-    res = int(resolution)
-    r_f = Fraction(14) / (1 - lam_frac)
-    k = math.ceil(res * lam_frac)
-    if k >= res:
-        k = res - 1
-    r_g = Fraction(k, res - k) * (1 - lam_frac) ** 2 * r_f / lam_frac ** 2
-    return (sharp_exponential(n, hi=r_f, resolution=res),
-            sharp_exponential(n, hi=r_g, resolution=res))
-
-
-def truncated_gaussian(n, *, half_width=5.0, resolution=129):
-    """exp(-|x|^2 / 2) restricted to a centered box."""
-
-    def ev(axes):
-        grids = _mesh(axes)
-        return np.exp(-0.5 * sum(g * g for g in grids))
-
-    return sample_function(ev, [-float(half_width)] * n, [float(half_width)] * n,
-                           [resolution] * n, log_concave=True)
-
-
-def indicator_simplex(n, *, resolution=129):
-    """Indicator of {x >= 0, sum x <= 2} on a padded box."""
-
-    def ev(axes):
-        grids = _mesh(axes)
-        shape = np.broadcast_shapes(*[g.shape for g in grids])
-        inside = np.ones(shape, dtype=bool)
-        total = np.zeros(shape)
-        for g in grids:
-            gb = np.broadcast_to(g, shape)
-            inside &= gb >= 0.0
-            total = total + gb
-        inside &= total <= 2.0
-        return inside.astype(float)
-
-    return sample_function(ev, [-0.5] * n, [2.5] * n, [resolution] * n, log_concave=True)
-

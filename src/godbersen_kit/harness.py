@@ -118,10 +118,6 @@ def _grid_value(value):
     return out
 
 
-_CONFIG_FIELDS = ("kind", "n", "trials", "seed", "lambda_grid", "theta_grid",
-                  "j_list", "mode", "output_path")
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment sweep.
@@ -217,7 +213,7 @@ class ExperimentConfig:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        unknown = sorted(set(obj) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(obj) - {field.name for field in dataclasses.fields(cls)})
         if unknown:
             raise ValueError("unknown config fields: %s" % ", ".join(unknown))
         if "kind" not in obj or "n" not in obj:

@@ -16,7 +16,7 @@ The argument is exact, and so is every function here.
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, NotCentered, TooFewVertices
+from .errors import DegenerateInput, NotCentered
 from .polytopes import (
     centroid,
     convex_hull,
@@ -53,10 +53,10 @@ def ccw_vertices(P):
     """Vertices of a polygon in counterclockwise order.
 
     The cycle starts at the lexicographically smallest vertex, making the
-    indexing deterministic.  All vertex-index arguments in this module refer
-    to positions in this cycle.  The chord from the first sorted vertex to
-    the last splits the rest into the lower chain, in order, and the upper
-    chain, reversed (Andrew's monotone chain).
+    indexing deterministic.  A step's ``vertex_index`` is a position in this
+    cycle.  The chord from the first sorted vertex to the last splits the
+    rest into the lower chain, in order, and the upper chain, reversed
+    (Andrew's monotone chain).
     """
     _require_polygon(P)
     first, last = P.vertices[0], P.vertices[-1]
@@ -76,16 +76,14 @@ def _line_parameter(p, u, q1, q2):
     return rational(-_cross(w, _sub(p, q1)), denom)
 
 
-def _cycle(K):
-    """The ccw cycle of a polygon with at least 4 vertices."""
-    cyc = ccw_vertices(K)
-    if len(cyc) < 4:
-        raise TooFewVertices("vertex removal needs at least 4 vertices")
-    return cyc
-
-
 def _interval(cyc, i2):
-    """slide_interval on a ccw cycle, on ints over the points' common denominator."""
+    """(alpha, beta) for sliding the vertex cyc[i2] of a ccw cycle.
+
+    alpha < 0 < beta are the parameters where the slid vertex meets the
+    lines through the two adjacent edges, found on ints over the five
+    points' common denominator.  An edge line parallel to the chord makes
+    three vertices collinear and raises DegenerateInput.
+    """
     n = len(cyc)
     X, _ = point_row([c for k in (-2, -1, 0, 1, 2) for c in cyc[(i2 + k) % n]])
     xN, x1, x2, x3, x4 = (X[k:k + 2] for k in range(0, 10, 2))
@@ -96,17 +94,6 @@ def _interval(cyc, i2):
         raise DegenerateInput(
             "slide endpoints did not straddle 0; polygon is not in convex position")
     return alpha, beta
-
-
-def slide_interval(K, vertex_index):
-    """(alpha, beta) for sliding one vertex.
-
-    alpha < 0 < beta are the parameters where the slid vertex meets the
-    lines through the two adjacent edges.  An edge line parallel to the
-    chord makes three vertices collinear and raises DegenerateInput.
-    """
-    cyc = _cycle(K)
-    return _interval(cyc, vertex_index % len(cyc))
 
 
 def _slid(cyc, i2, t, area):
@@ -120,17 +107,6 @@ def _slid(cyc, i2, t, area):
     moved = [(v[0] + shift[0], v[1] + shift[1]) for v in cyc]
     moved[i2] = (x2[0] + t * u[0] + shift[0], x2[1] + t * u[1] + shift[1])
     return convex_hull(moved), shift
-
-
-def slide_vertex(K, vertex_index, t):
-    """The recentered polygon with one vertex slid by t along its chord.
-
-    Valid for t within slide_interval; preserves area and centroid there.
-    """
-    _require_polygon(K)
-    _require_centered(K)
-    cyc = _cycle(K)
-    return _slid(cyc, vertex_index % len(cyc), t, volume(K))[0]
 
 
 @dataclass(frozen=True)
@@ -168,20 +144,11 @@ def _objective(P, lam):
     return volume(scaled_reflected_join(P, lam))
 
 
-def remove_vertex_step(K, lam, vertex_index):
-    """Slide one vertex to the endpoint with the larger join area, where
-    the hull absorbs the collinear neighbour, recentering to keep the
-    centroid at the origin.  Area is preserved and the join area never
-    decreases."""
-    _require_polygon(K)
-    _require_centered(K)
-    cyc = _cycle(K)
-    return _step(K, cyc, lam, vertex_index % len(cyc), _objective(K, lam))
-
-
 def _step(K, cyc, lam, i2, obj_before):
-    """remove_vertex_step on the ccw cycle of K, whose join area is
-    obj_before."""
+    """Slide cyc[i2], on the ccw cycle of K whose join area is obj_before,
+    to the endpoint with the larger join area, where the hull absorbs the
+    collinear neighbour, recentering to keep the centroid at the origin.
+    Area is preserved and the join area never decreases."""
     alpha, beta = _interval(cyc, i2)
     area = volume(K)
     candidates = []

@@ -472,8 +472,7 @@ def coordinate_bits(P):
 
 
 # ---------------------------------------------------------------------------
-# affine operations (translations and scalings move the stored fields;
-# a general affine image is a fresh hull)
+# affine operations (translations and scalings move the stored fields)
 
 
 def translate(P, t):
@@ -499,14 +498,6 @@ def scale_polytope(P, s):
 def negate(P):
     """The reflection -P."""
     return scale_polytope(P, -1)
-
-
-def affine_image(P, A, b=None):
-    """Image {Ax + b : x in P}: the hull of the mapped vertices, so a
-    singular A raises DegenerateInput."""
-    A = [[read_exact(c) for c in row] for row in A]
-    b = (0,) * P.dim if b is None else tuple(read_exact(c) for c in b)
-    return convex_hull([vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices])
 
 
 def minkowski_sum(P, Q):
@@ -554,13 +545,8 @@ def _interior_of(H):
 
 
 def to_vrep(H):
-    """The canonical hull of the vertices :func:`vertex_points` enumerates."""
+    """The canonical hull of H's vertices (see :func:`_vertex_rows`)."""
     return _hull(_vertex_rows(H))
-
-
-def vertex_points(H):
-    """Vertex enumeration via the polar trick around an interior point."""
-    return [tuple(rational(x, w) for x in X) for X, w in _vertex_rows(H)]
 
 
 def _polar_rows(halfspaces, z, error):
@@ -591,6 +577,7 @@ def _dual_rows(rows, z):
 
 
 def _vertex_rows(H):
+    """Rows of H's vertices, by the polar trick around an interior point."""
     if H.empty:
         raise EmptyIntersection("H-polytope is flagged empty")
     z = _interior_of(H)

@@ -7,28 +7,46 @@ kernel is the reference for the package's kernel on per-point weights: the
 same triangulation, on one common denominator with a plane solve per facet.
 
 The last section is different: checks of the paper's statements that only
-tests run (sections, slices, the KL homothety, the body K_t), built on the
-package's own hulls.
+tests run, built on the package's own hulls and grids.  No sweep, CLI path
+or benchmark reaches them, so they live beside their tests: sections,
+slices, the KL homothety, the body K_t, the product-body closed form, the
+join and layered bounds, the corner equality case, affine images, single
+planar slides, stock densities, the weighted absolute value and the
+support-function bridge between the functional and geometric layers.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from godbersen_kit.linalg import RankTracker, dot, hyperplane_through, solve, vsub
-from godbersen_kit.errors import DegenerateInput, EmptyIntersection, GodbersenKitError
+from godbersen_kit import planar
+from godbersen_kit.linalg import RankTracker, dot, hyperplane_through, solve, vadd, vsub
+from godbersen_kit.errors import (
+    DegenerateInput,
+    EmptyIntersection,
+    GodbersenKitError,
+    OriginNotContained,
+    OriginNotInterior,
+)
+from godbersen_kit.functional import _axis_slopes, lambda_difference, quadrature, sample_function
 from godbersen_kit.polytopes import (
     Facet,
     HPolytope,
     VPolytope,
+    contains_point,
     convex_hull,
+    convex_hull_union,
     gauge,
+    negate,
+    scale_polytope,
+    scaled_reflected_join,
     to_vrep,
     volume,
 )
-from godbersen_kit.reports import comparison_report
-from godbersen_kit.rs_bodies import _zero
+from godbersen_kit.reports import CheckReport, comparison_report
+from godbersen_kit.rs_bodies import _zero, build_C, verify_KL_inequality
 from godbersen_kit.scalars import rational, read_exact
 from godbersen_kit.simplexes import _admissible_k
 
@@ -373,7 +391,9 @@ def unmerged_joint_dual_nodes(slope_sets, cap):
 
 # ---------------------------------------------------------------------------
 # statements the package checks only in tests: axis sections and slices,
-# the KL homothety at equality, and the joined two-simplex body K_t
+# the KL homothety at equality, the joined two-simplex body K_t, the
+# Rogers–Shephard identities and the corner equality case, affine images
+# and single planar slides, and the functional identities
 
 
 class EmptySection(GodbersenKitError):
@@ -529,3 +549,371 @@ def kt_volume_ratio_formula(n, t):
     for r in ratios[1:]:
         assert r == ratios[0], "tie expressions must coincide"
     return ks, ratios[0]
+
+
+# Rogers–Shephard identities: the product-body closed form, the join and
+# layered bounds, and the corner pair that attains equality.
+
+
+def g_volume_closed_form(K, L):
+    """Product-body volume in dimension 2n+1: Vol(K) Vol(L) n!n!/(2n+1)!."""
+    if K.dim != L.dim:
+        raise ValueError("operands must share dimension")
+    n = K.dim
+    factor = rational(
+        math.factorial(n) * math.factorial(n), math.factorial(2 * n + 1)
+    )
+    return volume(K) * volume(L) * factor
+
+
+def verify_join_volume_bound(K, lam):
+    """Vol((1-lam)K v -lam K) <= Vol(K) for 0 in K, derived through the
+    product inequality with the pair (lam*K, (1-lam)*K) at theta = 1-lam."""
+    lam = read_exact(lam)
+    if not 0 <= lam <= 1:
+        raise ValueError("lambda must lie in [0, 1]")
+    if not contains_point(K, _zero(K.dim)):
+        raise OriginNotContained("the body must contain the origin")
+    join = scaled_reflected_join(K, lam)
+    lhs = volume(join)
+    rhs = volume(K)
+    meta = {
+        "n": K.dim,
+        "lambda": lam,
+        "equality_attained": bool(lhs == rhs),
+    }
+    if 0 < lam < 1:
+        inner = verify_KL_inequality(scale_polytope(K, lam), scale_polytope(K, 1 - lam), 1 - lam)
+        meta["product_inequality_pass"] = inner.passed
+        meta["product_lhs"] = inner.lhs
+        meta["product_rhs"] = inner.rhs
+    return comparison_report(lhs, rhs, meta=meta)
+
+
+def verify_layered_lower_bound(K, L):
+    """Vol_n(-K v L) / (n+1) <= Vol_{n+1}(C(K,L)) whenever 0 is in both."""
+    n = K.dim
+    origin = _zero(n)
+    if not (contains_point(K, origin) and contains_point(L, origin)):
+        raise OriginNotContained("both bodies must contain the origin")
+    join = convex_hull_union(negate(K), L)
+    lhs = volume(join) / (n + 1)
+    rhs = volume(build_C(K, L))
+    return comparison_report(lhs, rhs, meta={"n": n, "join_volume": volume(join)})
+
+
+def corner_simplex_pair(lams):
+    """K = conv{0, e_1..e_n} and L = conv{0, lam_i e_i}."""
+    n = len(lams)
+    lams = [read_exact(x) for x in lams]
+    K = convex_hull([_zero(n)] + [tuple(int(j == i) for j in range(n)) for i in range(n)])
+    L = convex_hull([_zero(n)] + [tuple(lams[i] if j == i else 0 for j in range(n))
+                                  for i in range(n)])
+    return K, L
+
+
+def corner_polar_sum_body(lams):
+    """(K°+L°)° for the corner pair, built as an H-polytope directly.
+
+    Both polars are unbounded (0 sits on the boundary of K and L), but
+    their sum is a translated negative orthant with the single vertex
+    c_i = 1 + 1/lam_i, so its polar is cut out by x >= 0 and <x, c> <= 1.
+    """
+    n = len(lams)
+    lams = [read_exact(x) for x in lams]
+    c = tuple(1 + 1 / x for x in lams)
+    halfspaces = [
+        (tuple(rational(-1 if j == i else 0) for j in range(n)), rational(0)) for i in range(n)
+    ]
+    halfspaces.append((c, rational(1)))
+    return to_vrep(HPolytope(n, tuple(halfspaces)))
+
+
+def corner_closed_forms(lams):
+    """The three closed forms for the corner pair."""
+    n = len(lams)
+    lams = [read_exact(x) for x in lams]
+    nfact = rational(math.factorial(n))
+    vol_join = rational(1)
+    vol_polar_sum = rational(1)
+    product_target = rational(1)
+    for x in lams:
+        vol_join *= 1 + x
+        vol_polar_sum *= x / (1 + x)
+        product_target *= x
+    return {
+        "join_volume": vol_join / nfact,
+        "polar_sum_polar_volume": vol_polar_sum / nfact,
+        "volume_product": product_target / nfact**2,
+    }
+
+
+def verify_corner_equality(lams):
+    """Geometry against the closed forms; the corner pair attains equality
+    in the product bound."""
+    K, L = corner_simplex_pair(lams)
+    join = convex_hull_union(K, negate(L))
+    M = corner_polar_sum_body(lams)
+    forms = corner_closed_forms(lams)
+    lhs = volume(join) * volume(M)
+    rhs = volume(K) * volume(L)
+    ok = (
+        volume(join) == forms["join_volume"]
+        and volume(M) == forms["polar_sum_polar_volume"]
+        and lhs == forms["volume_product"]
+        and lhs == rhs
+    )
+    meta = {
+        "lambdas": list(lams),
+        "join_volume": volume(join),
+        "polar_sum_polar_volume": volume(M),
+        "closed_forms": forms,
+        "equality_attained": bool(lhs == rhs),
+    }
+    return CheckReport(lhs, rhs, lhs / rhs, 0, bool(ok), meta)
+
+
+# Affine images, and single planar slides by the reduction's own steps.
+
+
+def affine_image(P, A, b=None):
+    """Image {Ax + b : x in P}: the hull of the mapped vertices, so a
+    singular A raises DegenerateInput."""
+    A = [[read_exact(c) for c in row] for row in A]
+    b = (0,) * P.dim if b is None else tuple(read_exact(c) for c in b)
+    return convex_hull([vadd(tuple(dot(row, v) for row in A), b) for v in P.vertices])
+
+
+class TooFewVertices(GodbersenKitError):
+    """A polygon operation needs more vertices than the input has."""
+
+
+def _cycle(K):
+    """The ccw cycle of a polygon with at least 4 vertices."""
+    cyc = planar.ccw_vertices(K)
+    if len(cyc) < 4:
+        raise TooFewVertices("vertex removal needs at least 4 vertices")
+    return cyc
+
+
+def slide_interval(K, vertex_index):
+    """(alpha, beta) for sliding one vertex of K's ccw cycle (see
+    ``planar._interval``)."""
+    cyc = _cycle(K)
+    return planar._interval(cyc, vertex_index % len(cyc))
+
+
+def slide_vertex(K, vertex_index, t):
+    """The recentered polygon with one vertex slid by t along its chord.
+
+    Valid for t within slide_interval; preserves area and centroid there.
+    """
+    planar._require_polygon(K)
+    planar._require_centered(K)
+    cyc = _cycle(K)
+    return planar._slid(cyc, vertex_index % len(cyc), t, volume(K))[0]
+
+
+def remove_vertex_step(K, lam, vertex_index):
+    """One reduction step at one vertex of a centered polygon's ccw cycle
+    (see ``planar._step``)."""
+    planar._require_polygon(K)
+    planar._require_centered(K)
+    cyc = _cycle(K)
+    return planar._step(K, cyc, lam, vertex_index % len(cyc), planar._objective(K, lam))
+
+
+# Functional identities: the weighted absolute value, stock densities, and
+# the support-function bridge between the functional and geometric layers.
+
+
+def lambda_abs(a, lam):
+    """The weighted absolute value: a/(1-lam) for a >= 0, -a/lam for a < 0."""
+    lam = float(lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie strictly between 0 and 1")
+    a = float(a)
+    return a / (1.0 - lam) if a >= 0 else -a / lam
+
+
+def mesh(axes):
+    return np.meshgrid(*axes, indexing="ij")
+
+
+def sharp_exponential(n, *, hi=20.0, resolution=129):
+    """exp(-sum x_i) restricted to [0, hi]^n."""
+
+    def ev(axes):
+        grids = mesh(axes)
+        return np.exp(-sum(grids))
+
+    return sample_function(ev, [0.0] * n, [float(hi)] * n, [resolution] * n,
+                           log_concave=True)
+
+
+def sharp_pair(n, lam, resolution=129):
+    """Two truncations of exp(-sum x_i) on [0, R]^n tuned so the exponent kink
+    of their weighted sup-convolution falls exactly on an output cell edge at
+    the given resolution and at its doubling, keeping refined quadrature
+    clean.  Returns (f_role, g_role)."""
+    lam_frac = Fraction(lam).limit_denominator(10 ** 6)
+    res = int(resolution)
+    r_f = Fraction(14) / (1 - lam_frac)
+    k = math.ceil(res * lam_frac)
+    if k >= res:
+        k = res - 1
+    r_g = Fraction(k, res - k) * (1 - lam_frac) ** 2 * r_f / lam_frac ** 2
+    return (sharp_exponential(n, hi=r_f, resolution=res),
+            sharp_exponential(n, hi=r_g, resolution=res))
+
+
+def truncated_gaussian(n, *, half_width=5.0, resolution=129):
+    """exp(-|x|^2 / 2) restricted to a centered box."""
+
+    def ev(axes):
+        grids = mesh(axes)
+        return np.exp(-0.5 * sum(g * g for g in grids))
+
+    return sample_function(ev, [-float(half_width)] * n, [float(half_width)] * n,
+                           [resolution] * n, log_concave=True)
+
+
+def indicator_simplex(n, *, resolution=129):
+    """Indicator of {x >= 0, sum x <= 2} on a padded box."""
+
+    def ev(axes):
+        grids = mesh(axes)
+        shape = np.broadcast_shapes(*[g.shape for g in grids])
+        inside = np.ones(shape, dtype=bool)
+        total = np.zeros(shape)
+        for g in grids:
+            gb = np.broadcast_to(g, shape)
+            inside &= gb >= 0.0
+            total = total + gb
+        inside &= total <= 2.0
+        return inside.astype(float)
+
+    return sample_function(ev, [-0.5] * n, [2.5] * n, [resolution] * n, log_concave=True)
+
+
+def _require_interior_origin(P, name):
+    for facet in P.facets:
+        if not facet.offset > 0:
+            raise OriginNotInterior(f"origin is not interior to {name}")
+
+
+def _sample_directions(n):
+    """The at most 16 unit directions the support identity is sampled along."""
+    if n == 1:
+        return ((1.0,), (-1.0,))
+    if n == 2:
+        return tuple((math.cos(2.0 * math.pi * k / 16.0), math.sin(2.0 * math.pi * k / 16.0))
+                     for k in range(16))
+    dirs = []
+    for k in range(n):
+        e = [0.0] * n
+        e[k] = 1.0
+        dirs.append(tuple(e))
+        dirs.append(tuple(-x for x in e))
+    for signs in itertools.product((-1.0, 1.0), repeat=n):
+        dirs.append(tuple(s / math.sqrt(n) for s in signs))
+    return tuple(dirs[:16])
+
+
+def _float_gauge(P, pts):
+    """Gauge max(0, max_i n_i.u / o_i) of an exact body with interior
+    origin at each row u of ``pts``, on float facet arrays."""
+    normals = np.array([f.outward_normal for f in P.facets], dtype=float)
+    offsets = np.array([f.offset for f in P.facets], dtype=float)
+    return np.maximum((pts @ normals.T / offsets).max(axis=1), 0.0)
+
+
+def gauge_density(P, resolution):
+    """exp(-gauge) of a body with interior origin, sampled on a covering box."""
+    n = P.dim
+    rho = max(abs(float(c)) for v in P.vertices for c in v)
+    half = 14.0 * rho
+
+    def ev(axes, _P=P):
+        grids = mesh(axes)
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        return np.exp(-_float_gauge(_P, pts)).reshape(grids[0].shape)
+
+    res = min(resolution, 65) if n >= 3 else resolution
+    # even cell count puts the gauge's kink at the origin on a cell edge,
+    # keeping the midpoint rule second-order accurate
+    if res % 2:
+        res -= 1
+    return sample_function(ev, [-half] * n, [half] * n, [res] * n, log_concave=True)
+
+
+def delta_support_identity_check(K, L, lam, *, resolution=129):
+    """Bridge check between the functional and geometric layers.
+
+    K and L are exact bodies with the origin in their interiors.  For
+    f = exp(-gauge_K) and g = exp(-gauge_L), the exponent of their
+    weighted sup-convolution must equal the gauge of hull((1-lam)K, -lam L)
+    along sampled directions (within grid tolerance); additionally the
+    normalization Int exp(-gauge_K) = n! Vol(K) is verified by refined
+    quadrature to 1e-3 relative.
+    """
+    lam = float(lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie strictly between 0 and 1")
+    _require_interior_origin(K, "K")
+    _require_interior_origin(L, "L")
+    n = K.dim
+
+    f = gauge_density(K, resolution)
+    g = gauge_density(L, resolution)
+    diff = lambda_difference(f, g, lam)
+    # The join is exact, at lam's binary value.
+    join = convex_hull_union(scale_polytope(K, 1 - Fraction(lam)),
+                             negate(scale_polytope(L, Fraction(lam))))
+
+    r = 0.45 * min(min(diff.hi), min(-c for c in diff.lo))
+    directions = _sample_directions(n)
+    targets = _float_gauge(join, r * np.array(directions))
+    samples = []
+    max_rel = 0.0
+    for d, target in zip(directions, targets.tolist()):
+        z = tuple(r * c for c in d)
+        dens = float(np.asarray(
+            diff.evaluator([np.array([zc]) for zc in z])).ravel()[0])
+        dval = -math.log(max(dens, 1e-300))
+        rel = abs(dval - target) / max(abs(target), 1e-12)
+        samples.append({"direction": list(d), "exponent": dval, "gauge": target,
+                        "rel_dev": rel})
+        max_rel = max(max_rel, rel)
+
+    # grid tolerance: a couple of input cells of exponent slack, relative to
+    # the magnitude of the compared exponent at the evaluation radius
+    slope_scale = 0.0
+    for fn in (f, g):
+        with np.errstate(divide="ignore"):
+            expo = -np.log(np.maximum(fn.values, 1e-300))
+        for k in range(fn.dim):
+            s = _axis_slopes(expo, fn.axis_centers(k), k)
+            if s.size:
+                slope_scale = max(slope_scale, float(np.max(np.abs(s))))
+    h_max = max(max(f.widths), max(g.widths))
+    typical = min(s["gauge"] for s in samples)
+    grid_tol = max(0.05, 3.0 * slope_scale * h_max / max(typical, 1e-12))
+
+    q = quadrature(f)
+    target_norm = math.factorial(n) * float(volume(K))
+    norm_rel = abs(q.value - target_norm) / target_norm
+    norm_ok = norm_rel <= 1e-3 + 3.0 * q.error_estimate / target_norm
+
+    passed = (max_rel <= grid_tol) and norm_ok
+    meta = {
+        "lambda": lam,
+        "samples": samples,
+        "grid_tolerance": grid_tol,
+        "normalization_integral": q.value,
+        "normalization_target": target_norm,
+        "normalization_rel_dev": norm_rel,
+        "normalization_pass": norm_ok,
+        "evaluation_radius": r,
+    }
+    return CheckReport(max_rel, grid_tol, None, 0.0, passed, meta)

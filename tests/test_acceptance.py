@@ -13,11 +13,9 @@ import time
 import numpy as np
 
 from godbersen_kit.functional import (
-    delta_support_identity_check,
     lambda_difference,
     quadrature,
     sample_function,
-    sharp_pair,
     verify_functional_inequality,
 )
 from godbersen_kit.harness import ExperimentConfig, FLAVORS, random_polytope, run_experiment
@@ -38,16 +36,18 @@ from godbersen_kit.polytopes import (
     standard_simplex,
     volume,
 )
-from godbersen_kit.rs_bodies import (
+from godbersen_kit.rs_bodies import verify_KL_inequality, verify_ckl_bound
+from godbersen_kit.scalars import rational
+from godbersen_kit.simplexes import simplex_hull_ratio
+
+from oracles import (
+    delta_support_identity_check,
     g_volume_closed_form,
-    verify_KL_inequality,
-    verify_ckl_bound,
+    sharp_pair,
     verify_corner_equality,
     verify_join_volume_bound,
     verify_layered_lower_bound,
 )
-from godbersen_kit.scalars import rational
-from godbersen_kit.simplexes import simplex_hull_ratio
 
 _CORPUS = {}
 

@@ -15,21 +15,13 @@ from godbersen_kit.errors import (
 )
 from godbersen_kit.functional import (
     GridFunction,
-    delta_support_identity_check,
     geometric_mean,
-    indicator_simplex,
-    lambda_abs,
     lambda_difference,
     quadrature,
     sample_function,
-    sharp_exponential,
-    sharp_pair,
-    truncated_gaussian,
     verify_functional_inequality,
     DUAL_MERGE_RTOL,
     _dual_cap,
-    _gauge_density,
-    _mesh,
 )
 from godbersen_kit import functional
 from godbersen_kit.harness import ExperimentConfig, _functional_pair
@@ -37,7 +29,15 @@ from godbersen_kit.polytopes import centroid, convex_hull, cube, translate
 
 from oracles import (
     brute_force_lambda_difference,
+    delta_support_identity_check,
+    gauge_density,
+    indicator_simplex,
+    lambda_abs,
+    mesh,
     random_exact_points,
+    sharp_exponential,
+    sharp_pair,
+    truncated_gaussian,
     unmerged_joint_dual_nodes,
 )
 
@@ -48,7 +48,7 @@ def gaussian_density(n, half_width, resolution):
 
 def laplace_density(n, half_width, resolution):
     def ev(axes):
-        return np.exp(-sum(np.abs(g) for g in _mesh(axes)))
+        return np.exp(-sum(np.abs(g) for g in mesh(axes)))
 
     return sample_function(ev, [-half_width] * n, [half_width] * n,
                            [resolution] * n, log_concave=True)
@@ -179,7 +179,7 @@ def test_pairs_route_matches_brute_force_2d():
     res = 13
 
     def ev(axes):
-        g0, g1 = _mesh(axes)
+        g0, g1 = mesh(axes)
         return np.exp(-(g0 * g0 + 0.5 * g1 * g1 + 0.25 * g0 * g1))
 
     f = sample_function(ev, [-2.0, -2.0], [2.0, 2.0], [res, res])
@@ -274,7 +274,7 @@ def test_quadrature_exact_on_constant():
 
 
 def test_quadrature_refined_exponential():
-    f = sample_function(lambda axes: np.exp(-sum(_mesh(axes))),
+    f = sample_function(lambda axes: np.exp(-sum(mesh(axes))),
                         [0.0, 0.0], [10.0, 10.0], [129, 129])
     truth = (1.0 - math.exp(-10.0)) ** 2
     q = quadrature(f)
@@ -328,7 +328,7 @@ def _centered_gauge_pair():
         P = convex_hull(random_exact_points(rng, 7, 2, denom=8))
         bodies.append(translate(P, tuple(-c for c in centroid(P))))
     # at resolution 16 the unmerged reference outgrows the cap of 1025
-    return tuple(_gauge_density(P, 12) for P in bodies)
+    return tuple(gauge_density(P, 12) for P in bodies)
 
 
 _MERGE_CASES = {
@@ -428,10 +428,10 @@ def test_inequality_random_log_concave_pairs():
         c = rng.uniform(-0.3, 0.3)
 
         def f_ev(axes, _a=a):
-            return np.exp(-_a * sum(g * g for g in _mesh(axes)))
+            return np.exp(-_a * sum(g * g for g in mesh(axes)))
 
         def g_ev(axes, _b=b, _c=c):
-            grids = _mesh(axes)
+            grids = mesh(axes)
             return np.exp(-_b * sum(np.abs(g - _c) for g in grids))
 
         f = sample_function(f_ev, [-4.0] * n, [4.0] * n, [res] * n,

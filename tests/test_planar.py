@@ -8,15 +8,8 @@ import random
 import pytest
 
 from godbersen_kit import planar
-from godbersen_kit.errors import DegenerateInput, NotCentered, TooFewVertices
-from godbersen_kit.planar import (
-    ccw_vertices,
-    reduce_to_triangle,
-    remove_vertex_step,
-    slide_interval,
-    slide_vertex,
-    verify_planar_gfr,
-)
+from godbersen_kit.errors import DegenerateInput, NotCentered
+from godbersen_kit.planar import ccw_vertices, reduce_to_triangle, verify_planar_gfr
 from godbersen_kit.polytopes import (
     centroid,
     convex_hull,
@@ -27,7 +20,13 @@ from godbersen_kit.polytopes import (
 from godbersen_kit.scalars import rational
 from godbersen_kit.simplexes import simplex_hull_ratio
 
-from oracles import random_exact_points
+from oracles import (
+    TooFewVertices,
+    random_exact_points,
+    remove_vertex_step,
+    slide_interval,
+    slide_vertex,
+)
 
 
 def centered_square(side=rational(1)):

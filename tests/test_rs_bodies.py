@@ -21,27 +21,22 @@ from godbersen_kit.polytopes import (
     translate,
     volume,
 )
-from godbersen_kit.rs_bodies import (
-    build_C,
-    corner_closed_forms,
-    corner_polar_sum_body,
-    corner_simplex_pair,
-    g_volume_closed_form,
-    verify_KL_inequality,
-    verify_ckl_bound,
-    verify_corner_equality,
-    verify_join_volume_bound,
-    verify_layered_lower_bound,
-    verify_strange,
-)
+from godbersen_kit.rs_bodies import build_C, verify_KL_inequality, verify_ckl_bound, verify_strange
 from godbersen_kit.scalars import rational as Q
 
 from oracles import (
     EmptySection,
+    corner_closed_forms,
+    corner_polar_sum_body,
+    corner_simplex_pair,
+    g_volume_closed_form,
     homothety_support_identity,
     random_exact_points,
     section_projection_check,
     slice_of_C,
+    verify_corner_equality,
+    verify_join_volume_bound,
+    verify_layered_lower_bound,
 )
 
 

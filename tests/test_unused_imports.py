@@ -2,11 +2,14 @@
 private top-level name in the package is read somewhere in the package,
 every public UPPER_CASE constant of the package is read somewhere in the
 package, its tests or the benchmark, every field of a package dataclass
-is read as an attribute somewhere in the package or its tests, and the
-exact polytope layers read no float-mode name.
+is read as an attribute somewhere in the package or its tests, the
+exact polytope layers read no float-mode name, and every public top-level
+function or class of the package is reached by the package or the
+benchmark, apart from the documented library entries ``LIBRARY_ENTRIES``.
 
 No linter ships with the toolkit, so this AST scan is the check: a deletion
-that leaves an import or a private helper behind fails here.
+that leaves an import or a private helper behind fails here, and so does a
+public helper that only tests call; it belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -22,6 +25,9 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # must not read.
 EXACT_LAYERS = ("polytopes", "mixed", "rs_bodies", "planar", "linalg", "simplexes")
 FLOAT_MODE_NAMES = ("FLOAT", "FLOAT_EPS")
+# Public definitions that the package and the benchmark never call, kept as
+# the README's documented library entries.
+LIBRARY_ENTRIES = ["centered_simplex", "cross_polytope", "cube", "gauge", "support"]
 
 
 def unused_imports(source):
@@ -100,6 +106,28 @@ def unread_dataclass_fields(sources, readers):
     return [field for field in fields if field.split(".")[1] not in read]
 
 
+def unreached_public_definitions(sources, bench):
+    """Sorted public top-level ``def``/``class`` names in ``sources`` that no
+    top-level statement of ``sources`` other than their own definition reads,
+    as a name or as an attribute, and that no module in ``bench`` reads; in
+    ``bench`` a string constant counts as a read, since the benchmark's
+    tracer looks functions up with ``getattr``."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    read = set()
+    for source in bench:
+        tree = ast.parse(source)
+        read |= _reads(tree) | {node.value for node in ast.walk(tree)
+                                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    reads = [_reads(node) for node in statements]
+    found = []
+    for i, node in enumerate(statements):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in read
+                and not any(node.name in r for j, r in enumerate(reads) if j != i)):
+            found.append(node.name)
+    return sorted(found)
+
+
 def float_mode_reads(source):
     """Sorted reads of ``FLOAT`` or ``FLOAT_EPS`` (imported, as a name or as
     an attribute) and of any ``.eps`` attribute; attributes are dotted."""
@@ -154,6 +182,19 @@ def test_scan_finds_float_mode_reads():
     assert float_mode_reads(source) == [".FLOAT_EPS", ".eps", "FLOAT", "FLOAT"]
 
 
+def test_scan_finds_an_unreached_public_definition():
+    package = ("def entry():\n    return entry()\n"
+               "def used():\n    pass\n"
+               "class Traced:\n    pass\n"
+               "def _private():\n    pass\n"
+               "class Unused:\n    def used(self):\n        pass\n",
+               "from a import used\nimport a\nVALUE = a.used()\n"
+               "def attribute_only():\n    pass\n")
+    bench = ("import a\nfn = getattr(a, 'Traced')\nb.attribute_only()\n"
+             "print('entry point')\n",)
+    assert unreached_public_definitions(package, bench) == ["Unused", "entry"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -177,3 +218,8 @@ def test_exact_layers_read_no_float_mode():
     reads = {name: float_mode_reads((ROOT / "src" / "godbersen_kit" / (name + ".py")).read_text())
              for name in EXACT_LAYERS}
     assert reads == {name: [] for name in EXACT_LAYERS}
+
+
+def test_every_public_definition_is_reached_or_documented():
+    assert unreached_public_definitions([path.read_text() for path in SRC],
+                                        [path.read_text() for path in BENCH]) == LIBRARY_ENTRIES
