@@ -58,7 +58,7 @@ from .polytopes import (
     centroid,
     convex_hull,
     convex_hull_union,
-    fan_total,
+    fan_volume,
     negate,
     point_row,
     scale_polytope,
@@ -338,8 +338,8 @@ def join_volume_and_subgradient(a, b, x):
     """f(x) = Vol conv(A v (B + x)) and a subgradient of f at x.
 
     ``a`` and ``b`` are arrays of points.  The value is the exact fan volume
-    of the :func:`triangulate` of the cloud's rows, rounded once by one
-    int/int division.  Fanned from the cloud's mean c, f is the sum of
+    of the :func:`triangulate` of the cloud's rows, one Fraction rounded
+    once to a float.  Fanned from the cloud's mean c, f is the sum of
     |det(sigma - c)| / d! over the boundary simplices sigma, and the
     derivative of a determinant in one of its rows is that row's cofactor;
     c drops out, since the fan volume does not depend on it.  The sum of
@@ -352,8 +352,7 @@ def join_volume_and_subgradient(a, b, x):
     d = cloud.shape[1]
     exact_rows = [point_row(p) for p in cloud.tolist()]
     basis, simplices = triangulate(exact_rows)
-    scale, weights, cones = boundary_fan(exact_rows, basis[0], simplices)
-    value = fan_total(scale, weights, cones) / (math.factorial(d) * scale ** (d + 1))
+    value = float(fan_volume(boundary_fan(exact_rows, basis[0], simplices), d))
     rows = np.array([verts for verts, _, _ in simplices])
     fan = cloud[rows] - cloud.mean(axis=0)
     # |det M| inv(M)^T = sign(det M) cof(M): cofactors oriented to a positive fan.
@@ -689,15 +688,15 @@ def run_trial(config, trial):
 
     The kind's runner returns the trial's reproduction payload and its
     checks, each a ``(name, hard, report, axes)`` tuple; every record is
-    built here from one check.  Exact ``strange`` records at n=4 write
-    ints beyond the interpreter's int/str digit limit, which
-    :func:`run_experiment` lifts.
+    built here from one check, with the interpreter's int/str digit limit
+    lifted: a ``strange`` record at n=3 can hold a 1,907-digit int.
     """
     if not 0 <= trial < config.trials:
         raise ValueError("trial %d outside 0..%d" % (trial, config.trials - 1))
     payload, checks = _TRIAL_RUNNERS[config.kind](config, trial)
-    return [_record(config, trial, report, check, hard, axes, payload)
-            for check, hard, report, axes in checks]
+    with _long_ints():
+        return [_record(config, trial, report, check, hard, axes, payload)
+                for check, hard, report, axes in checks]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def mixed_volumes(K, T):
     of C, that triangulates C (:func:`~.polytopes.boundary_fan`, on each
     point's own denominator).  A simplex S with b of its n+2 vertices at
     height 1 slices to volumes proportional to (1-t)^(n+1-b) t^(b-1), so it
-    adds (n+1) Vol(S) to V(K[n+1-b], T[b-1]) (the Cayley trick).
+    adds (n+1) Vol(S) = |D| / (n! prod m) to V(K[n+1-b], T[b-1]) (the
+    Cayley trick): V(K[j], T[n-j]) is its class's fan_total over n!.
     """
     if K.dim != T.dim:
         raise ValueError("operands must share dimension")
@@ -58,10 +59,9 @@ def mixed_volumes(K, T):
     apex = basis[0]
     # b of each cone's n+2 points at height 1; cones at one height are flat.
     b = {verts: sum(rows[v][0][n] != 0 for v in (apex, *verts)) for verts, _, _ in simplices}
-    scale, weights, cones = boundary_fan(rows, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
-    # (n+1) t / ((n+1)! L^(n+2)) = t / (n! L^(n+2))
-    return [rational(fan_total(scale, weights, [c for c in cones if b[c[0]] == n + 1 - j]),
-                math.factorial(n) * scale ** (n + 2)) for j in range(n + 1)]
+    m, cones = boundary_fan(rows, apex, [s for s in simplices if 0 < b[s[0]] < n + 2])
+    return [fan_total(m, [c for c in cones if b[c[0]] == n + 1 - j]) / math.factorial(n)
+            for j in range(n + 1)]
 
 
 def volume_polynomial(K, T):

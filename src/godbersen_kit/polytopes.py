@@ -5,8 +5,10 @@ The hull is an incremental beneath-beyond insertion; all downstream
 quantities (volume, centroid, facet structure) fall out of the same
 boundary triangulation.  The integer kernel, its volume fan and the polar
 chains run on rows (X, w), ints over each point's own denominator (see
-:func:`point_row`), so no common denominator is formed.  The volume is
-computed with the hull; vertices, facets and centroid only when read.
+:func:`point_row`), so no common denominator is formed: a fan cone's
+volume is an int over its own vertices' denominators (:func:`fan_total`).
+The volume is computed with the hull; vertices, facets and centroid only
+when read.
 :func:`triangulate` is the kernel's one entry, for hulls, the Cayley mixed
 volumes and the translation search's float probes alike.
 
@@ -23,7 +25,6 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -288,66 +289,65 @@ def boundary_fan(hpts, apex, simplices):
     """The boundary simplices coned to the vertex ``apex``, skipping the
     cones through it, on each point's own (X, w).
 
-    The edge from the apex to a point v is m (p_v - p_apex) as ints, over
-    the pair's own denominator m = lcm(w_v, w_apex): the homogeneous rows
-    (w, X) with the apex row eliminated once per point.  Returns
-    (L, weights, cones): L is the lcm of the weights w of the apex and the
-    simplices' points, weights[v] = L / m, and each cone is (vertex
-    indices, |D|) with D the determinant of its d edges, so that its
-    t = L |D| prod(weights[v]) is d! L^(d+1) times its volume."""
+    The edge from the apex to a point v is m[v] (p_v - p_apex) as ints, over
+    the pair's own denominator m[v] = lcm(w_v, w_apex): the homogeneous rows
+    (w, X) with the apex row eliminated once per point.  Returns (m, cones):
+    each cone is (vertex indices, |D|) with D the determinant of its d
+    edges, so that its volume is |D| / (d! prod(m[v])) (see
+    :func:`fan_total`)."""
     used = {apex, *(v for verts, _, _ in simplices for v in verts)}
-    scale = math.lcm(*{hpts[v][1] for v in used})
     Xa, wa = hpts[apex]
-    edges = {}
-    weights = {}
-    for v in used:
-        X, w = hpts[v]
-        m = math.lcm(w, wa)
-        edges[v] = tuple(x * (m // w) - y * (m // wa) for x, y in zip(X, Xa))
-        weights[v] = scale // m
+    m = {v: math.lcm(hpts[v][1], wa) for v in used}
+    edges = {v: tuple(x * (m[v] // hpts[v][1]) - y * (m[v] // wa) for x, y in zip(hpts[v][0], Xa))
+             for v in used}
     cones = [(verts, abs(det([edges[v] for v in verts])))
              for verts, _, _ in simplices if apex not in verts]
-    return scale, weights, cones
+    return m, cones
 
 
-def fan_total(scale, weights, cones):
-    """Sum of the cones' t = L |D| prod(weights[v]) (see :func:`boundary_fan`).
+def fan_total(m, cones):
+    """The sum of the cones' D / prod(m[v]) as one Fraction: d! times the
+    volume of a :func:`boundary_fan`.
 
-    The cones are grouped by their first vertex, then by their second and
-    so on, so that each weight, an int about as large as L, multiplies a
-    group's sum once rather than every cone's product."""
+    Every m[v] is first divided by g, their gcd, whose d-th power goes back
+    into the denominator.  The sorted cones are then summed depth first in
+    a balanced binary tree whose node (a, S) stands for a / prod(m[v] for v
+    in S): a merge multiplies each side's numerator by the m[v] of the
+    vertices only the other side has, and no gcd is taken before the root."""
+    if not cones:
+        return rational(0)
+    g = math.gcd(*m.values())
+    m = {v: mv // g for v, mv in m.items()}
+    cones = sorted(cones)
 
-    def grouped(group, k):
-        if k == len(group[0][0]):
-            return sum(D for _, D in group)
-        return sum(weights[v] * grouped(list(sub), k + 1)
-                   for v, sub in itertools.groupby(group, key=lambda cone: cone[0][k]))
+    def node(lo, hi):
+        if hi - lo == 1:
+            return cones[lo][1], set(cones[lo][0])
+        (a, S), (b, T) = node(lo, (lo + hi) // 2), node((lo + hi) // 2, hi)
+        return a * math.prod(m[v] for v in T - S) + b * math.prod(m[v] for v in S - T), S | T
 
-    return scale * grouped(sorted(cones), 0) if cones else 0
+    total, S = node(0, len(cones))
+    return rational(total, g ** len(cones[0][0]) * math.prod(m[v] for v in S))
 
 
 def fan_volume(fan, d):
     """Volume of a d-dimensional :func:`boundary_fan`, its :func:`fan_total`
-    over d! L^(d+1)."""
-    return rational(fan_total(*fan), math.factorial(d) * fan[0] ** (d + 1))
+    over d!."""
+    return fan_total(*fan) / math.factorial(d)
 
 
 def _fan_centroid(hpts, apex, fan):
     """Volume centroid of a :func:`boundary_fan`: the t-weighted mean of the
-    cones' vertex means, on the points scaled to the fan's L."""
-    scale, weights, cones = fan
+    cones' vertex means, on the points scaled to L, the lcm of the fan's m,
+    where a cone's t = |D| prod(L / m[v]) is d! L^d times its volume."""
+    m, cones = fan
     d = len(hpts[apex][0])
-    used = {v for verts, _ in cones for v in verts} | {apex}
-    ys = {v: tuple(c * (scale // hpts[v][1]) for c in hpts[v][0]) for v in used}  # L p, as ints
-    total = 0
-    weighted = [0] * d
-    for verts, D in cones:
-        t = scale * D * math.prod(weights[v] for v in verts)
-        total += t
-        for c in range(d):
-            weighted[c] += t * sum(ys[v][c] for v in verts)
-    return tuple(rational(w + total * a, total * scale * (d + 1))
-                 for w, a in zip(weighted, ys[apex]))
+    scale = math.lcm(*m.values())
+    ys = {v: tuple(c * (scale // hpts[v][1]) for c in hpts[v][0]) for v in m}  # L p, as ints
+    ts = [(D * math.prod(scale // m[v] for v in verts), verts) for verts, D in cones]
+    total = sum(t for t, _ in ts)
+    return tuple(rational(sum(t * sum(ys[v][c] for v in verts) for t, verts in ts)
+                          + total * ys[apex][c], total * scale * (d + 1)) for c in range(d))
 
 
 def _hull_finish(rows, simplices):

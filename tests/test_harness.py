@@ -874,6 +874,19 @@ def test_exact_strange_at_n4_writes_its_exact_ratio(tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+def test_run_trial_lifts_the_digit_limit_itself():
+    # The strange n=3 records of this seed hold ints of 1,907 digits; called
+    # directly, without run_experiment, run_trial must still build them.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        recs = run_trial(ExperimentConfig(kind="strange", n=3, trials=1, seed=14), 0)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [rec["pass"] for rec in recs] == [True, True]
+
+
 def test_readme_config_examples_parse():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = re.findall(r"printf '(\{.*\})\\n'", text)

@@ -6,8 +6,11 @@ denominators r differ pairwise, as ``to_vrep`` and ``polar`` make them.
 Every field of their hulls must equal ``oracles.reference_convex_hull`` as
 a rational, also when the centroid is first read after an affine map.  The
 Rogers-Shephard-type checks read no centroid of the hulls they build.
+``fan_total``'s product tree must equal the plain sum of its cones'
+fractions, also when every m shares a large factor.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from godbersen_kit.harness import random_polytope
 from godbersen_kit.polytopes import (
     centroid,
     convex_hull,
+    fan_total,
     negate,
     polar_body,
     scale_polytope,
@@ -80,3 +84,51 @@ def test_rogers_shephard_checks_read_no_centroid(monkeypatch):
     assert verify_strange(K, L).passed
     with pytest.raises(AssertionError):
         centroid(convex_hull(K.vertices))
+
+
+def _plain_sum(m, cones):
+    return sum((Fraction(D, math.prod(m[v] for v in verts)) for verts, D in cones), Fraction(0))
+
+
+def _random_cones(rng, m, d, count):
+    return [(tuple(sorted(rng.sample(sorted(m), d))), rng.getrandbits(rng.randint(1, 200)))
+            for _ in range(count)]
+
+
+def test_fan_total_of_no_cones_is_zero():
+    total = fan_total({0: 3, 1: 5}, [])
+    assert total == 0 and isinstance(total, Fraction)
+
+
+def test_fan_total_of_one_cone():
+    assert fan_total({0: 6, 1: 10, 2: 15, 3: 7}, [((0, 1, 2), 11)]) == Fraction(11, 6 * 10 * 15)
+
+
+def test_fan_total_with_shared_and_disjoint_vertex_sets():
+    m = {v: 2 * v + 3 for v in range(8)}
+    shared = [((0, 1, 2), 5), ((0, 1, 3), 7), ((0, 2, 3), 9), ((1, 2, 3), 4)]
+    disjoint = [((0, 1, 2), 5), ((3, 4, 5), 8), ((6, 7, 0), 1)]
+    for cones in (shared, disjoint, shared + disjoint, shared + shared):
+        assert fan_total(m, cones) == _plain_sum(m, cones)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_fan_total_with_a_large_common_factor(d):
+    # Every m shares one big factor (the gcd step) and small, overlapping rest.
+    rng = random.Random(9400 + d)
+    big = rng.getrandbits(150) | 1
+    m = {v: big * rng.randint(1, 12) for v in range(d + 6)}
+    assert math.gcd(*m.values()) % big == 0
+    for count in (1, 2, 3, 17, 64):
+        cones = _random_cones(rng, m, d, count)
+        assert fan_total(m, cones) == _plain_sum(m, cones)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_fan_total_with_pairwise_coprime_m(d):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    rng = random.Random(9500 + d)
+    m = {v: p ** rng.randint(1, 30) for v, p in enumerate(primes[:d + 5])}
+    for count in (1, 2, 5, 33):
+        cones = _random_cones(rng, m, d, count)
+        assert fan_total(m, cones) == _plain_sum(m, cones)
